@@ -111,7 +111,7 @@ def cmd_rescore(args):
                         interp_weight=args.interp_weight,
                         word_penalty=args.word_penalty)
     lists = rescore.read_nbest(args.nbest)
-    rescored = [rescore.rescore_nbest(nb, m, kn, cfg) for nb in lists]
+    rescored = rescore.rescore_lists(lists, m, kn, cfg)
     rescore.write_rescored(rescored, args.output)
     if args.onebest:
         rescore.write_onebest(rescored, args.onebest)

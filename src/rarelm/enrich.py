@@ -191,7 +191,8 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
         }
     report.untouched_checksum_before = before
     report.untouched_checksum_after = _untouched_checksum(out, cols)
-    assert report.untouched_checksum_before == report.untouched_checksum_after
+    if report.untouched_checksum_before != report.untouched_checksum_after:
+        raise RuntimeError("enrichment changed parameters outside the planned columns")
     return out, report
 
 

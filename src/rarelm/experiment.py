@@ -10,7 +10,6 @@ word pairs, plus random substitutions) with acoustic scores set so the
 corrupted hypothesis outranks the correct one by a small margin.
 """
 
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -249,13 +248,6 @@ class ExperimentBundle:
     threshold: int = 10
 
 
-def _model_digest(m: NeuralLM) -> str:
-    h = hashlib.sha256()
-    for arr in (m.S, m.W, m.b, m.U):
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
 def enrich_for_bundle(bundle: ExperimentBundle, threshold: int, k: int,
                       mode: str = "allStreets"):
     """Build the enriched model for one configuration.
@@ -283,12 +275,8 @@ def enrich_for_bundle(bundle: ExperimentBundle, threshold: int, k: int,
 def rescore_and_score(bundle: ExperimentBundle, model: NeuralLM):
     """Rescore every list with the given model; returns (wer report,
     rescored lists, 1-best hypotheses)."""
-    rescored = []
-    onebest = {}
-    for nb in bundle.nbest:
-        rr = rescore.rescore_nbest(nb, model, bundle.kn, bundle.rescore_cfg)
-        rescored.append(rr)
-        onebest[nb.utt_id] = rr.hypotheses[0].words
+    rescored = rescore.rescore_lists(bundle.nbest, model, bundle.kn, bundle.rescore_cfg)
+    onebest = {nb.utt_id: nb.hypotheses[0].words for nb in rescored}
     return metrics.corpus_wer(bundle.refs, onebest), rescored, onebest
 
 
@@ -300,23 +288,25 @@ def run_configuration(bundle: ExperimentBundle, threshold: int, k: int,
 
 def sweep_threshold(bundle: ExperimentBundle, thresholds: list) -> list:
     """WER per threshold; the input model is never mutated."""
-    digest = _model_digest(bundle.model)
+    digest = enrich._untouched_checksum(bundle.model, ())
     rows = []
     for th in thresholds:
         wer, _, _, _ = run_configuration(bundle, th, bundle.k)
         rows.append({"threshold": th, "wer": wer.wer, "errors": wer.errors})
-    assert _model_digest(bundle.model) == digest
+    if enrich._untouched_checksum(bundle.model, ()) != digest:
+        raise RuntimeError("sweep modified the input model")
     return rows
 
 
 def sweep_candidates(bundle: ExperimentBundle, k_values: list) -> list:
     """WER per candidate count at the bundle's fixed threshold."""
-    digest = _model_digest(bundle.model)
+    digest = enrich._untouched_checksum(bundle.model, ())
     rows = []
     for k in k_values:
         wer, _, _, _ = run_configuration(bundle, bundle.threshold, k)
         rows.append({"k": k, "wer": wer.wer, "errors": wer.errors})
-    assert _model_digest(bundle.model) == digest
+    if enrich._untouched_checksum(bundle.model, ()) != digest:
+        raise RuntimeError("sweep modified the input model")
     return rows
 
 

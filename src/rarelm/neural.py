@@ -18,6 +18,7 @@ from .textcorpus import BOS_ID, SPECIALS, Vocabulary
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
+BATCH_ROWS = 64  # rows per batched inference step; bounds memory at any |V|
 
 
 @dataclass
@@ -112,47 +113,65 @@ def _cell(m: NeuralLM, x, h_prev, c_prev):
     return i, f, g, o, c, h
 
 
-def forward_step(m: NeuralLM, word: int, state: LMState,
-                 dropout_p: float = 0.0, rng=None):
-    """One inference step: returns (probability vector over V, new state).
+def forward_step(m: NeuralLM, words, state: LMState):
+    """One batched inference step over B rows.
 
-    The input state is never mutated. Dropout (inverted scaling) is applied
-    to the embedding and to h before the output projection when requested.
+    words: (B,) input ids. Returns (natural-log softmax over V, shape
+    (B, |V|), new state). The input state is never mutated.
     """
-    if not (0 <= word < m.vocab_size):
-        raise IndexError("word id %d out of range for |V|=%d" % (word, m.vocab_size))
-    x = m.S[:, word][None, :]
-    if dropout_p > 0.0:
-        x = x * (rng.random(x.shape) >= dropout_p) / (1.0 - dropout_p)
+    words = np.asarray(words)
+    if words.min() < 0 or words.max() >= m.vocab_size:
+        raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
+    x = m.S[:, words].T
     _, _, _, _, c, h = _cell(m, x, state.h, state.c)
-    h_out = h
-    if dropout_p > 0.0:
-        h_out = h * (rng.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
-    y = h_out @ m.U
-    p = _softmax_rows(y)[0]
-    return p, LMState(h, c)
+    y = h @ m.U
+    y -= y.max(axis=1, keepdims=True)
+    y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
+    return y, LMState(h, c)
+
+
+def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
+    """log10 P(ids[t+1] | ids[:t+1]) for every position t of each
+    bos/eos-framed sequence; state is reset per sequence.
+
+    Sequences are scored longest first, BATCH_ROWS rows at a time, with one
+    batched forward_step per time step; a row drops off the end of the
+    batch once its sequence is done. Returns arrays in input order.
+    """
+    out = [None] * len(seqs)
+    order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+    for start in range(0, len(order), BATCH_ROWS):
+        rows = order[start:start + BATCH_ROWS]
+        npos = [max(len(seqs[i]) - 1, 0) for i in rows]  # descending
+        ids = np.zeros((len(rows), npos[0] + 1), dtype=np.int64)
+        for r, i in enumerate(rows):
+            ids[r, :len(seqs[i])] = seqs[i]
+        if ids.min() < 0 or ids.max() >= m.vocab_size:
+            raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
+        lp = np.zeros((len(rows), npos[0]))
+        st = m.zero_state(len(rows))
+        for t in range(npos[0]):
+            n = sum(1 for k in npos if k > t)
+            logp, st = forward_step(m, ids[:n, t], LMState(st.h[:n], st.c[:n]))
+            lp[:n, t] = logp[np.arange(n), ids[:n, t + 1]]
+        lp /= LOG10
+        for r, i in enumerate(rows):
+            out[i] = lp[r, :npos[r]]
+    return out
 
 
 def nn_sentence_logprob(m: NeuralLM, ids: list[int]) -> float:
     """Total log10 probability of a bos/eos-framed sentence, state reset first."""
-    st = m.zero_state()
-    total = 0.0
-    for t in range(len(ids) - 1):
-        p, st = forward_step(m, ids[t], st)
-        total += math.log10(p[ids[t + 1]])
-    return total
+    return sum(position_logprobs(m, [ids])[0].tolist())
 
 
 def nn_perplexity(m: NeuralLM, corpus) -> float:
     """Perplexity over framed sentences; eos counted, bos not."""
-    total = 0.0
-    nwords = 0
-    for ids in corpus:
-        total += nn_sentence_logprob(m, ids)
-        nwords += len(ids) - 1
+    lps = position_logprobs(m, list(corpus))
+    nwords = sum(len(lp) for lp in lps)
     if nwords == 0:
         raise ValueError("empty corpus")
-    return 10.0 ** (-total / nwords)
+    return 10.0 ** (-sum(sum(lp.tolist()) for lp in lps) / nwords)
 
 
 def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,

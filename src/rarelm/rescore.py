@@ -4,7 +4,7 @@ with a Kneser-Ney n-gram model in the probability domain."""
 import math
 from dataclasses import dataclass, field
 
-from .neural import NeuralLM, forward_step
+from .neural import BATCH_ROWS, NeuralLM, position_logprobs
 from .textcorpus import encode
 
 
@@ -35,46 +35,80 @@ class RescoreConfig:
             raise ValueError("lm_weight must be >= 0")
 
 
-def lm_score_hypothesis(nlm: NeuralLM, kn, words: list[str],
-                        interp_weight: float = 0.0) -> float:
-    """log10 probability of a hypothesis under (1-mu)*P_nlm + mu*P_kn.
+def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list[float]:
+    """log10 probability of each hypothesis under (1-mu)*P_nlm + mu*P_kn.
 
     The mix is linear in the probability domain per position. State is
-    reset for every hypothesis; OOV words map to unk.
+    reset for every hypothesis; OOV words map to unk. All hypotheses go
+    through one batched pass of the neural model.
     """
     if interp_weight > 0.0 and kn is None:
         raise ValueError("interp_weight > 0 requires an n-gram model")
-    ids = encode(words, nlm.vocab)
     mu = interp_weight
-    st = nlm.zero_state()
-    total = 0.0
-    for t in range(len(ids) - 1):
-        p_vec, st = forward_step(nlm, ids[t], st)
-        p = p_vec[ids[t + 1]]
+    seqs = [encode(words, nlm.vocab) for words in word_lists]
+    scores = []
+    for ids, lps in zip(seqs, position_logprobs(nlm, seqs)):
+        lps = lps.tolist()
         if mu > 0.0:
-            h = tuple(ids[max(0, t - kn.order + 2):t + 1])
-            p = (1.0 - mu) * p + mu * kn.prob(ids[t + 1], h)
-        total += math.log10(p)
-    return total
+            lps = [math.log10((1.0 - mu) * 10.0 ** lp + mu * kn.prob(
+                       ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1])))
+                   for t, lp in enumerate(lps)]
+        scores.append(sum(lps))
+    return scores
+
+
+def lm_score_hypothesis(nlm: NeuralLM, kn, words: list[str],
+                        interp_weight: float = 0.0) -> float:
+    """lm_scores for a single hypothesis."""
+    return lm_scores(nlm, kn, [words], interp_weight)[0]
+
+
+def _rescore_group(group, nlm, kn, cfg):
+    lms = iter(lm_scores(nlm, kn, [h.words for nb in group for h in nb.hypotheses],
+                         cfg.interp_weight))
+    out = []
+    for nb in group:
+        scored = []
+        for hyp in nb.hypotheses:
+            total = hyp.am_score + cfg.lm_weight * next(lms) \
+                + cfg.word_penalty * len(hyp.words)
+            if not math.isfinite(total):
+                raise ValueError("non-finite total score for %s rank %d"
+                                 % (nb.utt_id, hyp.rank))
+            scored.append(Hypothesis(hyp.rank, hyp.am_score, list(hyp.words), total))
+        scored.sort(key=lambda h: (-h.total_score, h.rank))
+        out.append(NBestList(nb.utt_id, scored))
+    return out
+
+
+def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestList]:
+    """Re-rank n-best lists by am + lambda*lm_log10prob + gamma*|words|.
+
+    Ties are broken by original rank (lower wins); each returned list has
+    its chosen top hypothesis at element 0. Whole lists are scored together
+    in groups of up to BATCH_ROWS hypotheses, so memory stays bounded.
+    """
+    cfg.validate()
+    out = []
+    group = []
+    nhyps = 0
+    for nb in lists:
+        if not nb.hypotheses:
+            raise ValueError("empty n-best list for %s" % nb.utt_id)
+        if group and nhyps + len(nb.hypotheses) > BATCH_ROWS:
+            out.extend(_rescore_group(group, nlm, kn, cfg))
+            group, nhyps = [], 0
+        group.append(nb)
+        nhyps += len(nb.hypotheses)
+    if group:
+        out.extend(_rescore_group(group, nlm, kn, cfg))
+    return out
 
 
 def rescore_nbest(nb: NBestList, nlm: NeuralLM, kn,
                   cfg: RescoreConfig) -> NBestList:
-    """Re-rank one n-best list by am + lambda*lm_log10prob + gamma*|words|.
-
-    Ties are broken by original rank (lower wins). Returns a new list; the
-    chosen top hypothesis is element 0.
-    """
-    cfg.validate()
-    if not nb.hypotheses:
-        raise ValueError("empty n-best list for %s" % nb.utt_id)
-    scored = []
-    for hyp in nb.hypotheses:
-        lm = lm_score_hypothesis(nlm, kn, hyp.words, cfg.interp_weight)
-        total = hyp.am_score + cfg.lm_weight * lm + cfg.word_penalty * len(hyp.words)
-        scored.append(Hypothesis(hyp.rank, hyp.am_score, list(hyp.words), total))
-    scored.sort(key=lambda h: (-h.total_score, h.rank))
-    return NBestList(nb.utt_id, scored)
+    """rescore_lists for a single n-best list."""
+    return rescore_lists([nb], nlm, kn, cfg)[0]
 
 
 class NBestFormatError(ValueError):
@@ -87,6 +121,7 @@ def read_nbest(path) -> list[NBestList]:
     Utterances must be contiguous with ranks ascending from 1.
     """
     lists = []
+    seen = set()
     current = None
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -107,9 +142,10 @@ def read_nbest(path) -> list[NBestList]:
             if not math.isfinite(am):
                 raise NBestFormatError("%s:%d: non-finite am_score" % (path, lineno))
             if current is None or current.utt_id != utt:
-                if any(l.utt_id == utt for l in lists):
+                if utt in seen:
                     raise NBestFormatError(
                         "%s:%d: utterance %s is not contiguous" % (path, lineno, utt))
+                seen.add(utt)
                 current = NBestList(utt)
                 lists.append(current)
             expected = len(current.hypotheses) + 1

@@ -79,6 +79,23 @@ def test_sweep_does_not_mutate_model(synthetic_pipeline):
     assert np.array_equal(bundle.model.S, S0)
 
 
+@pytest.mark.parametrize("sweep", [experiment.sweep_threshold,
+                                   experiment.sweep_candidates])
+def test_sweep_that_mutates_model_raises(monkeypatch, sweep):
+    m = neural.init_model(textcorpus.Vocabulary(["a"]), 2, 2)
+    bundle = experiment.ExperimentBundle(counts={}, scope=set(), model=m, kn=None,
+                                         nbest=[], refs={})
+    report = metrics.corpus_wer({"u": ["a"]}, {"u": ["a"]})
+
+    def mutating_run(b, threshold, k, mode="allStreets"):
+        b.model.U[0, 0] += 1.0
+        return report, [], {}, None
+
+    monkeypatch.setattr(experiment, "run_configuration", mutating_run)
+    with pytest.raises(RuntimeError, match="modified the input model"):
+        sweep(bundle, [1])
+
+
 def test_candidate_sweep_clamps_k(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     nfreq = sum(1 for s in bundle.scope

@@ -66,7 +66,8 @@ def test_init_forget_bias():
 
 def test_forward_step_softmax():
     m = neural.init_model(small_vocab(3), 3, 4, seed=0)
-    p, st = neural.forward_step(m, 0, m.zero_state())
+    lp, st = neural.forward_step(m, [0], m.zero_state())
+    p = np.exp(lp[0])
     assert abs(p.sum() - 1.0) < 1e-6
     assert np.all(p > 0)
 
@@ -74,8 +75,8 @@ def test_forward_step_softmax():
 def test_forward_step_zero_weights_uniform():
     m = neural.init_model(small_vocab(1), 2, 2, seed=0)
     m.S[:] = 0; m.W[:] = 0; m.b[:] = 0; m.U[:] = 0
-    p, _ = neural.forward_step(m, 0, m.zero_state())
-    assert np.allclose(p, 0.25)
+    lp, _ = neural.forward_step(m, [0], m.zero_state())
+    assert np.allclose(np.exp(lp), 0.25)
 
 
 def test_forward_step_hand_scalar_lstm():
@@ -99,8 +100,8 @@ def test_forward_step_hand_scalar_lstm():
     y = np.array([0.7 * h, -0.5 * h, 0.1 * h])
     exp = np.exp(y - y.max())
     expected = exp / exp.sum()
-    p, new_st = neural.forward_step(m, 0, st)
-    assert np.allclose(p, expected, atol=1e-12)
+    lp, new_st = neural.forward_step(m, [0], st)
+    assert np.allclose(np.exp(lp[0]), expected, atol=1e-12)
     assert abs(new_st.h[0, 0] - h) < 1e-12
     assert abs(new_st.c[0, 0] - c) < 1e-12
 
@@ -108,14 +109,14 @@ def test_forward_step_hand_scalar_lstm():
 def test_forward_step_out_of_range():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(IndexError):
-        neural.forward_step(m, len(m.vocab), m.zero_state())
+        neural.forward_step(m, [len(m.vocab)], m.zero_state())
 
 
 def test_forward_step_state_not_mutated():
     m = neural.init_model(small_vocab(2), 2, 3, seed=0)
     st = m.zero_state()
     h0, c0 = st.h.copy(), st.c.copy()
-    neural.forward_step(m, 1, st)
+    neural.forward_step(m, [1], st)
     assert np.array_equal(st.h, h0) and np.array_equal(st.c, c0)
 
 
@@ -127,7 +128,8 @@ def test_softmax_property_random_triples():
                               seed=int(rng.integers(1000)))
         st = neural.LMState(rng.normal(size=(1, m.d_h)),
                             rng.normal(size=(1, m.d_h)))
-        p, _ = neural.forward_step(m, int(rng.integers(m.vocab_size)), st)
+        lp, _ = neural.forward_step(m, [int(rng.integers(m.vocab_size))], st)
+        p = np.exp(lp[0])
         assert abs(p.sum() - 1.0) < 1e-6 and np.all(p > 0)
 
 
@@ -147,8 +149,8 @@ def test_sentence_logprob_matches_stepwise():
     st = m.zero_state()
     total = 0.0
     for t in range(len(ids) - 1):
-        p, st = neural.forward_step(m, ids[t], st)
-        total += math.log10(p[ids[t + 1]])
+        lp, st = neural.forward_step(m, [ids[t]], st)
+        total += lp[0, ids[t + 1]] / neural.LOG10
     assert abs(neural.nn_sentence_logprob(m, ids) - total) < 1e-12
 
 
@@ -259,3 +261,13 @@ def test_checkpoint_truncated(tmp_path):
     p.write_bytes(data[:-10])
     with pytest.raises(neural.CheckpointError, match="payload length"):
         neural.load_model(p)
+
+
+def test_softmax_underflow_gives_finite_logprob():
+    # P(b | a) underflows to 0.0 in the probability domain
+    m = neural.init_model(Vocabulary(["a", "b"]), 2, 2)
+    m.U[0, 3] = 1e4
+    m.U[0, 4] = -1e4
+    m.b[:] = 5
+    lp = neural.nn_sentence_logprob(m, [0, 4, 1])
+    assert math.isfinite(lp) and lp < -1000

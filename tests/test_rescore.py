@@ -45,8 +45,8 @@ def test_mixture_direct_arithmetic():
     st = nlm.zero_state()
     expect = 0.0
     for t in range(len(ids) - 1):
-        p_vec, st = neural.forward_step(nlm, ids[t], st)
-        p_n = p_vec[ids[t + 1]]
+        lp, st = neural.forward_step(nlm, [ids[t]], st)
+        p_n = math.exp(lp[0, ids[t + 1]])
         p_k = kn.prob(ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1]))
         expect += math.log10(0.7 * p_n + mu * p_k)
     got = rescore.lm_score_hypothesis(nlm, kn, words, mu)
@@ -189,3 +189,18 @@ def test_onebest_write_read(tmp_path):
     path = tmp_path / "1best.tsv"
     rescore.write_onebest(lists, path)
     assert rescore.read_onebest(path) == {"u1": ["a", "b"]}
+
+
+def test_nbest_non_contiguous_utterance(tmp_path):
+    path = tmp_path / "n.tsv"
+    path.write_text("u1\t1\t-1\ta\nu2\t1\t-1\tb\nu1\t2\t-2\tc\n")
+    with pytest.raises(rescore.NBestFormatError, match=r":3: utterance u1 is not contiguous"):
+        rescore.read_nbest(path)
+
+
+def test_rescore_non_finite_total_rejected():
+    nlm, _, _ = setup_models()
+    nlm.U[:] = float("nan")
+    with pytest.raises(ValueError, match="non-finite total score for u rank 1"):
+        rescore.rescore_nbest(NBestList("u", [Hypothesis(1, -1.0, ["a"])]), nlm, None,
+                              RescoreConfig())
