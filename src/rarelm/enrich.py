@@ -134,23 +134,31 @@ class EnrichmentReport:
     untouched_checksum_after: str = ""
 
 
+CHECKSUM_ROWS = 64  # rows hashed per block; bounds the copy at any |V|
+
+
 def _untouched_checksum(m: NeuralLM, skip_cols) -> str:
-    keep = np.array([j for j in range(m.vocab_size) if j not in skip_cols],
-                    dtype=np.int64)
+    """sha256 over W, b and the S and U columns whose ids are not in
+    skip_cols, each as C-order float64 bytes. S and U are hashed a block
+    of rows at a time, which gives the same bytes in the same order as
+    hashing the whole kept-column matrix."""
+    keep = np.ones(m.vocab_size, dtype=bool)
+    keep[np.fromiter(skip_cols, dtype=np.intp)] = False
     h = hashlib.sha256()
-    h.update(m.W.tobytes())
-    h.update(m.b.tobytes())
-    h.update(np.ascontiguousarray(m.S[:, keep]).tobytes())
-    h.update(np.ascontiguousarray(m.U[:, keep]).tobytes())
+    h.update(np.ascontiguousarray(m.W))
+    h.update(np.ascontiguousarray(m.b))
+    for X in (m.S, m.U):
+        for i in range(0, X.shape[0], CHECKSUM_ROWS):
+            h.update(np.compress(keep, X[i:i + CHECKSUM_ROWS], axis=1))
     return h.hexdigest()
 
 
 def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, EnrichmentReport]:
     """Apply the centroid update to the planned columns of S and U.
 
-    Candidate vectors are snapshotted up front, so the result does not
-    depend on update order even if a candidate is itself planned. Validates
-    the whole plan before touching anything.
+    Candidate vectors are read from the unmodified input, so the result
+    does not depend on update order even if a candidate is itself planned.
+    Validates the whole plan before touching anything.
     """
     vocab = m.vocab
     for rare, cands in plan.candidates.items():
@@ -167,73 +175,37 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
                 raise ValueError("non-positive weight for candidate %r" % c)
 
     out = m.copy()
-    cols = {vocab.id(r) for r in plan.candidates}
+    rares = list(plan.candidates)
+    cols = np.array([vocab.id(r) for r in rares], dtype=np.intp)
+    ncand = np.array([len(plan.candidates[r]) for r in rares], dtype=np.intp)
+    slots = int(ncand.max()) if rares else 0
+    # candidate j of each planned word; rows without a j-th candidate stay 0
+    cand = np.zeros((len(rares), slots), dtype=np.intp)
+    weight = np.zeros((len(rares), slots))
+    for i, r in enumerate(rares):
+        for j, (c, w) in enumerate(plan.candidates[r]):
+            cand[i, j] = vocab.id(c)
+            weight[i, j] = w
     before = _untouched_checksum(m, cols)
-    S0, U0 = m.S, m.U  # snapshots (out holds copies)
+    # Eq. 4 column-wise, one candidate slot at a time: every element gets
+    # the same additions in the same order as a per-word loop would do.
+    for X0, X in ((m.S, out.S), (m.U, out.U)):
+        acc = X0[:, cols]
+        for j in range(slots):
+            rows = np.flatnonzero(ncand > j)
+            acc[:, rows] += weight[rows, j] * X0[:, cand[rows, j]]
+        X[:, cols] = acc / (ncand + 1.0)
     report = EnrichmentReport(modified=len(cols))
-    for rare, cands in plan.candidates.items():
-        r = vocab.id(rare)
-        denom = len(cands) + 1.0
-        s_new = S0[:, r].copy()
-        u_new = U0[:, r].copy()
-        for c, w in cands:
-            ci = vocab.id(c)
-            s_new += w * S0[:, ci]
-            u_new += w * U0[:, ci]
-        out.S[:, r] = s_new / denom
-        out.U[:, r] = u_new / denom
+    for rare, r in zip(rares, cols.tolist()):
         report.per_word[rare] = {
-            "s_norm_before": float(np.linalg.norm(S0[:, r])),
+            "s_norm_before": float(np.linalg.norm(m.S[:, r])),
             "s_norm_after": float(np.linalg.norm(out.S[:, r])),
-            "u_norm_before": float(np.linalg.norm(U0[:, r])),
+            "u_norm_before": float(np.linalg.norm(m.U[:, r])),
             "u_norm_after": float(np.linalg.norm(out.U[:, r])),
-            "candidates": list(cands),
+            "candidates": list(plan.candidates[rare]),
         }
     report.untouched_checksum_before = before
     report.untouched_checksum_after = _untouched_checksum(out, cols)
     if report.untouched_checksum_before != report.untouched_checksum_after:
         raise RuntimeError("enrichment changed parameters outside the planned columns")
     return out, report
-
-
-def cosine_weights(partition: FrequencyPartition, vectors: dict, k: int,
-                   seed: int = 0) -> EnrichmentPlan:
-    """Experimental: weigh candidates by cosine similarity to the rare word
-    using an external word -> vector table. Words without a vector are
-    skipped. Not used on the main pipeline.
-    """
-    rng = np.random.default_rng(seed)
-    pool = sorted(w for w in partition.frequent if w in vectors)
-    if not pool:
-        raise ValueError("no candidates available")
-    plan = {}
-    for rare in sorted(partition.rare):
-        if rare not in vectors:
-            continue
-        v = np.asarray(vectors[rare], dtype=float)
-        sims = []
-        for c in pool:
-            u = np.asarray(vectors[c], dtype=float)
-            denom = np.linalg.norm(v) * np.linalg.norm(u)
-            if denom == 0:
-                continue
-            s = float(v @ u / denom)
-            if s > 0:
-                sims.append((s, c))
-        sims.sort(reverse=True)
-        top = sims[:k]
-        if top:
-            plan[rare] = [(c, s) for s, c in top]
-    return EnrichmentPlan(plan)
-
-
-def load_word_vectors(path) -> dict:
-    """Read a `word v1 v2 ...` text embedding file."""
-    vecs = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.split()
-            if len(parts) < 2:
-                continue
-            vecs[parts[0]] = [float(x) for x in parts[1:]]
-    return vecs

@@ -8,6 +8,7 @@ bias. Parameters live in float64; checkpoints store float32.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -348,7 +349,7 @@ def save_model(m: NeuralLM, path) -> None:
         f.write(struct.pack("<I", len(hbytes)))
         f.write(hbytes)
         for arr in (m.S, m.W, m.b, m.U):
-            f.write(arr.astype("<f4").tobytes())
+            arr.astype("<f4").tofile(f)
 
 
 class CheckpointError(ValueError):
@@ -356,40 +357,62 @@ class CheckpointError(ValueError):
 
 
 def load_model(path) -> NeuralLM:
+    """Read an RLM1 checkpoint into float64 parameters.
+
+    Raises CheckpointError for a bad magic, a truncated or unreadable
+    header, a header without the model's dimensions, a payload whose byte
+    length differs from what the header's dimensions need, and non-finite
+    weights.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise CheckpointError("bad magic: not an RLM1 checkpoint")
-    if len(data) < 8:
-        raise CheckpointError("truncated checkpoint header")
-    (hlen,) = struct.unpack("<I", data[4:8])
-    if len(data) < 8 + hlen:
-        raise CheckpointError("truncated checkpoint header")
-    try:
-        header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError("unreadable checkpoint header: %s" % e)
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError("unsupported checkpoint version %r" % header.get("version"))
-    d_s, d_h, nv = header["d_s"], header["d_h"], header["vocab_size"]
-    words = header["vocab"]
-    if len(words) != nv or words[:3] != list(SPECIALS):
-        raise CheckpointError("checkpoint vocabulary is inconsistent")
-    counts = dict(zip(words, header.get("counts", [])))
-    vocab = Vocabulary(words[3:], counts)
-    shapes = [(d_s, nv), (4 * d_h, d_s + d_h), (4 * d_h,), (d_h, nv)]
-    need = sum(int(np.prod(s)) for s in shapes) * 4
-    payload = data[8 + hlen:]
-    if len(payload) != need:
-        raise CheckpointError(
-            "payload length %d does not match header dims (expected %d)"
-            % (len(payload), need))
+        if f.read(4) != MAGIC:
+            raise CheckpointError("bad magic: not an RLM1 checkpoint")
+        raw = f.read(4)
+        if len(raw) < 4:
+            raise CheckpointError("truncated checkpoint header")
+        (hlen,) = struct.unpack("<I", raw)
+        payload_bytes = os.fstat(f.fileno()).st_size - (8 + hlen)
+        if payload_bytes < 0:
+            raise CheckpointError("truncated checkpoint header")
+        hbytes = f.read(hlen)
+        try:
+            header = json.loads(hbytes.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError("unreadable checkpoint header: %s" % e)
+        if not isinstance(header, dict):
+            raise CheckpointError("unreadable checkpoint header: not a JSON object")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError("unsupported checkpoint version %r" % header.get("version"))
+        for key in ("d_s", "d_h", "vocab_size", "vocab"):
+            if key not in header:
+                raise CheckpointError("checkpoint header lacks %r" % key)
+        d_s, d_h, nv = header["d_s"], header["d_h"], header["vocab_size"]
+        if not all(isinstance(v, int) and v > 0 for v in (d_s, d_h, nv)):
+            raise CheckpointError("checkpoint dims must be positive integers")
+        words = header["vocab"]
+        if not isinstance(words, list) or len(words) != nv or words[:3] != list(SPECIALS):
+            raise CheckpointError("checkpoint vocabulary is inconsistent")
+        counts = dict(zip(words, header.get("counts", [])))
+        vocab = Vocabulary(words[3:], counts)
+        shapes = [(d_s, nv), (4 * d_h, d_s + d_h), (4 * d_h,), (d_h, nv)]
+        sizes = [int(np.prod(s)) for s in shapes]
+        need = sum(sizes)
+        # np.fromfile drops a trailing partial float, so compare bytes first
+        if payload_bytes != need * 4:
+            raise CheckpointError(
+                "payload length %d does not match header dims (expected %d)"
+                % (payload_bytes, need * 4))
+        payload = np.fromfile(f, dtype="<f4", count=need)
+    if payload.size != need:
+        raise CheckpointError("checkpoint payload ended early: %d of %d floats"
+                              % (payload.size, need))
     arrays = []
     off = 0
-    for s in shapes:
-        n = int(np.prod(s)) * 4
-        arrays.append(np.frombuffer(payload[off:off + n], dtype="<f4")
-                      .astype(np.float64).reshape(s))
+    for name, shape, n in zip("SWbU", shapes, sizes):
+        block = payload[off:off + n]
+        if not np.isfinite(block).all():
+            raise CheckpointError("checkpoint holds non-finite weights in %s" % name)
+        arrays.append(block.astype(np.float64).reshape(shape))
         off += n
     S, W, b, U = arrays
     return NeuralLM(vocab, d_s, d_h, S, W, b, U)

@@ -1,0 +1,54 @@
+"""Per-word reference implementation of Eq. 4 enrichment and of the
+untouched-parameter digest.
+
+Deliberately naive: one planned word at a time, one candidate at a time,
+and a digest over a fancy-indexed copy of the kept columns. Used as an
+oracle for the vectorised `rarelm.enrich.enrich_embeddings` and
+`rarelm.enrich._untouched_checksum`, which must agree bit for bit.
+"""
+
+import hashlib
+
+import numpy as np
+
+
+def untouched_checksum(m, skip_cols):
+    """sha256 over W, b and the S and U columns not in skip_cols."""
+    keep = np.array([j for j in range(m.vocab_size) if j not in skip_cols],
+                    dtype=np.int64)
+    h = hashlib.sha256()
+    h.update(m.W.tobytes())
+    h.update(m.b.tobytes())
+    h.update(np.ascontiguousarray(m.S[:, keep]).tobytes())
+    h.update(np.ascontiguousarray(m.U[:, keep]).tobytes())
+    return h.hexdigest()
+
+
+def enrich(m, plan):
+    """(S, U, per_word) after applying Eq. 4 to every planned word.
+
+    Candidates are read from the unmodified S and U, so the result does
+    not depend on the plan's order. The plan is assumed valid.
+    """
+    vocab = m.vocab
+    S, U = m.S.copy(), m.U.copy()
+    per_word = {}
+    for rare, cands in plan.candidates.items():
+        r = vocab.id(rare)
+        denom = len(cands) + 1.0
+        s_new = m.S[:, r].copy()
+        u_new = m.U[:, r].copy()
+        for c, w in cands:
+            ci = vocab.id(c)
+            s_new += w * m.S[:, ci]
+            u_new += w * m.U[:, ci]
+        S[:, r] = s_new / denom
+        U[:, r] = u_new / denom
+        per_word[rare] = {
+            "s_norm_before": float(np.linalg.norm(m.S[:, r])),
+            "s_norm_after": float(np.linalg.norm(S[:, r])),
+            "u_norm_before": float(np.linalg.norm(m.U[:, r])),
+            "u_norm_after": float(np.linalg.norm(U[:, r])),
+            "candidates": list(cands),
+        }
+    return S, U, per_word

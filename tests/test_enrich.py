@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import enrich_reference
 from rarelm import enrich, neural
 from rarelm.rescore import Hypothesis, NBestList
 from rarelm.textcorpus import Vocabulary
@@ -215,8 +217,59 @@ def test_plan_file_roundtrip(tmp_path):
     assert plan2.candidates == plan.candidates
 
 
-def test_cosine_weight_stub():
-    part = enrich.FrequencyPartition(10, set(), {"c1", "c2"}, {"r"})
-    vecs = {"r": [1.0, 0.0], "c1": [1.0, 0.1], "c2": [0.0, 1.0]}
-    plan = enrich.cosine_weights(part, vecs, k=1)
-    assert list(plan.candidates["r"])[0][0] == "c1"
+# Property tests against the per-word oracle in enrich_reference.
+
+
+def random_model(n_words, d_s, d_h, seed):
+    """A model with normal(0, 1) weights over n_words words."""
+    m = model_with(["w%d" % i for i in range(n_words)], d_s, d_h, seed)
+    rng = np.random.default_rng(seed)
+    for arr in (m.S, m.W, m.b, m.U):
+        arr[...] = rng.normal(0.0, 1.0, arr.shape)
+    return m
+
+
+# d_s and d_h reach past CHECKSUM_ROWS so the digest hashes several blocks
+models = st.builds(random_model, st.integers(2, 12), st.integers(1, 70),
+                   st.integers(1, 140), st.integers(0, 2 ** 16))
+weights = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5))
+
+
+@st.composite
+def plans(draw, m):
+    """Ragged plans whose candidates may themselves be planned."""
+    words = m.vocab.id_to_word[3:]
+    rare = draw(st.lists(st.sampled_from(words), unique=True, max_size=len(words)))
+    cands = {}
+    for r in rare:
+        others = [w for w in words if w != r]
+        cands[r] = draw(st.lists(st.tuples(st.sampled_from(others), weights),
+                                 min_size=1, max_size=6))
+    return enrich.EnrichmentPlan(cands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=models, data=st.data())
+def test_enrich_matches_reference(m, data):
+    plan = data.draw(plans(m))
+    S, U, per_word = enrich_reference.enrich(m, plan)
+    out, report = enrich.enrich_embeddings(m, plan)
+    assert np.array_equal(out.S, S) and np.array_equal(out.U, U)
+    assert np.array_equal(out.W, m.W) and np.array_equal(out.b, m.b)
+    assert report.per_word == per_word
+    cols = {m.vocab.id(r) for r in plan.candidates}
+    assert report.modified == len(cols)
+    digest = enrich_reference.untouched_checksum(m, cols)
+    assert report.untouched_checksum_before == digest
+    assert report.untouched_checksum_after == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=models, data=st.data())
+def test_untouched_checksum_matches_reference(m, data):
+    skip = data.draw(st.sets(st.integers(0, m.vocab_size - 1)))
+    assert (enrich._untouched_checksum(m, skip)
+            == enrich_reference.untouched_checksum(m, skip))
+    # the sweeps pass an empty tuple
+    assert (enrich._untouched_checksum(m, ())
+            == enrich_reference.untouched_checksum(m, ()))

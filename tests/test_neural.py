@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +262,86 @@ def test_checkpoint_truncated(tmp_path):
     data = p.read_bytes()
     p.write_bytes(data[:-10])
     with pytest.raises(neural.CheckpointError, match="payload length"):
+        neural.load_model(p)
+
+
+def test_checkpoint_layout(tmp_path):
+    m = neural.init_model(small_vocab(2), 3, 2, seed=4)
+    p = tmp_path / "m.rlm"
+    neural.save_model(m, p)
+    data = p.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    payload = b"".join(a.astype("<f4").tobytes() for a in (m.S, m.W, m.b, m.U))
+    assert data[:4] == neural.MAGIC and data[8 + hlen:] == payload
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of the checkpoint at path."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8:8 + hlen])
+    edit(header)
+    hbytes = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:4] + struct.pack("<I", len(hbytes)) + hbytes
+                     + data[8 + hlen:])
+
+
+@pytest.mark.parametrize("key", ["d_s", "d_h", "vocab_size", "vocab"])
+def test_checkpoint_missing_key_named(tmp_path, key):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    rewrite_header(p, lambda h: h.pop(key))
+    with pytest.raises(neural.CheckpointError, match="lacks '%s'" % key):
+        neural.load_model(p)
+
+
+@pytest.mark.parametrize("value", ["2", 0, -1, 2.5])
+def test_checkpoint_rejects_bad_dims(tmp_path, value):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    rewrite_header(p, lambda h: h.update(d_s=value))
+    with pytest.raises(neural.CheckpointError, match="positive integers"):
+        neural.load_model(p)
+
+
+def test_checkpoint_rejects_non_object_header(tmp_path):
+    p = tmp_path / "m.rlm"
+    p.write_bytes(neural.MAGIC + struct.pack("<I", 2) + b"[]")
+    with pytest.raises(neural.CheckpointError, match="not a JSON object"):
+        neural.load_model(p)
+
+
+def test_checkpoint_rejects_non_list_vocab(tmp_path):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    rewrite_header(p, lambda h: h.update(vocab=4))
+    with pytest.raises(neural.CheckpointError, match="vocabulary is inconsistent"):
+        neural.load_model(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite(tmp_path, bad):
+    m = neural.init_model(small_vocab(), 2, 2, seed=0)
+    m.U[1, 2] = bad
+    p = tmp_path / "m.rlm"
+    neural.save_model(m, p)
+    with pytest.raises(neural.CheckpointError, match="non-finite weights in U"):
+        neural.load_model(p)
+
+
+@pytest.mark.parametrize("extra", [2, 4])
+def test_checkpoint_trailing_bytes(tmp_path, extra):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    p.write_bytes(p.read_bytes() + b"\0" * extra)
+    with pytest.raises(neural.CheckpointError, match="payload length"):
+        neural.load_model(p)
+
+
+def test_checkpoint_header_length_past_end(tmp_path):
+    p = tmp_path / "m.rlm"
+    p.write_bytes(neural.MAGIC + struct.pack("<I", 1000) + b"{}")
+    with pytest.raises(neural.CheckpointError, match="truncated checkpoint header"):
         neural.load_model(p)
 
 
