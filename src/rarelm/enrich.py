@@ -10,6 +10,7 @@ bit-identical.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,13 @@ def _untouched_checksum(m: NeuralLM, skip_cols) -> str:
     return h.hexdigest()
 
 
+def _column_norms(A) -> list[float]:
+    """Euclidean norm of each column of A, as np.linalg.norm gives it:
+    sqrt(dot(x, x)) on a contiguous copy of the column. One transposed
+    copy of A makes every column a contiguous row."""
+    return [math.sqrt(x.dot(x)) for x in A.T.copy()]
+
+
 def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, EnrichmentReport]:
     """Apply the centroid update to the planned columns of S and U.
 
@@ -189,19 +197,23 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
     before = _untouched_checksum(m, cols)
     # Eq. 4 column-wise, one candidate slot at a time: every element gets
     # the same additions in the same order as a per-word loop would do.
+    norms = []  # S before, S after, U before, U after: one norm per word
     for X0, X in ((m.S, out.S), (m.U, out.U)):
         acc = X0[:, cols]
+        norms.append(_column_norms(acc))
         for j in range(slots):
             rows = np.flatnonzero(ncand > j)
             acc[:, rows] += weight[rows, j] * X0[:, cand[rows, j]]
-        X[:, cols] = acc / (ncand + 1.0)
+        acc /= ncand + 1.0
+        X[:, cols] = acc
+        norms.append(_column_norms(acc))
     report = EnrichmentReport(modified=len(cols))
-    for rare, r in zip(rares, cols.tolist()):
+    for rare, (sb, sa, ub, ua) in zip(rares, zip(*norms)):
         report.per_word[rare] = {
-            "s_norm_before": float(np.linalg.norm(m.S[:, r])),
-            "s_norm_after": float(np.linalg.norm(out.S[:, r])),
-            "u_norm_before": float(np.linalg.norm(m.U[:, r])),
-            "u_norm_after": float(np.linalg.norm(out.U[:, r])),
+            "s_norm_before": sb,
+            "s_norm_after": sa,
+            "u_norm_before": ub,
+            "u_norm_after": ua,
             "candidates": list(plan.candidates[rare]),
         }
     report.untouched_checksum_before = before

@@ -49,6 +49,10 @@ class TrainConfig:
             raise ValueError("bptt_len must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 class NeuralLM:
@@ -91,27 +95,23 @@ def init_model(vocab: Vocabulary, d_s: int = 32, d_h: int = 64,
     return NeuralLM(vocab, d_s, d_h, S, W, b, U)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _gates(z, c_prev):
+    """LSTM gate nonlinearities for pre-activations z (B, 4*d_h), gate order
+    i, f, g, o. Overwrites z with the gate activations; returns new (c, h).
 
-
-def _softmax_rows(y):
-    y = y - y.max(axis=-1, keepdims=True)
-    e = np.exp(y)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _cell(m: NeuralLM, x, h_prev, c_prev):
-    """One batched LSTM step. x: (B, d_s); returns gates and new (h, c)."""
-    dh = m.d_h
-    z = np.concatenate([x, h_prev], axis=1) @ m.W.T + m.b
-    i = _sigmoid(z[:, :dh])
-    f = _sigmoid(z[:, dh:2 * dh])
+    The sigmoid runs in place over the whole of z and tanh over the g slice,
+    which gives the same bits as a sigmoid on each of the i, f and o slices.
+    """
+    dh = z.shape[1] // 4
     g = np.tanh(z[:, 2 * dh:3 * dh])
-    o = _sigmoid(z[:, 3 * dh:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return i, f, g, o, c, h
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+    z[:, 2 * dh:3 * dh] = g
+    c = z[:, dh:2 * dh] * c_prev + z[:, :dh] * g
+    h = z[:, 3 * dh:] * np.tanh(c)
+    return c, h
 
 
 def forward_step(m: NeuralLM, words, state: LMState):
@@ -123,8 +123,8 @@ def forward_step(m: NeuralLM, words, state: LMState):
     words = np.asarray(words)
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
-    x = m.S[:, words].T
-    _, _, _, _, c, h = _cell(m, x, state.h, state.c)
+    z = np.concatenate([m.S[:, words].T, state.h], axis=1) @ m.W.T + m.b
+    c, h = _gates(z, state.c)
     y = h @ m.U
     y -= y.max(axis=1, keepdims=True)
     y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
@@ -181,66 +181,112 @@ def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
 
     Returns (loss, grads dict with keys S/W/b/U, final h, final c). The
     final state is detached: gradients do not flow past the segment start.
+
+    Rows are time-major: row t*B + r is step t of batch row r. Only the
+    recurrence runs per step, h @ W_h.T and the gates forward, the dc
+    recurrence and dz @ W_h backward. The embedding gather, the dropout
+    masks, the input projection, the softmax and the weight gradients run
+    once over all T*B rows.
     """
     B, T = inputs.shape
     dh, ds = m.d_h, m.d_s
+    n = T * B
+    Wx, Wh = m.W[:, :ds], m.W[:, ds:]
+    WhT = np.ascontiguousarray(Wh.T)
+    ids = inputs.T.reshape(n)
+    # xh[t] = [x_t, h_{t-1}], the stacked input to step t's gates; the h
+    # part of xh[T] holds the last step's h
+    xh = np.empty((T + 1, B, ds + dh))
+    xh[:T, :, :ds] = m.S[:, ids].T.reshape(T, B, ds)
+    x = xh[:T, :, :ds].reshape(n, ds)  # a view: masking x masks xh
+    if dropout_p > 0.0:
+        # one draw, laid out as the per-step x mask then h mask of each step;
+        # v * keep * scale has the bits of v * (keep / (1 - p))
+        keep = rng.random((T, B * (ds + dh))) >= dropout_p
+        kx = keep[:, :B * ds].reshape(n, ds)
+        kh = keep[:, B * ds:].reshape(n, dh)
+        scale = 1.0 / (1.0 - dropout_p)
+        x *= kx
+        x *= scale
+    gz = x @ Wx.T  # pre-activations, then gates, then dz
+    gz += m.b
+    gz = gz.reshape(T, B, 4 * dh)
+    cs = np.empty((T + 1, B, dh))
+    cs[0] = c0
     h, c = h0, c0
-    cache = []
-    loss = 0.0
+    xh[0, :, ds:] = h0
     for t in range(T):
-        x = m.S[:, inputs[:, t]].T  # (B, d_s)
-        if dropout_p > 0.0:
-            mx = (rng.random(x.shape) >= dropout_p) / (1.0 - dropout_p)
-            x = x * mx
-        else:
-            mx = None
-        i, f, g, o, c_new, h_new = _cell(m, x, h, c)
-        if dropout_p > 0.0:
-            mh = (rng.random(h_new.shape) >= dropout_p) / (1.0 - dropout_p)
-            h_out = h_new * mh
-        else:
-            mh = None
-            h_out = h_new
-        y = h_out @ m.U
-        p = _softmax_rows(y)
-        loss -= np.log(p[np.arange(B), targets[:, t]]).sum()
-        cache.append((x, mx, i, f, g, o, c, c_new, h, h_out, mh, p))
-        h, c = h_new, c_new
+        z = gz[t]
+        z += h @ WhT
+        c, h = _gates(z, c)
+        cs[t + 1] = c
+        xh[t + 1, :, ds:] = h
 
-    grads = {"S": np.zeros_like(m.S), "W": np.zeros_like(m.W),
-             "b": np.zeros_like(m.b), "U": np.zeros_like(m.U)}
+    h_out = xh[1:, :, ds:].reshape(n, dh)
+    if dropout_p > 0.0:
+        h_out = h_out * kh
+        h_out *= scale
+    p = h_out @ m.U
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    rows, tgt = np.arange(n), targets.T.reshape(n)
+    loss = -np.log(p[rows, tgt]).sum()
+    p[rows, tgt] -= 1.0  # dy
+    dU = h_out.T @ p
+    del h_out  # dh_out can take its memory
+    dh_out = p @ m.U.T
+    del p
+    if dropout_p > 0.0:
+        dh_out *= kh
+        dh_out *= scale
+    dh_out = dh_out.reshape(T, B, dh)
+
     dh_next = np.zeros((B, dh))
     dc_next = np.zeros((B, dh))
+    du = np.empty((B, 4 * dh))  # d(loss)/d(gate), gate by gate
+    di, df, dg, do = du[:, :dh], du[:, dh:2 * dh], du[:, 2 * dh:3 * dh], du[:, 3 * dh:]
     for t in range(T - 1, -1, -1):
-        x, mx, i, f, g, o, c_prev, c_new, h_prev, h_out, mh, p = cache[t]
-        dy = p.copy()
-        dy[np.arange(B), targets[:, t]] -= 1.0
-        grads["U"] += h_out.T @ dy
-        dhout = dy @ m.U.T
-        if mh is not None:
-            dhout = dhout * mh
-        dhid = dhout + dh_next
-        tc = np.tanh(c_new)
-        do = dhid * tc
-        dc = dhid * o * (1.0 - tc * tc) + dc_next
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
+        z = gz[t]
+        i, f, g, o = z[:, :dh], z[:, dh:2 * dh], z[:, 2 * dh:3 * dh], z[:, 3 * dh:]
+        dhid = dh_out[t]
+        dhid += dh_next
+        # in place, in the order of operations of the per-step reference
+        # (tests/train_reference.py):
+        # dc = dhid * o * (1 - tc * tc) + dc_next
+        tc = np.tanh(cs[t + 1])
+        np.multiply(dhid, tc, out=do)
+        tc *= tc
+        np.subtract(1.0, tc, out=tc)
+        dc = dhid * o
+        dc *= tc
+        dc += dc_next
+        np.multiply(dc, cs[t], out=df)
+        np.multiply(dc, g, out=di)
+        np.multiply(dc, i, out=dg)
         dc_next = dc * f
-        dz = np.concatenate([di * i * (1.0 - i),
-                             df * f * (1.0 - f),
-                             dg * (1.0 - g * g),
-                             do * o * (1.0 - o)], axis=1)
-        xh = np.concatenate([x, h_prev], axis=1)
-        grads["W"] += dz.T @ xh
-        grads["b"] += dz.sum(axis=0)
-        dxh = dz @ m.W
-        dx = dxh[:, :ds]
-        if mx is not None:
-            dx = dx * mx
-        np.add.at(grads["S"].T, inputs[:, t], dx)
-        dh_next = dxh[:, ds:]
-    return loss, grads, h, c
+        # dz_t replaces the gates of step t, which are no longer needed:
+        # du * s * (1 - s) for the sigmoid gates, dg * (1 - g * g) for g
+        g2 = g * g
+        np.subtract(1.0, g2, out=g2)
+        s1 = 1.0 - z
+        z *= du
+        z *= s1
+        np.multiply(dg, g2, out=g)
+        dh_next = z @ Wh
+
+    dz = gz.reshape(n, 4 * dh)
+    dW = dz.T @ xh[:T].reshape(n, ds + dh)
+    db = dz.sum(axis=0)
+    dx = dz @ Wx
+    if dropout_p > 0.0:
+        dx *= kx
+        dx *= scale
+    # dS[:, v] sums the dx rows of word v in row order, as np.add.at would
+    bins = (ids[:, None] * ds + np.arange(ds)).reshape(-1)
+    dS = np.bincount(bins, weights=dx.reshape(-1), minlength=m.vocab_size * ds)
+    dS = np.ascontiguousarray(dS.reshape(m.vocab_size, ds).T)
+    return loss, {"S": dS, "W": dW, "b": db, "U": dU}, h, c
 
 
 def clip_gradients(grads: dict, clip_norm: float) -> float:

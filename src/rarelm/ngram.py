@@ -220,16 +220,27 @@ def _fmt(x: float) -> str:
 
 
 def export_arpa(m: NGramModel) -> str:
-    """Serialize the model in ARPA text format (log10 probs and bows)."""
+    """Serialize the model in ARPA text format (log10 probs and bows).
+
+    ARPA keeps a back-off weight on the entry of its history. A history
+    whose own n-gram was pruned is written as an entry holding its
+    backed-off probability, so its weight survives and every query gives
+    the same probability.
+    """
+    probs = {k: dict(m.probs[k]) for k in range(1, m.order + 1)}
+    for k in range(1, m.order):
+        for gram in m.bows[k]:
+            if gram not in probs[k]:
+                probs[k][gram] = m.prob(gram[-1], gram[:-1])
     lines = ["", "\\data\\"]
     for k in range(1, m.order + 1):
-        lines.append("ngram %d=%d" % (k, len(m.probs[k])))
+        lines.append("ngram %d=%d" % (k, len(probs[k])))
     for k in range(1, m.order + 1):
         lines.append("")
         lines.append("\\%d-grams:" % k)
-        for gram in sorted(m.probs[k]):
+        for gram in sorted(probs[k]):
             words = " ".join(m.vocab.word(i) for i in gram)
-            logp = math.log10(m.probs[k][gram])
+            logp = math.log10(probs[k][gram])
             if k < m.order and gram in m.bows[k]:
                 lines.append("%s\t%s\t%s" % (_fmt(logp), words,
                                              _fmt(math.log10(m.bows[k][gram]))))

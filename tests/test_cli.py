@@ -92,6 +92,17 @@ def test_sweep_command(workdir, capsys):
     assert "threshold" in out and "wer" in out
 
 
+@pytest.mark.parametrize("flag,field", [("--epochs", "epochs"),
+                                        ("--batch-size", "batch_size")])
+def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
+    d = workdir
+    assert run(["train-lstm", "--corpus", str(d / "bundle" / "train.txt"),
+                "--vocab", str(d / "vocab.txt"), "--output", str(d / "zero.rlm"),
+                flag, "0"]) == 1
+    assert "error: %s must be >= 1" % field in capsys.readouterr().err
+    assert not (d / "zero.rlm").exists()
+
+
 def test_usage_error_exit_code_2():
     assert run(["rescore", "--definitely-not-a-flag"]) == 2
     assert run(["no-such-command"]) == 2

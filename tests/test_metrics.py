@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelm import metrics
 from rarelm.metrics import DEL, INS, MATCH, SUB
@@ -48,6 +49,16 @@ def test_align_cost_equals_bruteforce():
         hyp = [rng.choice(alpha) for _ in range(rng.randint(0, 6))]
         assert metrics.alignment_cost(metrics.align(ref, hyp)) == \
             brute_force_distance(ref, hyp)
+
+
+short_seqs = st.lists(st.sampled_from("abc"), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref=short_seqs, hyp=short_seqs)
+def test_align_is_optimal(ref, hyp):
+    assert metrics.alignment_cost(metrics.align(ref, hyp)) == \
+        brute_force_distance(ref, hyp)
 
 
 def test_corpus_wer_perfect():

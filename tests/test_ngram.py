@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelm import ngram
 from rarelm.textcorpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, encode
@@ -154,6 +155,43 @@ def test_arpa_roundtrip_probs_queryable():
         h = tuple(rng.randrange(nv) for _ in range(rng.randint(0, 3)))
         w = rng.randrange(nv)
         assert abs(m.prob(w, h) - m2.prob(w, h)) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                                min_size=1, max_size=7), min_size=1, max_size=8),
+       order=st.integers(1, 4), prune_min_count=st.sampled_from([0, 2]),
+       data=st.data())
+def test_arpa_roundtrip_prob_property(corpus, order, prune_min_count, data):
+    m, vocab, _ = make_model(corpus, order, prune_min_count=prune_min_count)
+    m2 = ngram.import_arpa(ngram.export_arpa(m))
+    # import_arpa assigns its own ids, so queries go through the words;
+    # ARPA keeps 10 significant digits of each log10 value
+    words = vocab.id_to_word
+    assert sorted(m2.vocab.id_to_word) == sorted(words)
+    to2 = [m2.vocab.id(w) for w in words]
+    ids = st.integers(0, len(words) - 1)
+    for _ in range(20):
+        h = data.draw(st.lists(ids, max_size=order - 1))
+        w = data.draw(ids)
+        got = m2.prob(to2[w], tuple(to2[v] for v in h))
+        assert abs(math.log10(got) - math.log10(m.prob(w, tuple(h)))) < 1e-8
+
+
+def test_arpa_keeps_backoff_of_pruned_history():
+    # the bigram "d c" is pruned, but "d c b" is kept, so the bow of "d c"
+    # must survive export even though "d c" has no entry of its own
+    corpus = [["a", "d"], ["a", "b", "d", "c", "b", "d"], ["b", "d", "c", "b", "d"]]
+    m, vocab, enc = make_model(corpus, 3, prune_min_count=2)
+    hist = (vocab.id("d"), vocab.id("c"))
+    assert hist in m.bows[2] and hist not in m.probs[2]
+    m2 = ngram.import_arpa(ngram.export_arpa(m))
+    h2 = tuple(m2.vocab.id(vocab.word(i)) for i in hist)
+    for w in vocab.id_to_word:
+        assert abs(math.log10(m2.prob(m2.vocab.id(w), h2))
+                   - math.log10(m.prob(vocab.id(w), hist))) < 1e-8
+    enc2 = [[m2.vocab.id(vocab.word(i)) for i in s] for s in enc]
+    assert abs(ngram.kn_perplexity(m2, enc2) - ngram.kn_perplexity(m, enc)) < 1e-8
 
 
 def test_arpa_count_mismatch():
