@@ -6,6 +6,7 @@ matrix U (d_h x |V|) applied as a pure inner product: y = U^T h, no output
 bias. Parameters live in float64; checkpoints store float32.
 """
 
+import itertools
 import json
 import math
 import os
@@ -131,34 +132,84 @@ def forward_step(m: NeuralLM, words, state: LMState):
     return y, LMState(h, c)
 
 
+def _shared_positions(flat, start, lens, npos, order):
+    """For each sequence in `order` (lexicographically sorted), the number of
+    leading positions whose prefix it shares with the sequence before it;
+    0 for the first. Position t reads the prefix ids[:t+1]."""
+    prev, cur = order[:-1], order[1:]
+    shared = np.zeros(len(order), dtype=np.int64)
+    limit = np.minimum(npos[prev], lens[cur])
+    live = np.flatnonzero(limit > 0)
+    t = 0
+    while live.size:
+        same = flat[start[prev[live]] + t] == flat[start[cur[live]] + t]
+        live = live[same]
+        t += 1
+        shared[live + 1] = t
+        live = live[limit[live] > t]
+    return shared
+
+
+def _prefix_groups(shared, npos):
+    """Split sorted rows greedily into groups in which no position has more
+    than BATCH_ROWS distinct prefixes; returns the start of each group."""
+    starts = []
+    width = []
+    for r, (s, d) in enumerate(zip(shared.tolist(), npos.tolist())):
+        # this row adds a new prefix at each position in [s, d)
+        if not starts or max(width[s:d], default=0) >= BATCH_ROWS:
+            starts.append(r)
+            width = [0] * d
+            s = 0
+        elif d > len(width):
+            width.extend([0] * (d - len(width)))
+        for t in range(s, d):
+            width[t] += 1
+    return starts
+
+
 def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
     """log10 P(ids[t+1] | ids[:t+1]) for every position t of each
-    bos/eos-framed sequence; state is reset per sequence.
+    bos/eos-framed id list; state is reset per sequence.
 
-    Sequences are scored longest first, BATCH_ROWS rows at a time, with one
-    batched forward_step per time step; a row drops off the end of the
-    batch once its sequence is done. Returns arrays in input order.
+    Each distinct prefix goes through the LSTM once. Sequences are sorted,
+    so that shared prefixes sit next to each other, and split into groups
+    with at most BATCH_ROWS distinct prefixes per position. Each group makes
+    one batched forward_step per position over its distinct prefixes,
+    each from its parent prefix's state, and every sequence reads its
+    target from its own prefix's row. Returns arrays in input order.
     """
-    out = [None] * len(seqs)
-    order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
-    for start in range(0, len(order), BATCH_ROWS):
-        rows = order[start:start + BATCH_ROWS]
-        npos = [max(len(seqs[i]) - 1, 0) for i in rows]  # descending
-        ids = np.zeros((len(rows), npos[0] + 1), dtype=np.int64)
-        for r, i in enumerate(rows):
-            ids[r, :len(seqs[i])] = seqs[i]
-        if ids.min() < 0 or ids.max() >= m.vocab_size:
-            raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
-        lp = np.zeros((len(rows), npos[0]))
-        st = m.zero_state(len(rows))
-        for t in range(npos[0]):
-            n = sum(1 for k in npos if k > t)
-            logp, st = forward_step(m, ids[:n, t], LMState(st.h[:n], st.c[:n]))
-            lp[:n, t] = logp[np.arange(n), ids[:n, t + 1]]
-        lp /= LOG10
-        for r, i in enumerate(rows):
-            out[i] = lp[r, :npos[r]]
-    return out
+    n = len(seqs)
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=n)
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                       count=int(lens.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= m.vocab_size):
+        raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
+    npos = np.maximum(lens - 1, 0)
+    start = np.cumsum(lens) - lens
+    ostart = np.cumsum(npos) - npos
+    lp = np.empty(int(npos.sum()))
+    order = np.array(sorted(range(n), key=seqs.__getitem__), dtype=np.int64)
+    shared = _shared_positions(flat, start, lens, npos, order)
+    starts = _prefix_groups(shared, npos[order])
+    shared[starts] = 0  # a group shares nothing with the group before it
+    for a, b in zip(starts, starts[1:] + [n]):
+        rows = order[a:b]
+        depth = npos[rows]
+        st = m.zero_state(1)
+        slot = np.zeros(b - a, dtype=np.int64)  # row -> its prefix's state row
+        for t in range(int(depth.max())):
+            live = depth > t
+            new = live & (shared[a:b] <= t)
+            prefix = np.flatnonzero(new)
+            parent = slot[prefix]
+            logp, st = forward_step(m, flat[start[rows[prefix]] + t],
+                                    LMState(st.h[parent], st.c[parent]))
+            slot = np.cumsum(new) - 1
+            r = rows[live]
+            lp[ostart[r] + t] = logp[slot[live], flat[start[r] + t + 1]]
+    lp /= LOG10
+    return [lp[o:o + k] for o, k in zip(ostart.tolist(), npos.tolist())]
 
 
 def nn_sentence_logprob(m: NeuralLM, ids: list[int]) -> float:

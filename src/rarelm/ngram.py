@@ -59,9 +59,11 @@ def estimate_discounts(counts: Iterable[int]) -> tuple[KNDiscounts, Optional[str
     d1 = 1.0 - 2.0 * y * n2 / n1
     d2 = 2.0 - 3.0 * y * n3 / n2
     d3p = 3.0 - 4.0 * y * n4 / n3
-    if min(d1, d2, d3p) < 0.0:
+    # a zero discount leaves a history no back-off mass, so every word
+    # unseen after it would get probability zero
+    if min(d1, d2, d3p) <= 0.0:
         return KNDiscounts(0.75, 0.75, 0.75), (
-            "negative estimated discount (%.4f,%.4f,%.4f); using D=0.75"
+            "non-positive estimated discount (%.4f,%.4f,%.4f); using D=0.75"
             % (d1, d2, d3p))
     return KNDiscounts(d1, d2, d3p), None
 

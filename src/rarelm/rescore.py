@@ -4,8 +4,10 @@ with a Kneser-Ney n-gram model in the probability domain."""
 import math
 from dataclasses import dataclass, field
 
-from .neural import BATCH_ROWS, NeuralLM, position_logprobs
+from .neural import NeuralLM, position_logprobs
 from .textcorpus import encode
+
+GROUP_HYPS = 4096  # hypotheses per scoring call; prefixes are shared within one
 
 
 @dataclass
@@ -40,20 +42,31 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
 
     The mix is linear in the probability domain per position. State is
     reset for every hypothesis; OOV words map to unk. All hypotheses go
-    through one batched pass of the neural model.
+    through one batched pass of the neural model. The two models are
+    joined by word: each neural-vocab id maps to the KN id of the same
+    word, or to KN's unk, and KN is queried once per distinct n-gram.
     """
     if interp_weight > 0.0 and kn is None:
         raise ValueError("interp_weight > 0 requires an n-gram model")
     mu = interp_weight
     seqs = [encode(words, nlm.vocab) for words in word_lists]
+    lps = position_logprobs(nlm, seqs)
+    if mu <= 0.0:
+        return [sum(lp.tolist()) for lp in lps]
+    to_kn = [kn.vocab.id(w) for w in nlm.vocab.id_to_word]
+    hist = kn.order - 1
+    memo = {}
     scores = []
-    for ids, lps in zip(seqs, position_logprobs(nlm, seqs)):
-        lps = lps.tolist()
-        if mu > 0.0:
-            lps = [math.log10((1.0 - mu) * 10.0 ** lp + mu * kn.prob(
-                       ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1])))
-                   for t, lp in enumerate(lps)]
-        scores.append(sum(lps))
+    for ids, lp in zip(seqs, lps):
+        kn_ids = [to_kn[i] for i in ids]
+        total = []
+        for t, p in enumerate(lp.tolist()):
+            gram = tuple(kn_ids[max(0, t - hist + 1):t + 2])
+            q = memo.get(gram)
+            if q is None:
+                q = memo[gram] = kn.prob(gram[-1], gram[:-1])
+            total.append(math.log10((1.0 - mu) * 10.0 ** p + mu * q))
+        scores.append(sum(total))
     return scores
 
 
@@ -86,7 +99,8 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
 
     Ties are broken by original rank (lower wins); each returned list has
     its chosen top hypothesis at element 0. Whole lists are scored together
-    in groups of up to BATCH_ROWS hypotheses, so memory stays bounded.
+    in groups of up to GROUP_HYPS hypotheses, so that prefixes shared
+    across lists are scored once and memory stays bounded.
     """
     cfg.validate()
     out = []
@@ -95,7 +109,7 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
     for nb in lists:
         if not nb.hypotheses:
             raise ValueError("empty n-best list for %s" % nb.utt_id)
-        if group and nhyps + len(nb.hypotheses) > BATCH_ROWS:
+        if group and nhyps + len(nb.hypotheses) > GROUP_HYPS:
             out.extend(_rescore_group(group, nlm, kn, cfg))
             group, nhyps = [], 0
         group.append(nb)

@@ -46,12 +46,17 @@ def sentence_logprob(m, ids):
     return sum(math.log10(p) for p in position_probs(m, ids))
 
 
-def mixed_logprob(m, kn, ids, mu):
-    """log10 probability under (1-mu)*P_nlm + mu*P_kn, mixed per position."""
+def mixed_logprob(m, kn, ids, mu, kn_ids=None):
+    """log10 probability under (1-mu)*P_nlm + mu*P_kn, mixed per position.
+
+    kn_ids, if given, is the same sentence in the KN model's ids.
+    """
     if mu == 0.0:
         return sentence_logprob(m, ids)
+    if kn_ids is None:
+        kn_ids = ids
     total = 0.0
     for t, p in enumerate(position_probs(m, ids)):
-        h = tuple(ids[max(0, t - kn.order + 2):t + 1])
-        total += math.log10((1.0 - mu) * p + mu * kn.prob(ids[t + 1], h))
+        h = tuple(kn_ids[max(0, t - kn.order + 2):t + 1])
+        total += math.log10((1.0 - mu) * p + mu * kn.prob(kn_ids[t + 1], h))
     return total

@@ -5,9 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelm import neural
-from rarelm.textcorpus import Vocabulary, build_vocab, encode
+from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode
 
 
 def small_vocab(n_extra=1):
@@ -246,6 +247,31 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.vocab.id_to_word == v.id_to_word
     assert loaded.vocab.counts == v.counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(words=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+                      .filter(lambda w: w not in SPECIALS), max_size=6),
+       d_s=st.integers(1, 4), d_h=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e30]), data=st.data())
+def test_checkpoint_roundtrip_property(tmp_path_factory, words, d_s, d_h, seed,
+                                       scale, data):
+    # any words and counts, and weights from tiny to huge, come back as
+    # saved: parameters rounded to float32
+    counts = {w: data.draw(st.integers(0, 2 ** 40)) for w in list(SPECIALS) + words}
+    m = neural.init_model(Vocabulary(words, counts), d_s, d_h, seed)
+    rng = np.random.default_rng(seed)
+    for arr in (m.S, m.W, m.b, m.U):
+        arr[...] = rng.normal(0.0, scale, arr.shape)
+    p = tmp_path_factory.mktemp("ckpt") / "m.rlm"
+    neural.save_model(m, p)
+    loaded = neural.load_model(p)
+    assert (loaded.d_s, loaded.d_h) == (d_s, d_h)
+    assert loaded.vocab.id_to_word == m.vocab.id_to_word
+    assert loaded.vocab.counts == m.vocab.counts
+    for name in "SWbU":
+        want = getattr(m, name).astype(np.float32).astype(np.float64)
+        assert np.array_equal(getattr(loaded, name), want)
 
 
 def test_checkpoint_bad_magic(tmp_path):

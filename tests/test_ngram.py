@@ -49,6 +49,23 @@ def test_normalization_random_histories():
         assert abs(sum(m.prob(w, h) for w in range(nv)) - 1.0) < 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                                min_size=1, max_size=7), min_size=1, max_size=8),
+       order=st.integers(1, 4), prune_min_count=st.sampled_from([0, 2, 3]),
+       data=st.data())
+def test_normalization_property(corpus, order, prune_min_count, data):
+    # every stored history and random ones, seen or not, longer than the
+    # order or not
+    m, vocab, _ = make_model(corpus, order, prune_min_count=prune_min_count)
+    nv = len(vocab)
+    ids = st.integers(0, nv - 1)
+    histories = [h for bows in m.bows.values() for h in bows]
+    histories += [tuple(data.draw(st.lists(ids, max_size=order))) for _ in range(10)]
+    for h in histories:
+        assert abs(sum(m.prob(w, h) for w in range(nv)) - 1.0) < 1e-9
+
+
 def test_unseen_history_matches_oracle():
     rng = random.Random(5)
     corpus = random_corpus(rng)
@@ -129,6 +146,20 @@ def test_discount_fallback_on_degenerate_counts():
     m, _, _ = make_model([["a", "b"]], 2)
     assert m.warnings
     assert m.discounts[2].d1 == 0.75
+
+
+def test_discount_fallback_on_zero_estimate():
+    # these bigram counts-of-counts make the Chen-Goodman d2 exactly 0, which
+    # would leave the history "c" (seen twice before </s> only) no back-off mass
+    corpus = [["d"], ["a", "d"], ["b", "d"], ["b", "d"]] + [["d", "d", "a", "c"]] * 3
+    m, vocab, _ = make_model(corpus, 2)
+    assert m.discounts[2].d2 > 0.0
+    assert any("non-positive" in w for w in m.warnings)
+    assert all(b > 0.0 for b in m.bows[1].values())
+    c = vocab.id("c")
+    assert all(m.prob(w, (c,)) > 0.0 for w in range(len(vocab)))
+    m2 = ngram.import_arpa(ngram.export_arpa(m))
+    assert set(m2.vocab.id_to_word) == set(vocab.id_to_word)
 
 
 def test_arpa_roundtrip():

@@ -1,6 +1,10 @@
 """The batched scoring core against the per-token oracle in nn_reference."""
 
+import math
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import nn_reference
@@ -41,6 +45,75 @@ def test_core_matches_oracle(m, data):
         assert abs(sum(lp.tolist()) - nn_reference.sentence_logprob(m, ids)) < TOL
 
 
+@settings(max_examples=25, deadline=None)
+@given(m=models, data=st.data())
+def test_core_matches_oracle_under_heavy_sharing(m, data):
+    # at most three words, with duplicates and sequences that are prefixes
+    # of one another, so that most positions share their prefix
+    word = st.integers(2, min(m.vocab_size - 1, 4))
+    stems = data.draw(st.lists(st.lists(word, max_size=8), min_size=1, max_size=4))
+    seqs = []
+    for _ in range(data.draw(st.integers(2 * neural.BATCH_ROWS + 1, 3 * neural.BATCH_ROWS))):
+        stem = data.draw(st.sampled_from(stems))
+        cut = data.draw(st.integers(0, len(stem)))
+        seqs.append([BOS_ID] + stem[:cut] + data.draw(st.sampled_from([[EOS_ID], []])))
+    got = neural.position_logprobs(m, seqs)
+    for ids, lp in zip(seqs, got):
+        want = [math.log10(p) for p in nn_reference.position_probs(m, ids)]
+        assert len(lp) == len(want)
+        assert all(abs(a - b) < TOL for a, b in zip(lp.tolist(), want))
+
+
+def expected_steps(seqs):
+    """Input ids of each forward_step the core should make: sorted sequences
+    split greedily into groups with at most BATCH_ROWS distinct prefixes per
+    position, then per group and position the last id of each distinct prefix."""
+    groups, seen, width = [[]], set(), Counter()
+    for s in sorted(seqs):
+        prefixes = {(t, tuple(s[:t + 1])) for t in range(len(s) - 1)}
+        if any(width[t] == neural.BATCH_ROWS for t, _ in prefixes - seen):
+            groups.append([])
+            seen, width = set(), Counter()
+        groups[-1].append(s)
+        width.update(t for t, _ in prefixes - seen)
+        seen |= prefixes
+    steps = []
+    for group in groups:
+        for t in range(max(len(s) for s in group) - 1):
+            steps.append(sorted({tuple(s[:t + 1]) for s in group if len(s) - 1 > t}))
+    return [[p[-1] for p in step] for step in steps]
+
+
+def test_each_distinct_prefix_steps_once(monkeypatch):
+    calls = []
+    step = neural.forward_step
+
+    def spy(m, words, state):
+        calls.append(sorted(words.tolist()))
+        return step(m, words, state)
+
+    monkeypatch.setattr(neural, "forward_step", spy)
+    m = random_model(3, 2, 3, 0, 0.5)
+    rng = np.random.default_rng(0)
+    seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
+            for _ in range(600)]
+    neural.position_logprobs(m, seqs)
+    assert calls == [sorted(words) for words in expected_steps(seqs)]
+    # the deeper positions have more than BATCH_ROWS distinct prefixes
+    assert max(map(len, calls)) == neural.BATCH_ROWS
+
+
+@pytest.mark.parametrize("bad", ["negative", "vocab_size"])
+@pytest.mark.parametrize("where", ["input", "target"])
+def test_out_of_range_id_raises(bad, where):
+    m = random_model(2, 2, 3, 0, 0.5)
+    bad = -1 if bad == "negative" else m.vocab_size
+    short = [BOS_ID, bad, EOS_ID] if where == "input" else [BOS_ID, 3, bad]
+    # beside longer sequences, so the short one would be padded in a batch
+    with pytest.raises(IndexError):
+        neural.position_logprobs(m, [[BOS_ID, 3, 4, 3, EOS_ID]] * 3 + [short])
+
+
 def kn_for(vocab):
     rng = np.random.default_rng(0)
     words = vocab.id_to_word[3:]
@@ -59,6 +132,22 @@ def test_lm_scores_match_oracle_with_oov_and_kn(m, mu, hyps):
     for words, lm in zip(hyps, got):
         want = nn_reference.mixed_logprob(m, kn, encode(words, m.vocab), mu)
         assert abs(lm - want) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=models, mu=st.sampled_from([0.3, 1.0]),
+       kn_words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=4, unique=True),
+       hyps=st.lists(st.lists(st.sampled_from(WORDS + ["oov1"]), max_size=7),
+                     min_size=1, max_size=20))
+def test_lm_scores_map_ids_to_another_kn_vocab(m, mu, kn_words, hyps):
+    # KN has its own, smaller vocabulary in its own order; words it lacks
+    # are its unk
+    kn = kn_for(Vocabulary(kn_words))
+    got = rescore.lm_scores(m, kn, hyps, mu)
+    for words, lm in zip(hyps, got):
+        ids = encode(words, m.vocab)
+        kn_ids = [kn.vocab.id(m.vocab.word(i)) for i in ids]
+        assert abs(lm - nn_reference.mixed_logprob(m, kn, ids, mu, kn_ids)) < TOL
 
 
 @settings(max_examples=15, deadline=None)
@@ -86,6 +175,36 @@ def test_rescore_lists_across_groups(m, sizes, seed):
             assert abs(h.total_score - want) < TOL
 
 
+def test_rescore_lists_in_small_groups(monkeypatch):
+    # groups of at most 3 hypotheses; the list of 5 makes a group on its own
+    calls = []
+    score = rescore.position_logprobs
+
+    def spy(nlm, seqs):
+        calls.append(len(seqs))
+        return score(nlm, seqs)
+
+    monkeypatch.setattr(rescore, "GROUP_HYPS", 3)
+    monkeypatch.setattr(rescore, "position_logprobs", spy)
+    m = random_model(3, 2, 3, 1, 0.5)
+    rng = np.random.default_rng(1)
+    words = m.vocab.id_to_word[3:] + ["oov"]
+    lists = [NBestList("u%d" % u, [
+        Hypothesis(r + 1, float(-r - rng.random()),
+                   [words[j] for j in rng.integers(len(words), size=rng.integers(0, 6))])
+        for r in range(size)]) for u, size in enumerate([1, 2, 5, 3, 1, 1, 1, 4])]
+    out = rescore.rescore_lists(lists, m, None, RescoreConfig(lm_weight=0.7))
+    assert calls == [3, 5, 3, 3, 4]
+    assert [nb.utt_id for nb in out] == [nb.utt_id for nb in lists]
+    for nb, rr in zip(lists, out):
+        assert sorted(h.rank for h in rr.hypotheses) == [h.rank for h in nb.hypotheses]
+        keys = [(-h.total_score, h.rank) for h in rr.hypotheses]
+        assert keys == sorted(keys)
+        for h in rr.hypotheses:
+            lm = nn_reference.sentence_logprob(m, encode(h.words, m.vocab))
+            assert abs(h.total_score - (h.am_score + 0.7 * lm)) < TOL
+
+
 def test_steps_stay_within_row_cap(monkeypatch):
     # the core steps through the module's forward_step, never wider than the cap
     widths = []
@@ -100,7 +219,9 @@ def test_steps_stay_within_row_cap(monkeypatch):
     lists = [NBestList("u%d" % u, [Hypothesis(r + 1, -r, ["a", "b"][:r % 3])
                                    for r in range(5)]) for u in range(40)]
     rescore.rescore_lists(lists, m, None, RescoreConfig())
-    neural.nn_perplexity(m, [[BOS_ID, 3, EOS_ID]] * (3 * neural.BATCH_ROWS))
+    # 192 distinct sentences: four words each over unk, a, b and c
+    neural.nn_perplexity(m, [[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
+                             + [EOS_ID] for k in range(3 * neural.BATCH_ROWS)])
     assert widths and max(widths) == neural.BATCH_ROWS
 
 
@@ -122,3 +243,16 @@ def test_synthetic_bundle_onebest_matches_oracle(synthetic_pipeline):
         out = rescore.rescore_lists(nbest, m, kn, RescoreConfig(interp_weight=mu))
         got = {nb.utt_id: nb.hypotheses[0].words for nb in out}
         assert got == oracle_onebest(nbest, m, kn, mu)
+
+
+def test_kn_joined_by_word_not_id(synthetic_pipeline, tmp_path):
+    # a KN model whose word ids run in reverse order rescores byte-identically
+    pipe = synthetic_pipeline
+    m, vocab, data = pipe["model"], pipe["vocab"], pipe["data"]
+    paths = []
+    for v in (vocab, Vocabulary(vocab.id_to_word[:2:-1], vocab.counts)):
+        kn = ngram.train_kn([encode(s, v) for s in data.train], 4, v)
+        out = rescore.rescore_lists(data.nbest, m, kn, RescoreConfig(interp_weight=0.3))
+        paths.append(tmp_path / ("rescored%d.tsv" % len(paths)))
+        rescore.write_rescored(out, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
