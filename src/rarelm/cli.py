@@ -68,32 +68,24 @@ def cmd_train_ngram(args):
     print("KN%d model -> %s" % (args.order, args.output))
 
 
-def _partition_and_plan(args, vocab):
-    counts = vocab.counts
-    if args.counts:
-        counts = {}
-        with open(args.counts, encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    w, c = line.rstrip("\n").split("\t")
-                    counts[w] = int(c)
-    with open(args.scope, encoding="utf-8") as f:
-        scope = {line.strip() for line in f if line.strip()}
-    part = enrich.partition_by_frequency(counts, scope, args.threshold)
-    if args.mode == "fromNbest":
-        part = enrich.restrict_to_nbest(part, rescore.read_nbest(args.nbest))
-    part.rare &= set(vocab.word_to_id)
-    part.frequent &= set(vocab.word_to_id)
-    return enrich.select_candidates(part, args.k, args.seed,
-                                    weighting=args.weighting, counts=counts,
-                                    shared=not args.per_word_sampling)
+def _word_set(path) -> set:
+    """The stripped non-blank lines of a one-word-per-line file."""
+    with open(path, encoding="utf-8") as f:
+        return {line.strip() for line in f if line.strip()}
 
 
 def cmd_enrich(args):
     if args.mode == "fromNbest" and not args.nbest:
         raise ValueError("--mode fromNbest requires --nbest")
+    cfg = enrich.EnrichConfig(threshold=args.threshold, k=args.k, seed=args.seed,
+                              weighting=args.weighting, mode=args.mode,
+                              shared=not args.per_word_sampling)
     m = neural.load_model(args.model)
-    plan = _partition_and_plan(args, m.vocab)
+    counts = m.vocab.counts
+    if args.counts:
+        counts = dict(textcorpus.read_word_counts(args.counts))
+    nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
+    plan = enrich.plan_enrichment(counts, _word_set(args.scope), m.vocab, cfg, nbest)
     enriched, report = enrich.enrich_embeddings(m, plan)
     neural.save_model(enriched, args.output)
     if args.plan_out:
@@ -140,9 +132,7 @@ def cmd_wer(args):
     report = metrics.corpus_wer(refs, hyps)
     sys.stdout.write(metrics.format_wer_report(report))
     if args.tracked:
-        with open(args.tracked, encoding="utf-8") as f:
-            tracked = {line.strip() for line in f if line.strip()}
-        acc = metrics.rare_word_accuracy(refs, hyps, tracked)
+        acc = metrics.rare_word_accuracy(refs, hyps, _word_set(args.tracked))
         if acc.defined:
             print("tracked_occurrences\t%d" % acc.occurrences)
             print("tracked_correct\t%d" % acc.correct)
@@ -152,29 +142,17 @@ def cmd_wer(args):
             print("tracked_accuracy\tundefined")
 
 
-def _make_bundle(args):
-    m = neural.load_model(args.model)
-    counts = m.vocab.counts
-    with open(args.scope, encoding="utf-8") as f:
-        scope = {line.strip() for line in f if line.strip()}
-    refs = rescore.read_onebest(args.refs)
-    nbest = rescore.read_nbest(args.nbest)
-    return experiment.ExperimentBundle(
-        counts=counts, scope=scope, model=m, kn=None, nbest=nbest, refs=refs,
-        k=args.k, cand_seed=args.seed, threshold=args.threshold,
-        rescore_cfg=RescoreConfig(lm_weight=args.lm_weight))
-
-
 def cmd_sweep(args):
-    bundle = _make_bundle(args)
-    if args.what == "threshold":
-        values = [int(v) for v in args.values.split(",")]
-        rows = experiment.sweep_threshold(bundle, values)
-        out = experiment.format_sweep(rows, "threshold")
-    else:
-        values = [int(v) for v in args.values.split(",")]
-        rows = experiment.sweep_candidates(bundle, values)
-        out = experiment.format_sweep(rows, "k")
+    m = neural.load_model(args.model)
+    bundle = experiment.ExperimentBundle(
+        counts=m.vocab.counts, scope=_word_set(args.scope), model=m, kn=None,
+        refs=rescore.read_onebest(args.refs), nbest=rescore.read_nbest(args.nbest),
+        enrich_cfg=enrich.EnrichConfig(threshold=args.threshold, k=args.k,
+                                       seed=args.seed),
+        rescore_cfg=RescoreConfig(lm_weight=args.lm_weight))
+    key = "threshold" if args.what == "threshold" else "k"
+    rows = experiment.sweep(bundle, key, [int(v) for v in args.values.split(",")])
+    out = experiment.format_sweep(rows, key)
     sys.stdout.write(out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -187,13 +165,8 @@ def cmd_gen_synthetic(args):
         n_train=args.train_sentences, n_eval=args.eval_sentences,
         nbest_size=args.nbest_size, threshold=args.threshold, seed=args.seed)
     if args.confusions:
-        table = {}
-        with open(args.confusions, encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    s, words = line.rstrip("\n").split("\t")
-                    table[s] = words.split()
-        cfg.confusions = table
+        cfg.confusions = {s: words.split() for _, s, words in
+                          textcorpus.read_tab_pairs(args.confusions, "street<TAB>words")}
     bundle = experiment.gen_synthetic(cfg)
     paths = experiment.write_bundle(bundle, args.outdir)
     print("synthetic bundle -> %s" % args.outdir)
@@ -251,8 +224,8 @@ def build_parser():
     sp.add_argument("--counts", help="word<TAB>count file; defaults to vocab counts")
     sp.add_argument("--threshold", type=int, default=10)
     sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--weighting", choices=["equal", "frequency"], default="equal")
-    sp.add_argument("--mode", choices=["allStreets", "fromNbest"], default="allStreets")
+    sp.add_argument("--weighting", choices=enrich.WEIGHTINGS, default="equal")
+    sp.add_argument("--mode", choices=enrich.MODES, default="allStreets")
     sp.add_argument("--nbest", help="n-best file, required for fromNbest")
     sp.add_argument("--per-word-sampling", action="store_true", dest="per_word_sampling")
     sp.add_argument("--plan-out", dest="plan_out")

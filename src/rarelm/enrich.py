@@ -12,10 +12,44 @@ bit-identical.
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .neural import NeuralLM
+from .textcorpus import Vocabulary
+
+MODES = ("allStreets", "fromNbest")
+WEIGHTINGS = ("equal", "frequency")
+
+
+@dataclass(frozen=True)
+class EnrichConfig:
+    """The settings of one enrichment, one field per `rarelm enrich` flag.
+
+    threshold splits the scope into frequent (count >= threshold) and rare
+    words; k candidates are drawn with seed and weighted by weighting;
+    mode fromNbest enriches only the rare words the n-best lists mention;
+    shared draws one candidate sample for every rare word.
+    """
+    threshold: int = 10
+    k: int = 5
+    seed: int = 0
+    weighting: str = "equal"
+    mode: str = "allStreets"
+    shared: bool = True
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError("unknown weighting %r" % self.weighting)
+        if self.mode not in MODES:
+            raise ValueError("mode must be allStreets or fromNbest")
+
+
+class NoCandidates(ValueError):
+    """Rare words need enriching but the frequent set is empty."""
 
 
 @dataclass
@@ -67,55 +101,33 @@ class EnrichmentPlan:
                 pairs = ",".join("%s:%.10g" % (c, w) for c, w in self.candidates[rare])
                 f.write("%s\t%s\n" % (rare, pairs))
 
-    @classmethod
-    def from_file(cls, path) -> "EnrichmentPlan":
-        cands = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    rare, rest = line.split("\t")
-                    pairs = [(c, float(w)) for c, w in
-                             (p.rsplit(":", 1) for p in rest.split(","))]
-                except ValueError:
-                    raise ValueError("%s:%d: malformed plan line" % (path, lineno))
-                cands[rare] = pairs
-        return cls(cands)
 
+def select_candidates(p: FrequencyPartition, cfg: EnrichConfig,
+                      counts: dict = None) -> EnrichmentPlan:
+    """Draw candidate words for every rare word from the frequent set.
 
-def select_candidates(p: FrequencyPartition, k: int, seed: int,
-                      weighting: str = "equal", counts: dict = None,
-                      shared: bool = True) -> EnrichmentPlan:
-    """Draw candidate words from the frequent set.
-
-    By default one sample of min(k, |frequent|) words is drawn once and
-    shared by every rare word. shared=False draws an independent sample per
-    rare word instead. Weights are 1 for 'equal', or counts normalized to
-    mean 1 for 'frequency'.
+    With cfg.shared one sample of min(k, |frequent|) words is drawn once
+    and shared by every rare word; otherwise each rare word gets its own
+    sample. Weights are 1 for 'equal', or counts normalized to mean 1 for
+    'frequency'.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not p.frequent:
-        raise ValueError("no candidates available")
-    if weighting not in ("equal", "frequency"):
-        raise ValueError("unknown weighting %r" % weighting)
-    if weighting == "frequency" and counts is None:
+        raise NoCandidates("no candidates available")
+    if cfg.weighting == "frequency" and counts is None:
         raise ValueError("frequency weighting requires counts")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     pool = sorted(p.frequent)
-    n = min(k, len(pool))
+    n = min(cfg.k, len(pool))
 
     def weigh(sample):
-        if weighting == "equal":
+        if cfg.weighting == "equal":
             return [(c, 1.0) for c in sample]
         raw = [max(counts.get(c, 0), 1) for c in sample]
         mean = sum(raw) / len(raw)
         return [(c, r / mean) for c, r in zip(sample, raw)]
 
     plan = {}
-    if shared:
+    if cfg.shared:
         sample = list(rng.choice(pool, size=n, replace=False))
         weighted = weigh(sample)
         for rare in sorted(p.rare):
@@ -125,6 +137,25 @@ def select_candidates(p: FrequencyPartition, k: int, seed: int,
             sample = list(rng.choice(pool, size=n, replace=False))
             plan[rare] = weigh(sample)
     return EnrichmentPlan(plan)
+
+
+def plan_enrichment(counts: dict, scope, vocab: Vocabulary, cfg: EnrichConfig,
+                    nbest: Optional[list] = None) -> EnrichmentPlan:
+    """The enrichment plan of one configuration: partition the scope at
+    cfg.threshold, keep only the rare words the n-best lists mention when
+    cfg.mode is fromNbest (nbest is needed then), drop words outside the
+    vocabulary, and draw the candidates.
+
+    The plan is empty when no scope word is rare. NoCandidates is raised
+    when the vocabulary holds no frequent scope word.
+    """
+    part = partition_by_frequency(counts, scope, cfg.threshold)
+    if cfg.mode == "fromNbest":
+        part = restrict_to_nbest(part, nbest)
+    known = set(vocab.word_to_id)
+    part.rare &= known
+    part.frequent &= known
+    return select_candidates(part, cfg, counts)
 
 
 @dataclass

@@ -11,12 +11,13 @@ corrupted hypothesis outranks the correct one by a small margin.
 """
 
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import enrich, metrics, rescore
+from .enrich import EnrichConfig, EnrichmentPlan
 from .neural import NeuralLM
 from .rescore import Hypothesis, NBestList, RescoreConfig
 
@@ -241,70 +242,44 @@ class ExperimentBundle:
     kn: object
     nbest: list
     refs: dict
-    k: int = 5
-    weighting: str = "equal"
-    cand_seed: int = 0
+    enrich_cfg: EnrichConfig = field(default_factory=EnrichConfig)
     rescore_cfg: RescoreConfig = field(default_factory=RescoreConfig)
-    threshold: int = 10
 
 
-def enrich_for_bundle(bundle: ExperimentBundle, threshold: int, k: int,
-                      mode: str = "allStreets"):
-    """Build the enriched model for one configuration.
+class Run(NamedTuple):
+    wer: metrics.WerReport
+    onebest: dict          # utt -> chosen words
+    model: NeuralLM        # the enriched model, or the bundle's own
+    plan: EnrichmentPlan   # empty when nothing was enriched
 
-    Returns (model, plan or None). Falls back to the unmodified model when
-    there is nothing to enrich or no frequent candidate exists (extreme
-    thresholds make the frequent set empty).
+
+def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run:
+    """Enrich the bundle's model under enrich_cfg, rescore every list and
+    score the 1-best hypotheses.
+
+    When no scope word is rare, or no frequent candidate exists (extreme
+    thresholds), the bundle's model object itself is scored, uncopied.
     """
-    if mode not in ("allStreets", "fromNbest"):
-        raise ValueError("mode must be allStreets or fromNbest")
-    part = enrich.partition_by_frequency(bundle.counts, bundle.scope, threshold)
-    if mode == "fromNbest":
-        part = enrich.restrict_to_nbest(part, bundle.nbest)
-    part.rare &= set(bundle.model.vocab.word_to_id)
-    part.frequent &= set(bundle.model.vocab.word_to_id)
-    if not part.rare or not part.frequent:
-        return bundle.model, None
-    plan = enrich.select_candidates(part, k, bundle.cand_seed,
-                                    weighting=bundle.weighting,
-                                    counts=bundle.counts)
-    model, _ = enrich.enrich_embeddings(bundle.model, plan)
-    return model, plan
-
-
-def rescore_and_score(bundle: ExperimentBundle, model: NeuralLM):
-    """Rescore every list with the given model; returns (wer report,
-    rescored lists, 1-best hypotheses)."""
+    try:
+        plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
+                                      enrich_cfg, bundle.nbest)
+    except enrich.NoCandidates:
+        plan = EnrichmentPlan({})
+    model = enrich.enrich_embeddings(bundle.model, plan)[0] if plan else bundle.model
     rescored = rescore.rescore_lists(bundle.nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = {nb.utt_id: nb.hypotheses[0].words for nb in rescored}
-    return metrics.corpus_wer(bundle.refs, onebest), rescored, onebest
+    return Run(metrics.corpus_wer(bundle.refs, onebest), onebest, model, plan)
 
 
-def run_configuration(bundle: ExperimentBundle, threshold: int, k: int,
-                      mode: str = "allStreets"):
-    model, plan = enrich_for_bundle(bundle, threshold, k, mode)
-    return rescore_and_score(bundle, model) + (plan,)
-
-
-def sweep_threshold(bundle: ExperimentBundle, thresholds: list) -> list:
-    """WER per threshold; the input model is never mutated."""
+def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
+    """WER per value of one enrichment setting (key "threshold" or "k"),
+    every other setting taken from bundle.enrich_cfg. Raises if the input
+    model was mutated."""
     digest = enrich._untouched_checksum(bundle.model, ())
     rows = []
-    for th in thresholds:
-        wer, _, _, _ = run_configuration(bundle, th, bundle.k)
-        rows.append({"threshold": th, "wer": wer.wer, "errors": wer.errors})
-    if enrich._untouched_checksum(bundle.model, ()) != digest:
-        raise RuntimeError("sweep modified the input model")
-    return rows
-
-
-def sweep_candidates(bundle: ExperimentBundle, k_values: list) -> list:
-    """WER per candidate count at the bundle's fixed threshold."""
-    digest = enrich._untouched_checksum(bundle.model, ())
-    rows = []
-    for k in k_values:
-        wer, _, _, _ = run_configuration(bundle, bundle.threshold, k)
-        rows.append({"k": k, "wer": wer.wer, "errors": wer.errors})
+    for v in values:
+        wer = run_configuration(bundle, replace(bundle.enrich_cfg, **{key: v})).wer
+        rows.append({key: v, "wer": wer.wer, "errors": wer.errors})
     if enrich._untouched_checksum(bundle.model, ()) != digest:
         raise RuntimeError("sweep modified the input model")
     return rows

@@ -212,11 +212,6 @@ def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
     return [lp[o:o + k] for o, k in zip(ostart.tolist(), npos.tolist())]
 
 
-def nn_sentence_logprob(m: NeuralLM, ids: list[int]) -> float:
-    """Total log10 probability of a bos/eos-framed sentence, state reset first."""
-    return sum(position_logprobs(m, [ids])[0].tolist())
-
-
 def nn_perplexity(m: NeuralLM, corpus) -> float:
     """Perplexity over framed sentences; eos counted, bos not."""
     lps = position_logprobs(m, list(corpus))

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, field
 
 from .neural import NeuralLM, position_logprobs
-from .textcorpus import encode
+from .textcorpus import encode, read_tab_pairs
 
 GROUP_HYPS = 4096  # hypotheses per scoring call; prefixes are shared within one
 
@@ -70,12 +70,6 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     return scores
 
 
-def lm_score_hypothesis(nlm: NeuralLM, kn, words: list[str],
-                        interp_weight: float = 0.0) -> float:
-    """lm_scores for a single hypothesis."""
-    return lm_scores(nlm, kn, [words], interp_weight)[0]
-
-
 def _rescore_group(group, nlm, kn, cfg):
     lms = iter(lm_scores(nlm, kn, [h.words for nb in group for h in nb.hypotheses],
                          cfg.interp_weight))
@@ -117,12 +111,6 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
     if group:
         out.extend(_rescore_group(group, nlm, kn, cfg))
     return out
-
-
-def rescore_nbest(nb: NBestList, nlm: NeuralLM, kn,
-                  cfg: RescoreConfig) -> NBestList:
-    """rescore_lists for a single n-best list."""
-    return rescore_lists([nb], nlm, kn, cfg)[0]
 
 
 class NBestFormatError(ValueError):
@@ -202,14 +190,4 @@ def write_onebest(lists, path) -> None:
 
 def read_onebest(path) -> dict:
     """Read `utt_id<TAB>transcript` lines into utt -> token list."""
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise NBestFormatError("%s:%d: expected 'utt<TAB>text'" % (path, lineno))
-            out[parts[0]] = parts[1].split()
-    return out
+    return {utt: text.split() for _, utt, text in read_tab_pairs(path, "utt<TAB>text")}

@@ -121,20 +121,37 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        words, counts = [], {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError("%s:%d: expected 'word<TAB>count'" % (path, lineno))
-                words.append(parts[0])
-                counts[parts[0]] = int(parts[1])
+        pairs = read_word_counts(path)
+        words = [w for w, _ in pairs]
         if words[:3] != list(SPECIALS):
             raise ValueError("vocabulary file must start with %s" % (SPECIALS,))
-        return cls(words[3:], counts)
+        return cls(words[3:], dict(pairs))
+
+
+def read_tab_pairs(path, form: str) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) for each non-blank `key<TAB>value`
+    line; any other line fails as `path:line: expected '<form>'`."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError("%s:%d: expected '%s'" % (path, lineno, form))
+            yield lineno, parts[0], parts[1]
+
+
+def read_word_counts(path) -> list[tuple[str, int]]:
+    """The (word, count) pairs of a `word<TAB>count` file, in file order."""
+    pairs = []
+    for lineno, word, count in read_tab_pairs(path, "word<TAB>count"):
+        try:
+            pairs.append((word, int(count)))
+        except ValueError:
+            raise ValueError("%s:%d: count %r is not an integer"
+                             % (path, lineno, count))
+    return pairs
 
 
 def word_counts(corpus: Iterable[list[str]]) -> Counter:

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rarelm import experiment, neural, textcorpus
+from rarelm.enrich import EnrichConfig
 from rarelm.rescore import RescoreConfig
 
 
@@ -28,8 +29,8 @@ def synthetic_pipeline():
     bundle = experiment.ExperimentBundle(
         counts=dict(counts), scope=set(bundle_data.streets), model=model,
         kn=None, nbest=bundle_data.nbest, refs=bundle_data.refs,
-        k=5, cand_seed=3, rescore_cfg=RescoreConfig(lm_weight=1.0),
-        threshold=cfg.threshold)
+        enrich_cfg=EnrichConfig(threshold=cfg.threshold, k=5, seed=3),
+        rescore_cfg=RescoreConfig(lm_weight=1.0))
     return {
         "config": cfg,
         "data": bundle_data,

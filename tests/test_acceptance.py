@@ -5,6 +5,7 @@ import filecmp
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -159,13 +160,14 @@ def test_criterion_5_rescoring_boundaries():
     hyps = [Hypothesis(1, -2.0, ["a", "b"]), Hypothesis(2, -1.2, ["c", "d", "a"]),
             Hypothesis(3, -3.0, ["b"])]
     nb = NBestList("u", hyps)
-    out0 = rescore.rescore_nbest(nb, nlm, kn, RescoreConfig(lm_weight=0.0))
+    out0 = rescore.rescore_lists([nb], nlm, kn, RescoreConfig(lm_weight=0.0))[0]
     am_best = min(hyps, key=lambda h: (-h.am_score, h.rank))
     ok = out0.hypotheses[0].rank == am_best.rank
     for h in hyps:
-        mu0 = rescore.lm_score_hypothesis(nlm, kn, h.words, 0.0)
-        mu1 = rescore.lm_score_hypothesis(nlm, kn, h.words, 1.0)
-        ok = ok and mu0 == neural.nn_sentence_logprob(nlm, encode(h.words, vocab))
+        mu0 = rescore.lm_scores(nlm, kn, [h.words], 0.0)[0]
+        mu1 = rescore.lm_scores(nlm, kn, [h.words], 1.0)[0]
+        ok = ok and mu0 == sum(neural.position_logprobs(
+            nlm, [encode(h.words, vocab)])[0].tolist())
         ok = ok and mu1 == ngram.kn_sentence_logprob(kn, encode(h.words, vocab))
     report(5, ok, "lambda=0 reproduces acoustic 1-best; mu boundaries exact",
            time.time() - t0, 5)
@@ -179,11 +181,14 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
     refs_enc = [encode(pipe["data"].refs[u], vocab)
                 for u in sorted(pipe["data"].refs)]
 
-    wer_base, _, onebest_base, _ = experiment.run_configuration(bundle, 0, 5)
-    wer_all, _, onebest_all, _ = experiment.run_configuration(bundle, 10, 5)
-    wer_nb, _, _, _ = experiment.run_configuration(bundle, 10, 5, "fromNbest")
+    cfg = replace(bundle.enrich_cfg, k=5)
+    wer_base, onebest_base, _, _ = experiment.run_configuration(
+        bundle, replace(cfg, threshold=0))
+    wer_all, onebest_all, enriched, _ = experiment.run_configuration(
+        bundle, replace(cfg, threshold=10))
+    wer_nb = experiment.run_configuration(
+        bundle, replace(cfg, threshold=10, mode="fromNbest")).wer
 
-    enriched, _ = experiment.enrich_for_bundle(bundle, 10, 5)
     ppl_base = neural.nn_perplexity(bundle.model, refs_enc)
     ppl_enr = neural.nn_perplexity(enriched, refs_enc)
 
@@ -206,8 +211,9 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
 def test_criterion_7_threshold_sweep_shape(synthetic_pipeline):
     t0 = time.time()
     bundle = synthetic_pipeline["bundle"]
-    rows = experiment.sweep_threshold(bundle, [0, 2, 10, 50, 10 ** 6])
-    wer_base, _, _, _ = experiment.run_configuration(bundle, 0, 5)
+    rows = experiment.sweep(bundle, "threshold", [0, 2, 10, 50, 10 ** 6])
+    wer_base = experiment.run_configuration(
+        bundle, replace(bundle.enrich_cfg, threshold=0, k=5)).wer
     by_th = {r["threshold"]: r["wer"] for r in rows}
     best_mid = min(by_th[2], by_th[10], by_th[50])
     ok = (by_th[0] == wer_base.wer

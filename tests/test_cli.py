@@ -92,6 +92,74 @@ def test_sweep_command(workdir, capsys):
     assert "threshold" in out and "wer" in out
 
 
+def tsv_value(out, key):
+    """The value of the last `key<TAB>value` line of a command's stdout."""
+    return [line.split("\t")[1] for line in out.splitlines()
+            if line.startswith(key + "\t")][-1]
+
+
+def test_sweep_and_enrich_share_one_path(workdir, capsys):
+    d = workdir
+    bundle = d / "bundle"
+    common = ["--model", str(d / "lstm.rlm"), "--scope", str(bundle / "streets.txt"),
+              "--k", "3", "--seed", "2"]
+    sweep = ["sweep", "threshold", "--nbest", str(bundle / "nbest.txt"),
+             "--refs", str(bundle / "refs.txt")] + common
+    assert run(["enrich", "--threshold", "10", "--output", str(d / "shared.rlm")]
+               + common) == 0
+    assert run(["rescore", "--model", str(d / "shared.rlm"),
+                "--nbest", str(bundle / "nbest.txt"),
+                "--output", str(d / "shared.tsv"),
+                "--onebest", str(d / "shared_1best.tsv")]) == 0
+    capsys.readouterr()
+    assert run(["wer", "--refs", str(bundle / "refs.txt"),
+                "--hyps", str(d / "shared_1best.tsv")]) == 0
+    want = tsv_value(capsys.readouterr().out, "wer")
+    assert run(sweep + ["--values", "10"]) == 0
+    assert tsv_value(capsys.readouterr().out, "10") == want == "0.017094"
+    # no rare word and no candidate both score the input model
+    assert run(sweep + ["--values", "0,1000000"]) == 0
+    out = capsys.readouterr().out
+    assert tsv_value(out, "0") == tsv_value(out, "1000000")
+    assert run(["enrich", "--threshold", "1000000",
+                "--output", str(d / "none.rlm")] + common) == 1
+    assert "error: no candidates available" in capsys.readouterr().err
+
+
+def enrich_with_counts(d, text):
+    path = d / "bad_counts.txt"
+    path.write_text(text)
+    return path, ["enrich", "--model", str(d / "lstm.rlm"),
+                  "--scope", str(d / "bundle" / "streets.txt"),
+                  "--counts", str(path), "--output", str(d / "bad.rlm")]
+
+
+def ngram_with_vocab(d, text):
+    path = d / "bad_vocab.txt"
+    path.write_text(text)
+    return path, ["train-ngram", "--corpus", str(d / "bundle" / "train.txt"),
+                  "--vocab", str(path), "--output", str(d / "bad.arpa")]
+
+
+def synthetic_with_confusions(d, text):
+    path = d / "bad_confusions.tsv"
+    path.write_text(text)
+    return path, ["gen-synthetic", "--outdir", str(d / "bad_bundle"),
+                  "--confusions", str(path)]
+
+
+@pytest.mark.parametrize("make,text,line", [
+    (enrich_with_counts, "a\t3\nb 4\n", 2),
+    (enrich_with_counts, "a\t3\n\nb\tx\n", 3),
+    (ngram_with_vocab, "<s>\t0\n</s>\t5\n<unk>\tmany\n", 3),
+    (synthetic_with_confusions, "ang_mo\tbully plays\nbukit_batok\n", 2),
+], ids=["counts-no-tab", "counts-not-int", "vocab-not-int", "confusions-no-tab"])
+def test_malformed_input_names_file_and_line(workdir, capsys, make, text, line):
+    path, argv = make(workdir, text)
+    assert run(argv) == 1
+    assert "error: %s:%d: " % (path, line) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,field", [("--epochs", "epochs"),
                                         ("--batch-size", "batch_size")])
 def test_train_lstm_rejects_zero(workdir, capsys, flag, field):

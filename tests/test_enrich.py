@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import enrich_reference
 from rarelm import enrich, neural
+from rarelm.enrich import EnrichConfig
 from rarelm.rescore import Hypothesis, NBestList
 from rarelm.textcorpus import Vocabulary
 
@@ -52,7 +53,7 @@ def test_restrict_never_adds_frequent():
 
 def test_select_candidates_clamped_and_shared():
     p = enrich.FrequencyPartition(10, set(), {"f1", "f2", "f3"}, {"r1", "r2"})
-    plan = enrich.select_candidates(p, k=5, seed=0)
+    plan = enrich.select_candidates(p, EnrichConfig(k=5, seed=0))
     assert set(plan.candidates) == {"r1", "r2"}
     assert plan.candidates["r1"] == plan.candidates["r2"]
     assert len(plan.candidates["r1"]) == 3
@@ -60,20 +61,20 @@ def test_select_candidates_clamped_and_shared():
 
 def test_select_candidates_equal_weights():
     p = enrich.FrequencyPartition(10, set(), {"f1", "f2"}, {"r"})
-    plan = enrich.select_candidates(p, 2, seed=1)
+    plan = enrich.select_candidates(p, EnrichConfig(k=2, seed=1))
     assert all(w == 1.0 for _, w in plan.candidates["r"])
 
 
 def test_select_candidates_deterministic():
     p = enrich.FrequencyPartition(10, set(), {"f%d" % i for i in range(10)}, {"r"})
-    p1 = enrich.select_candidates(p, 3, seed=42)
-    p2 = enrich.select_candidates(p, 3, seed=42)
+    p1 = enrich.select_candidates(p, EnrichConfig(k=3, seed=42))
+    p2 = enrich.select_candidates(p, EnrichConfig(k=3, seed=42))
     assert p1.candidates == p2.candidates
 
 
 def test_select_candidates_frequency_weighting():
     p = enrich.FrequencyPartition(10, set(), {"f1", "f2"}, {"r"})
-    plan = enrich.select_candidates(p, 2, seed=0, weighting="frequency",
+    plan = enrich.select_candidates(p, EnrichConfig(k=2, seed=0, weighting="frequency"),
                                     counts={"f1": 30, "f2": 10})
     weights = dict(plan.candidates["r"])
     assert abs(sum(weights.values()) / len(weights) - 1.0) < 1e-12
@@ -83,7 +84,28 @@ def test_select_candidates_frequency_weighting():
 def test_select_candidates_no_frequent():
     p = enrich.FrequencyPartition(10, set(), set(), {"r"})
     with pytest.raises(ValueError, match="no candidates available"):
-        enrich.select_candidates(p, 3, seed=0)
+        enrich.select_candidates(p, EnrichConfig(k=3, seed=0))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("k", 0, "k must be >= 1"),
+    ("weighting", "cosine", "unknown weighting"),
+    ("mode", "someStreets", "mode must be"),
+], ids=["k", "weighting", "mode"])
+def test_enrich_config_rejects(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EnrichConfig(**{field: value})
+
+
+def test_plan_enrichment_empty_cases():
+    vocab = Vocabulary(["f", "r"])
+    counts = {"f": 20, "r": 2}
+    plan = enrich.plan_enrichment(counts, {"f", "r"}, vocab, EnrichConfig(threshold=0))
+    assert len(plan) == 0
+    plan = enrich.plan_enrichment(counts, {"f", "r", "gone"}, vocab, EnrichConfig(k=3))
+    assert plan.candidates == {"r": [("f", 1.0)]}
+    with pytest.raises(enrich.NoCandidates, match="no candidates available"):
+        enrich.plan_enrichment(counts, {"f", "r"}, vocab, EnrichConfig(threshold=50))
 
 
 def test_enrich_single_candidate_midpoint():
@@ -208,13 +230,12 @@ def test_byte_difference_confined_to_planned_columns(tmp_path):
     assert np.array_equal(loaded_a.b, loaded_b.b)
 
 
-def test_plan_file_roundtrip(tmp_path):
-    plan = enrich.EnrichmentPlan({"r1": [("c1", 1.0), ("c2", 2.5)],
-                                  "r2": [("c1", 1.0)]})
+def test_plan_file_bytes(tmp_path):
+    plan = enrich.EnrichmentPlan({"r2": [("c1", 1.0)],
+                                  "r1": [("c1", 1.0), ("c2", 2.5)]})
     path = tmp_path / "plan.tsv"
     plan.to_file(path)
-    plan2 = enrich.EnrichmentPlan.from_file(path)
-    assert plan2.candidates == plan.candidates
+    assert path.read_bytes() == b"r1\tc1:1,c2:2.5\nr2\tc1:1\n"
 
 
 # Property tests against the per-word oracle in enrich_reference.

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rarelm import experiment, metrics, neural, textcorpus
+from rarelm.enrich import EnrichmentPlan
 from rarelm.experiment import SyntheticConfig
 from rarelm.rescore import RescoreConfig
 
@@ -60,61 +63,62 @@ def make_bundle(pipe):
 
 def test_threshold_zero_is_baseline(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
-    model, plan = experiment.enrich_for_bundle(bundle, 0, 5)
-    assert plan is None
-    assert model is bundle.model
+    run = experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=0))
+    assert len(run.plan) == 0
+    assert run.model is bundle.model
 
 
 def test_single_threshold_equals_manual_pipeline(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
-    rows = experiment.sweep_threshold(bundle, [10])
-    wer, _, _, _ = experiment.run_configuration(bundle, 10, bundle.k)
+    rows = experiment.sweep(bundle, "threshold", [10])
+    wer = experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=10)).wer
     assert rows[0]["wer"] == wer.wer
 
 
 def test_sweep_does_not_mutate_model(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     S0 = bundle.model.S.copy()
-    experiment.sweep_threshold(bundle, [0, 10])
+    experiment.sweep(bundle, "threshold", [0, 10])
     assert np.array_equal(bundle.model.S, S0)
 
 
-@pytest.mark.parametrize("sweep", [experiment.sweep_threshold,
-                                   experiment.sweep_candidates])
-def test_sweep_that_mutates_model_raises(monkeypatch, sweep):
+@pytest.mark.parametrize("key", ["threshold", "k"])
+def test_sweep_that_mutates_model_raises(monkeypatch, key):
     m = neural.init_model(textcorpus.Vocabulary(["a"]), 2, 2)
     bundle = experiment.ExperimentBundle(counts={}, scope=set(), model=m, kn=None,
                                          nbest=[], refs={})
     report = metrics.corpus_wer({"u": ["a"]}, {"u": ["a"]})
 
-    def mutating_run(b, threshold, k, mode="allStreets"):
+    def mutating_run(b, enrich_cfg):
         b.model.U[0, 0] += 1.0
-        return report, [], {}, None
+        return experiment.Run(report, {}, b.model, EnrichmentPlan({}))
 
     monkeypatch.setattr(experiment, "run_configuration", mutating_run)
     with pytest.raises(RuntimeError, match="modified the input model"):
-        sweep(bundle, [1])
+        experiment.sweep(bundle, key, [1])
 
 
 def test_candidate_sweep_clamps_k(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     nfreq = sum(1 for s in bundle.scope
-                if bundle.counts.get(s, 0) >= bundle.threshold)
-    rows = experiment.sweep_candidates(bundle, [nfreq + 50])
+                if bundle.counts.get(s, 0) >= bundle.enrich_cfg.threshold)
+    rows = experiment.sweep(bundle, "k", [nfreq + 50])
     assert len(rows) == 1 and 0.0 <= rows[0]["wer"] <= 1.0
 
 
 def test_candidate_sweep_midrange(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
-    rows = experiment.sweep_candidates(bundle, [1, 5, 15])
-    baseline, _, _, _ = experiment.run_configuration(bundle, 0, 5)
+    rows = experiment.sweep(bundle, "k", [1, 5, 15])
+    baseline = experiment.run_configuration(
+        bundle, replace(bundle.enrich_cfg, threshold=0, k=5)).wer
     assert min(r["wer"] for r in rows) <= baseline.wer
 
 
 def test_from_nbest_mode(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
-    _, plan_all = experiment.enrich_for_bundle(bundle, 10, 5, "allStreets")
-    _, plan_nb = experiment.enrich_for_bundle(bundle, 10, 5, "fromNbest")
+    cfg = replace(bundle.enrich_cfg, threshold=10, k=5)
+    plan_all = experiment.run_configuration(bundle, cfg).plan
+    plan_nb = experiment.run_configuration(bundle, replace(cfg, mode="fromNbest")).plan
     assert set(plan_nb.candidates) <= set(plan_all.candidates)
 
 

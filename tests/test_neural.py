@@ -141,7 +141,7 @@ def test_sentence_logprob_zero_weight_analytic():
     m = neural.init_model(v, 2, 2, seed=0)
     m.S[:] = 0; m.W[:] = 0; m.b[:] = 0; m.U[:] = 0
     ids = [0, 3, 4, 5, 1]  # 4 predicted tokens
-    lp = neural.nn_sentence_logprob(m, ids)
+    lp = sum(neural.position_logprobs(m, [ids])[0].tolist())
     assert abs(lp - 4 * math.log10(0.1)) < 1e-9
     assert abs(neural.nn_perplexity(m, [ids]) - 10.0) < 1e-9
 
@@ -154,7 +154,7 @@ def test_sentence_logprob_matches_stepwise():
     for t in range(len(ids) - 1):
         lp, st = neural.forward_step(m, [ids[t]], st)
         total += lp[0, ids[t + 1]] / neural.LOG10
-    assert abs(neural.nn_sentence_logprob(m, ids) - total) < 1e-12
+    assert abs(sum(neural.position_logprobs(m, [ids])[0].tolist()) - total) < 1e-12
 
 
 def test_perplexity_empty_corpus():
@@ -377,5 +377,5 @@ def test_softmax_underflow_gives_finite_logprob():
     m.U[0, 3] = 1e4
     m.U[0, 4] = -1e4
     m.b[:] = 5
-    lp = neural.nn_sentence_logprob(m, [0, 4, 1])
+    lp = sum(neural.position_logprobs(m, [[0, 4, 1]])[0].tolist())
     assert math.isfinite(lp) and lp < -1000

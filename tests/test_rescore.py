@@ -23,15 +23,15 @@ def setup_models():
 def test_mu_zero_equals_neural():
     nlm, kn, vocab = setup_models()
     words = ["a", "b", "c"]
-    got = rescore.lm_score_hypothesis(nlm, kn, words, 0.0)
-    want = neural.nn_sentence_logprob(nlm, encode(words, vocab))
+    got = rescore.lm_scores(nlm, kn, [words], 0.0)[0]
+    want = sum(neural.position_logprobs(nlm, [encode(words, vocab)])[0].tolist())
     assert abs(got - want) < 1e-12
 
 
 def test_mu_one_equals_kn():
     nlm, kn, vocab = setup_models()
     words = ["a", "b"]
-    got = rescore.lm_score_hypothesis(nlm, kn, words, 1.0)
+    got = rescore.lm_scores(nlm, kn, [words], 1.0)[0]
     want = ngram.kn_sentence_logprob(kn, encode(words, vocab))
     assert abs(got - want) < 1e-12
 
@@ -49,21 +49,21 @@ def test_mixture_direct_arithmetic():
         p_n = math.exp(lp[0, ids[t + 1]])
         p_k = kn.prob(ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1]))
         expect += math.log10(0.7 * p_n + mu * p_k)
-    got = rescore.lm_score_hypothesis(nlm, kn, words, mu)
+    got = rescore.lm_scores(nlm, kn, [words], mu)[0]
     assert abs(got - expect) < 1e-12
 
 
 def test_mu_without_kn_rejected():
     nlm, _, _ = setup_models()
     with pytest.raises(ValueError):
-        rescore.lm_score_hypothesis(nlm, None, ["a"], 0.3)
+        rescore.lm_scores(nlm, None, [["a"]], 0.3)
 
 
 def test_scoring_stateless_across_hypotheses():
     nlm, kn, _ = setup_models()
-    first = rescore.lm_score_hypothesis(nlm, kn, ["a", "b", "c"], 0.3)
-    rescore.lm_score_hypothesis(nlm, kn, ["d", "d", "d"], 0.3)
-    again = rescore.lm_score_hypothesis(nlm, kn, ["a", "b", "c"], 0.3)
+    first = rescore.lm_scores(nlm, kn, [["a", "b", "c"]], 0.3)[0]
+    rescore.lm_scores(nlm, kn, [["d", "d", "d"]], 0.3)
+    again = rescore.lm_scores(nlm, kn, [["a", "b", "c"]], 0.3)[0]
     assert first == again
 
 
@@ -72,7 +72,7 @@ def test_rescore_lambda_zero_returns_acoustic_best():
     nb = NBestList("u", [Hypothesis(1, -5.0, ["a"]),
                          Hypothesis(2, -3.0, ["b"]),
                          Hypothesis(3, -4.0, ["c"])])
-    out = rescore.rescore_nbest(nb, nlm, None, RescoreConfig(lm_weight=0.0))
+    out = rescore.rescore_lists([nb], nlm, None, RescoreConfig(lm_weight=0.0))[0]
     assert out.hypotheses[0].rank == 2
 
 
@@ -80,7 +80,7 @@ def test_rescore_lambda_zero_tie_breaks_by_rank():
     nlm, _, _ = setup_models()
     nb = NBestList("u", [Hypothesis(1, -3.0, ["a"]),
                          Hypothesis(2, -3.0, ["b"])])
-    out = rescore.rescore_nbest(nb, nlm, None, RescoreConfig(lm_weight=0.0))
+    out = rescore.rescore_lists([nb], nlm, None, RescoreConfig(lm_weight=0.0))[0]
     assert out.hypotheses[0].rank == 1
 
 
@@ -89,9 +89,9 @@ def test_rescore_huge_lambda_lm_dominates():
     nb = NBestList("u", [Hypothesis(1, 100.0, ["a", "a", "a", "a", "a"]),
                          Hypothesis(2, -100.0, ["a"])])
     cfg = RescoreConfig(lm_weight=1e9)
-    out = rescore.rescore_nbest(nb, nlm, None, cfg)
-    lm1 = rescore.lm_score_hypothesis(nlm, None, ["a", "a", "a", "a", "a"], 0.0)
-    lm2 = rescore.lm_score_hypothesis(nlm, None, ["a"], 0.0)
+    out = rescore.rescore_lists([nb], nlm, None, cfg)[0]
+    lm1 = rescore.lm_scores(nlm, None, [["a", "a", "a", "a", "a"]], 0.0)[0]
+    lm2 = rescore.lm_scores(nlm, None, [["a"]], 0.0)[0]
     best = 1 if lm1 > lm2 else 2
     assert out.hypotheses[0].rank == best
 
@@ -102,10 +102,10 @@ def test_rescore_matches_bruteforce_enumeration():
             Hypothesis(2, -1.5, ["c"]),
             Hypothesis(3, -2.5, ["a", "d", "b"])]
     cfg = RescoreConfig(lm_weight=0.8, interp_weight=0.3, word_penalty=-0.1)
-    out = rescore.rescore_nbest(NBestList("u", hyps), nlm, kn, cfg)
+    out = rescore.rescore_lists([NBestList("u", hyps)], nlm, kn, cfg)[0]
     totals = {}
     for h in hyps:
-        lm = rescore.lm_score_hypothesis(nlm, kn, h.words, 0.3)
+        lm = rescore.lm_scores(nlm, kn, [h.words], 0.3)[0]
         totals[h.rank] = h.am_score + 0.8 * lm + -0.1 * len(h.words)
     want = sorted(hyps, key=lambda h: (-totals[h.rank], h.rank))
     assert [h.rank for h in out.hypotheses] == [h.rank for h in want]
@@ -117,9 +117,9 @@ def test_rescore_permutation_invariance():
             Hypothesis(2, -1.5, ["c"]),
             Hypothesis(3, -2.5, ["d"])]
     cfg = RescoreConfig(lm_weight=1.0)
-    base = rescore.rescore_nbest(NBestList("u", hyps), nlm, None, cfg)
+    base = rescore.rescore_lists([NBestList("u", hyps)], nlm, None, cfg)[0]
     for perm in itertools.permutations(hyps):
-        out = rescore.rescore_nbest(NBestList("u", list(perm)), nlm, None, cfg)
+        out = rescore.rescore_lists([NBestList("u", list(perm))], nlm, None, cfg)[0]
         assert [h.rank for h in out.hypotheses] == [h.rank for h in base.hypotheses]
 
 
@@ -127,13 +127,13 @@ def test_rescore_monotone_in_lm_weight():
     nlm, _, _ = setup_models()
     hyps = [Hypothesis(1, -1.0, ["a", "b", "c"]),
             Hypothesis(2, -1.2, ["a"])]
-    lms = {h.rank: rescore.lm_score_hypothesis(nlm, None, h.words, 0.0)
+    lms = {h.rank: rescore.lm_scores(nlm, None, [h.words], 0.0)[0]
            for h in hyps}
     hi_lm = max(lms, key=lms.get)
     prev_pos = None
     for lam in (0.0, 0.5, 1.0, 2.0, 5.0):
-        out = rescore.rescore_nbest(NBestList("u", hyps), nlm, None,
-                                    RescoreConfig(lm_weight=lam))
+        out = rescore.rescore_lists([NBestList("u", hyps)], nlm, None,
+                                    RescoreConfig(lm_weight=lam))[0]
         pos = [h.rank for h in out.hypotheses].index(hi_lm)
         if prev_pos is not None:
             assert pos <= prev_pos
@@ -143,7 +143,7 @@ def test_rescore_monotone_in_lm_weight():
 def test_rescore_empty_list():
     nlm, _, _ = setup_models()
     with pytest.raises(ValueError):
-        rescore.rescore_nbest(NBestList("u", []), nlm, None, RescoreConfig())
+        rescore.rescore_lists([NBestList("u", [])], nlm, None, RescoreConfig())
 
 
 def test_nbest_file_roundtrip(tmp_path):
@@ -202,5 +202,5 @@ def test_rescore_non_finite_total_rejected():
     nlm, _, _ = setup_models()
     nlm.U[:] = float("nan")
     with pytest.raises(ValueError, match="non-finite total score for u rank 1"):
-        rescore.rescore_nbest(NBestList("u", [Hypothesis(1, -1.0, ["a"])]), nlm, None,
+        rescore.rescore_lists([NBestList("u", [Hypothesis(1, -1.0, ["a"])])], nlm, None,
                               RescoreConfig())
