@@ -116,13 +116,11 @@ def cmd_ppl(args):
         m = neural.load_model(args.model)
         enc = [textcorpus.encode(s, m.vocab) for s in sentences]
         total = neural.nn_perplexity(m, enc)
-    elif args.ngram:
+    else:
         with open(args.ngram, encoding="utf-8") as f:
             kn = ngram.import_arpa(f.read())
         enc = [textcorpus.encode(s, kn.vocab) for s in sentences]
         total = ngram.kn_perplexity(kn, enc)
-    else:
-        raise ValueError("need --model or --ngram")
     print("perplexity\t%.4f" % total)
 
 
@@ -246,8 +244,9 @@ def build_parser():
     sp = add("ppl", cmd_ppl, help="corpus perplexity under a model")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--phrases")
-    sp.add_argument("--model", help="LSTM checkpoint")
-    sp.add_argument("--ngram", help="ARPA model")
+    model = sp.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model", help="LSTM checkpoint")
+    model.add_argument("--ngram", help="ARPA model")
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("wer", cmd_wer, help="word error rate of hypotheses vs references")

@@ -61,6 +61,9 @@ FILLER_TEMPLATES = [
     "the {c} and the {d} appeared in the newspaper",
 ]
 
+AM_MARGIN = 0.4  # acoustic lead of the corrupted hypothesis over the reference
+AM_NOISE = 0.05  # std of the per-utterance acoustic score offset
+
 
 @dataclass
 class SyntheticConfig:
@@ -70,8 +73,6 @@ class SyntheticConfig:
     n_eval: int = 200
     nbest_size: int = 8
     threshold: int = 10
-    am_margin: float = 0.4
-    am_noise: float = 0.05
     seed: int = 0
     confusions: Optional[dict] = None  # street -> list of confusion tokens
 
@@ -174,13 +175,13 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
             ref = fill_template(FILLER_TEMPLATES[rng.integers(len(FILLER_TEMPLATES))])
         refs[utt] = ref
 
-        base = float(rng.normal(0.0, cfg.am_noise))
+        base = float(rng.normal(0.0, AM_NOISE))
         hyps = []
         if street is not None:
             corrupted = []
             for w in ref:
                 corrupted.extend(confusions[street] if w == street else [w])
-            hyps.append((base + cfg.am_margin, corrupted))
+            hyps.append((base + AM_MARGIN, corrupted))
             hyps.append((base, list(ref)))
             other = frequent_streets[rng.integers(len(frequent_streets))]
             hyps.append((base - 0.8, [other if w == street else w for w in ref]))
@@ -189,7 +190,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
             sub = filler_words[rng.integers(len(filler_words))]
             corrupted = list(ref)
             corrupted[pos] = sub
-            hyps.append((base + cfg.am_margin / 2.0, corrupted))
+            hyps.append((base + AM_MARGIN / 2.0, corrupted))
             hyps.append((base, list(ref)))
         while len(hyps) < cfg.nbest_size:
             j = len(hyps)
@@ -197,7 +198,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
             sub = filler_words[rng.integers(len(filler_words))]
             noisy = list(ref)
             noisy[pos] = sub
-            hyps.append((base - 1.2 - 0.3 * j + float(rng.normal(0.0, cfg.am_noise)),
+            hyps.append((base - 1.2 - 0.3 * j + float(rng.normal(0.0, AM_NOISE)),
                          noisy))
         hyps.sort(key=lambda x: -x[0])
         nb = NBestList(utt, [Hypothesis(r + 1, am, words)

@@ -21,6 +21,7 @@ MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
 BATCH_ROWS = 64  # rows per batched inference step; bounds memory at any |V|
+GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
 
 
 @dataclass
@@ -132,82 +133,50 @@ def forward_step(m: NeuralLM, words, state: LMState):
     return y, LMState(h, c)
 
 
-def _shared_positions(flat, start, lens, npos, order):
-    """For each sequence in `order` (lexicographically sorted), the number of
-    leading positions whose prefix it shares with the sequence before it;
-    0 for the first. Position t reads the prefix ids[:t+1]."""
-    prev, cur = order[:-1], order[1:]
-    shared = np.zeros(len(order), dtype=np.int64)
-    limit = np.minimum(npos[prev], lens[cur])
-    live = np.flatnonzero(limit > 0)
-    t = 0
-    while live.size:
-        same = flat[start[prev[live]] + t] == flat[start[cur[live]] + t]
-        live = live[same]
-        t += 1
-        shared[live + 1] = t
-        live = live[limit[live] > t]
-    return shared
-
-
-def _prefix_groups(shared, npos):
-    """Split sorted rows greedily into groups in which no position has more
-    than BATCH_ROWS distinct prefixes; returns the start of each group."""
-    starts = []
-    width = []
-    for r, (s, d) in enumerate(zip(shared.tolist(), npos.tolist())):
-        # this row adds a new prefix at each position in [s, d)
-        if not starts or max(width[s:d], default=0) >= BATCH_ROWS:
-            starts.append(r)
-            width = [0] * d
-            s = 0
-        elif d > len(width):
-            width.extend([0] * (d - len(width)))
-        for t in range(s, d):
-            width[t] += 1
-    return starts
-
-
 def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
     """log10 P(ids[t+1] | ids[:t+1]) for every position t of each
     bos/eos-framed id list; state is reset per sequence.
 
-    Each distinct prefix goes through the LSTM once. Sequences are sorted,
-    so that shared prefixes sit next to each other, and split into groups
-    with at most BATCH_ROWS distinct prefixes per position. Each group makes
-    one batched forward_step per position over its distinct prefixes,
-    each from its parent prefix's state, and every sequence reads its
-    target from its own prefix's row. Returns arrays in input order.
+    Each distinct prefix goes through the LSTM once. Sequences are taken
+    GROUP_ROWS at a time, in input order, and each group is walked as a
+    prefix tree one position at a time: the distinct (parent prefix, input
+    word) keys of its live rows are its distinct prefixes ids[:t+1]. They
+    step through forward_step BATCH_ROWS at a time, each from its parent
+    prefix's state, and every sequence reads its target from its own
+    prefix's row. Returns arrays in input order.
     """
     n = len(seqs)
     lens = np.fromiter(map(len, seqs), dtype=np.int64, count=n)
     flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
                        count=int(lens.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= m.vocab_size):
-        raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
+    nv = m.vocab_size
+    if flat.size and (flat.min() < 0 or flat.max() >= nv):
+        raise IndexError("word id out of range for |V|=%d" % nv)
     npos = np.maximum(lens - 1, 0)
     start = np.cumsum(lens) - lens
     ostart = np.cumsum(npos) - npos
     lp = np.empty(int(npos.sum()))
-    order = np.array(sorted(range(n), key=seqs.__getitem__), dtype=np.int64)
-    shared = _shared_positions(flat, start, lens, npos, order)
-    starts = _prefix_groups(shared, npos[order])
-    shared[starts] = 0  # a group shares nothing with the group before it
-    for a, b in zip(starts, starts[1:] + [n]):
-        rows = order[a:b]
-        depth = npos[rows]
+    for a in range(0, n, GROUP_ROWS):
+        rows = np.arange(a, min(a + GROUP_ROWS, n))
+        slot = np.zeros(rows.size, dtype=np.int64)  # row -> its prefix's state row
         st = m.zero_state(1)
-        slot = np.zeros(b - a, dtype=np.int64)  # row -> its prefix's state row
-        for t in range(int(depth.max())):
-            live = depth > t
-            new = live & (shared[a:b] <= t)
-            prefix = np.flatnonzero(new)
-            parent = slot[prefix]
-            logp, st = forward_step(m, flat[start[rows[prefix]] + t],
-                                    LMState(st.h[parent], st.c[parent]))
-            slot = np.cumsum(new) - 1
-            r = rows[live]
-            lp[ostart[r] + t] = logp[slot[live], flat[start[r] + t + 1]]
+        for t in range(int(npos[rows].max())):
+            live = npos[rows] > t
+            rows = rows[live]
+            keys, slot = np.unique(slot[live] * nv + flat[start[rows] + t],
+                                   return_inverse=True)
+            parent, words = np.divmod(keys, nv)
+            nxt = m.zero_state(keys.size)
+            chunk = slot // BATCH_ROWS
+            target = flat[start[rows] + t + 1]
+            for j, b in enumerate(range(0, keys.size, BATCH_ROWS)):
+                e = b + BATCH_ROWS
+                logp, new = forward_step(m, words[b:e],
+                                         LMState(st.h[parent[b:e]], st.c[parent[b:e]]))
+                nxt.h[b:e], nxt.c[b:e] = new.h, new.c
+                sel = chunk == j
+                lp[ostart[rows[sel]] + t] = logp[slot[sel] - b, target[sel]]
+            st = nxt
     lp /= LOG10
     return [lp[o:o + k] for o, k in zip(ostart.tolist(), npos.tolist())]
 

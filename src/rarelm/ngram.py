@@ -137,13 +137,12 @@ def modified_counts(sentences: list[list[int]], order: int) -> dict[int, Counter
 
 
 def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
-             discounts: Optional[dict[int, KNDiscounts]] = None,
              prune_min_count: int = 0) -> NGramModel:
     """Train an interpolated modified-KN model on bos/eos-framed id sequences.
 
-    discounts maps order -> KNDiscounts; when absent they are estimated per
-    order from counts-of-counts. prune_min_count > 0 drops n-grams of order
-    >= 2 whose modified count falls below the cutoff (off by default).
+    Discounts are estimated per order from counts-of-counts.
+    prune_min_count > 0 drops n-grams of order >= 2 whose modified count
+    falls below the cutoff (off by default).
     """
     sentences = [list(s) for s in corpus]
     if not sentences:
@@ -159,13 +158,10 @@ def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
 
     m = NGramModel(order, vocab)
     for k in range(1, order + 1):
-        if discounts is not None and k in discounts:
-            m.discounts[k] = discounts[k]
-        else:
-            d, warning = estimate_discounts(mod[k].values())
-            m.discounts[k] = d
-            if warning:
-                m.warnings.append("order %d: %s" % (k, warning))
+        d, warning = estimate_discounts(mod[k].values())
+        m.discounts[k] = d
+        if warning:
+            m.warnings.append("order %d: %s" % (k, warning))
 
     nvocab = len(vocab)
 
@@ -196,25 +192,30 @@ def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
     return m
 
 
-def kn_sentence_logprob(m: NGramModel, ids: list[int]) -> float:
-    """Total log10 probability of a bos/eos-framed sentence (bos not scored)."""
-    total = 0.0
-    for t in range(1, len(ids)):
-        h = tuple(ids[max(0, t - m.order + 1):t])
-        total += math.log10(m.prob(ids[t], h))
-    return total
+def position_probs(m: NGramModel, seqs: Iterable[list[int]]) -> list[list[float]]:
+    """Linear P(ids[t+1] | ids[:t+1]) for every position t of each
+    bos/eos-framed id list, with one prob call per distinct n-gram."""
+    memo = {}
+    out = []
+    for ids in seqs:
+        ps = []
+        for t in range(1, len(ids)):
+            gram = tuple(ids[max(0, t - m.order + 1):t + 1])
+            p = memo.get(gram)
+            if p is None:
+                p = memo[gram] = m.prob(gram[-1], gram[:-1])
+            ps.append(p)
+        out.append(ps)
+    return out
 
 
 def kn_perplexity(m: NGramModel, corpus: Iterable[list[int]]) -> float:
     """Perplexity over framed sentences, counting eos but not bos."""
-    total = 0.0
-    nwords = 0
-    for ids in corpus:
-        total += kn_sentence_logprob(m, ids)
-        nwords += len(ids) - 1
+    probs = position_probs(m, corpus)
+    nwords = sum(map(len, probs))
     if nwords == 0:
         raise ValueError("empty corpus")
-    return 10.0 ** (-total / nwords)
+    return 10.0 ** (-sum(sum(map(math.log10, ps)) for ps in probs) / nwords)
 
 
 def _fmt(x: float) -> str:
@@ -262,7 +263,8 @@ def import_arpa(text: str) -> NGramModel:
     """Parse an ARPA file back into an NGramModel.
 
     Word ids are assigned with specials pinned to 0/1/2 and remaining words
-    in order of first appearance in the unigram section.
+    in order of first appearance in the unigram section. Each log10 value
+    must give a positive, finite probability or back-off weight.
     """
     lines = text.split("\n")
     i = 0
@@ -321,17 +323,25 @@ def import_arpa(text: str) -> NGramModel:
         if len(parts) not in (2, 3):
             raise ArpaParseError("line %d: expected 2 or 3 tab-separated fields" % (i + 1))
         try:
-            logp = float(parts[0])
-        except ValueError:
+            prob = 10.0 ** float(parts[0])
+        except (ValueError, OverflowError):
+            prob = 0.0
+        if not 0.0 < prob < math.inf:
             raise ArpaParseError("line %d: bad log probability %r" % (i + 1, parts[0]))
         gram = tuple(wid(w) for w in parts[1].split())
         if len(gram) != k:
             raise ArpaParseError("line %d: %d-gram in %d-grams section" % (i + 1, len(gram), k))
-        probs[k][gram] = 10.0 ** logp
+        probs[k][gram] = prob
         if len(parts) == 3:
             if k >= order:
                 raise ArpaParseError("line %d: back-off weight on highest order" % (i + 1))
-            bows[k][gram] = 10.0 ** float(parts[2])
+            try:
+                bow = 10.0 ** float(parts[2])
+            except (ValueError, OverflowError):
+                bow = 0.0
+            if not 0.0 < bow < math.inf:
+                raise ArpaParseError("line %d: bad back-off weight %r" % (i + 1, parts[2]))
+            bows[k][gram] = bow
         seen[k] += 1
         i += 1
     else:

@@ -4,10 +4,10 @@ with a Kneser-Ney n-gram model in the probability domain."""
 import math
 from dataclasses import dataclass, field
 
+from . import neural
 from .neural import NeuralLM, position_logprobs
+from .ngram import position_probs
 from .textcorpus import encode, read_tab_pairs
-
-GROUP_HYPS = 4096  # hypotheses per scoring call; prefixes are shared within one
 
 
 @dataclass
@@ -54,20 +54,10 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     if mu <= 0.0:
         return [sum(lp.tolist()) for lp in lps]
     to_kn = [kn.vocab.id(w) for w in nlm.vocab.id_to_word]
-    hist = kn.order - 1
-    memo = {}
-    scores = []
-    for ids, lp in zip(seqs, lps):
-        kn_ids = [to_kn[i] for i in ids]
-        total = []
-        for t, p in enumerate(lp.tolist()):
-            gram = tuple(kn_ids[max(0, t - hist + 1):t + 2])
-            q = memo.get(gram)
-            if q is None:
-                q = memo[gram] = kn.prob(gram[-1], gram[:-1])
-            total.append(math.log10((1.0 - mu) * 10.0 ** p + mu * q))
-        scores.append(sum(total))
-    return scores
+    qs = position_probs(kn, [[to_kn[i] for i in ids] for ids in seqs])
+    return [sum(math.log10((1.0 - mu) * 10.0 ** p + mu * q)
+                for p, q in zip(lp.tolist(), q_row))
+            for lp, q_row in zip(lps, qs)]
 
 
 def _rescore_group(group, nlm, kn, cfg):
@@ -93,8 +83,8 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
 
     Ties are broken by original rank (lower wins); each returned list has
     its chosen top hypothesis at element 0. Whole lists are scored together
-    in groups of up to GROUP_HYPS hypotheses, so that prefixes shared
-    across lists are scored once and memory stays bounded.
+    in groups of up to neural.GROUP_ROWS hypotheses, so that prefixes
+    shared across lists are scored once and memory stays bounded.
     """
     cfg.validate()
     out = []
@@ -103,7 +93,7 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
     for nb in lists:
         if not nb.hypotheses:
             raise ValueError("empty n-best list for %s" % nb.utt_id)
-        if group and nhyps + len(nb.hypotheses) > GROUP_HYPS:
+        if group and nhyps + len(nb.hypotheses) > neural.GROUP_ROWS:
             out.extend(_rescore_group(group, nlm, kn, cfg))
             group, nhyps = [], 0
         group.append(nb)

@@ -41,9 +41,6 @@ class PhraseList:
         for head in self._by_head:
             self._by_head[head].sort(key=len, reverse=True)
 
-    def __len__(self):
-        return len(self.phrases)
-
     @classmethod
     def from_file(cls, path) -> "PhraseList":
         phrases = []
@@ -53,11 +50,6 @@ class PhraseList:
                 if toks:
                     phrases.append(toks)
         return cls(phrases)
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.phrases:
-                f.write(" ".join(t) + "\n")
 
 
 def join_phrases(tokens: list[str], phrases: PhraseList) -> list[str]:

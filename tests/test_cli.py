@@ -80,6 +80,31 @@ def test_ppl_commands(workdir, capsys):
                 "--ngram", str(d / "kn.arpa")]) == 0
 
 
+def test_ppl_takes_exactly_one_model(workdir, capsys):
+    d = workdir
+    corpus = ["ppl", "--corpus", str(d / "bundle" / "train.txt")]
+    assert run(corpus) == 2
+    assert "one of the arguments --model --ngram is required" in capsys.readouterr().err
+    assert run(corpus + ["--model", str(d / "lstm.rlm"), "--ngram", str(d / "kn.arpa")]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_bad_arpa_value_is_a_domain_error(workdir, capsys):
+    # 10 ** 400 overflows a float; the loader names the line, no traceback
+    d = workdir
+    lines = (d / "kn.arpa").read_text().split("\n")
+    idx = next(i for i, l in enumerate(lines) if l.startswith("\\1-grams:")) + 1
+    lines[idx] = "400\t" + lines[idx].split("\t", 1)[1]
+    (d / "bad400.arpa").write_text("\n".join(lines))
+    for argv in (["ppl", "--corpus", str(d / "bundle" / "train.txt")],
+                 ["rescore", "--model", str(d / "lstm.rlm"), "--interp-weight", "0.3",
+                  "--nbest", str(d / "bundle" / "nbest.txt"),
+                  "--output", str(d / "rescored_bad.tsv")]):
+        assert run(argv + ["--ngram", str(d / "bad400.arpa")]) == 1
+        assert "error: line %d: bad log probability '400'" % (idx + 1) \
+            in capsys.readouterr().err
+
+
 def test_sweep_command(workdir, capsys):
     d = workdir
     bundle = d / "bundle"

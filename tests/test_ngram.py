@@ -106,7 +106,7 @@ def test_oracle_equivalence_small_corpora():
 
 def test_sentence_logprob_bos_eos_only():
     m, vocab, _ = make_model([["a", "b"]], 2)
-    lp = ngram.kn_sentence_logprob(m, [BOS_ID, EOS_ID])
+    lp = sum(map(math.log10, ngram.position_probs(m, [[BOS_ID, EOS_ID]])[0]))
     assert abs(lp - math.log10(m.prob(EOS_ID, (BOS_ID,)))) < 1e-12
 
 
@@ -125,8 +125,32 @@ def test_sentence_logprob_matches_oracle():
     corpus = random_corpus(rng)
     m, vocab, enc = make_model(corpus, 4)
     ids = enc[0]
-    assert abs(ngram.kn_sentence_logprob(m, ids)
+    assert abs(sum(map(math.log10, ngram.position_probs(m, [ids])[0]))
                - ref_sentence_logprob(enc, ids, 4, len(vocab))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                                min_size=1, max_size=7), min_size=1, max_size=8),
+       order=st.integers(1, 4),
+       text=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "oov"]), max_size=7),
+                     min_size=1, max_size=8))
+def test_position_probs_property(corpus, order, text):
+    # one query per distinct n-gram gives each position the bits of prob
+    m, vocab, enc = make_model(corpus, order)
+    seqs = [encode(s, vocab) for s in text]
+    got = ngram.position_probs(m, seqs)
+    assert [len(ps) for ps in got] == [len(ids) - 1 for ids in seqs]
+    for ids, ps in zip(seqs, got):
+        assert ps == [m.prob(ids[t], tuple(ids[max(0, t - order + 1):t]))
+                      for t in range(1, len(ids))]
+    # the oracle takes the model's discounts, which fall back to 0.75
+    # where the estimate is degenerate
+    ds = {k: (d.d1, d.d2, d.d3plus) for k, d in m.discounts.items()}
+    nwords = sum(len(ids) - 1 for ids in seqs)
+    want = 10.0 ** (-sum(ref_sentence_logprob(enc, ids, order, len(vocab), ds)
+                         for ids in seqs) / nwords)
+    assert abs(ngram.kn_perplexity(m, seqs) - want) < 1e-9
 
 
 def test_perplexity_empty_corpus():
@@ -232,6 +256,20 @@ def test_arpa_count_mismatch():
     idx = next(i for i, l in enumerate(lines) if l.startswith("ngram 2="))
     lines[idx] = "ngram 2=999"
     with pytest.raises(ngram.ArpaParseError, match="2-grams"):
+        ngram.import_arpa("\n".join(lines))
+
+
+@pytest.mark.parametrize("field", [0, 2], ids=["prob", "backoff"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "400", "-400", "x"])
+def test_arpa_rejects_bad_values(field, value):
+    # 10 ** value must be a positive, finite float
+    m, _, _ = make_model([["a", "b", "a"]], 2)
+    lines = ngram.export_arpa(m).split("\n")
+    idx = next(i for i, l in enumerate(lines) if l.count("\t") == 2)
+    parts = lines[idx].split("\t")
+    parts[field] = value
+    lines[idx] = "\t".join(parts)
+    with pytest.raises(ngram.ArpaParseError, match="line %d: bad " % (idx + 1)):
         ngram.import_arpa("\n".join(lines))
 
 

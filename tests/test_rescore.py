@@ -32,7 +32,7 @@ def test_mu_one_equals_kn():
     nlm, kn, vocab = setup_models()
     words = ["a", "b"]
     got = rescore.lm_scores(nlm, kn, [words], 1.0)[0]
-    want = ngram.kn_sentence_logprob(kn, encode(words, vocab))
+    want = sum(map(math.log10, ngram.position_probs(kn, [encode(words, vocab)])[0]))
     assert abs(got - want) < 1e-12
 
 

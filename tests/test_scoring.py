@@ -1,7 +1,6 @@
 """The batched scoring core against the per-token oracle in nn_reference."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,41 +63,43 @@ def test_core_matches_oracle_under_heavy_sharing(m, data):
         assert all(abs(a - b) < TOL for a, b in zip(lp.tolist(), want))
 
 
-def expected_steps(seqs):
-    """Input ids of each forward_step the core should make: sorted sequences
-    split greedily into groups with at most BATCH_ROWS distinct prefixes per
-    position, then per group and position the last id of each distinct prefix."""
-    groups, seen, width = [[]], set(), Counter()
-    for s in sorted(seqs):
-        prefixes = {(t, tuple(s[:t + 1])) for t in range(len(s) - 1)}
-        if any(width[t] == neural.BATCH_ROWS for t, _ in prefixes - seen):
-            groups.append([])
-            seen, width = set(), Counter()
-        groups[-1].append(s)
-        width.update(t for t, _ in prefixes - seen)
-        seen |= prefixes
-    steps = []
-    for group in groups:
-        for t in range(max(len(s) for s in group) - 1):
-            steps.append(sorted({tuple(s[:t + 1]) for s in group if len(s) - 1 > t}))
-    return [[p[-1] for p in step] for step in steps]
-
-
 def test_each_distinct_prefix_steps_once(monkeypatch):
+    # the spy names each stepped prefix by its parent prefix's state and
+    # its input word; distinct prefixes of this model have distinct states
+    m = random_model(3, 2, 3, 0, 0.5)
+    prefix_of = {np.zeros(m.d_h).tobytes(): ()}
     calls = []
     step = neural.forward_step
 
     def spy(m, words, state):
-        calls.append(sorted(words.tolist()))
-        return step(m, words, state)
+        logp, new = step(m, words, state)
+        stepped = [prefix_of[h.tobytes()] + (w,)
+                   for h, w in zip(state.h, words.tolist())]
+        prefix_of.update(zip((h.tobytes() for h in new.h), stepped))
+        calls.append(stepped)
+        return logp, new
 
     monkeypatch.setattr(neural, "forward_step", spy)
-    m = random_model(3, 2, 3, 0, 0.5)
+    monkeypatch.setattr(neural, "GROUP_ROWS", 250)
     rng = np.random.default_rng(0)
     seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
             for _ in range(600)]
     neural.position_logprobs(m, seqs)
-    assert calls == [sorted(words) for words in expected_steps(seqs)]
+    # chunks of GROUP_ROWS sequences in input order, each walked from
+    # position 0, whose only prefix is <s>
+    chunks = []
+    for stepped in calls:
+        t = len(stepped[0]) - 1
+        assert all(len(p) == t + 1 for p in stepped)
+        if t == 0:
+            chunks.append({})
+        chunks[-1].setdefault(t, []).extend(stepped)
+    assert len(chunks) == 3
+    for k, chunk in enumerate(chunks):
+        group = seqs[250 * k:250 * (k + 1)]
+        want = {t: sorted({tuple(s[:t + 1]) for s in group if len(s) - 1 > t})
+                for t in range(max(map(len, group)) - 1)}
+        assert {t: sorted(ps) for t, ps in chunk.items()} == want
     # the deeper positions have more than BATCH_ROWS distinct prefixes
     assert max(map(len, calls)) == neural.BATCH_ROWS
 
@@ -184,7 +185,7 @@ def test_rescore_lists_in_small_groups(monkeypatch):
         calls.append(len(seqs))
         return score(nlm, seqs)
 
-    monkeypatch.setattr(rescore, "GROUP_HYPS", 3)
+    monkeypatch.setattr(neural, "GROUP_ROWS", 3)
     monkeypatch.setattr(rescore, "position_logprobs", spy)
     m = random_model(3, 2, 3, 1, 0.5)
     rng = np.random.default_rng(1)
