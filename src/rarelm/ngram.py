@@ -11,12 +11,21 @@ counts. Probabilities are interpolated:
 with three count-dependent discounts D1/D2/D3+ per order and a uniform
 1/|V| base distribution below the unigram level, so every in-vocabulary
 word has positive probability under every history.
+
+`NGramModel.prob` answers one query from the `probs`/`bows` dicts.
+`NGramModel.prob_many` answers every position of many sequences at once
+from per-order tables of sorted int64 keys, in the manner of KenLM's
+sorted arrays. It derives the tables from the dicts on its first call,
+so the dicts must not change after that.
 """
 
+import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .textcorpus import BOS_ID, SPECIALS, Vocabulary
 
@@ -75,7 +84,9 @@ class NGramModel:
     including the interpolation mass); bows[k] maps k-gram histories to
     their back-off weights. Queries use the standard longest-match
     recursion, so stored values reproduce the interpolated definition
-    exactly.
+    exactly. The first `prob_many` call derives its key tables from
+    probs and bows and keeps them; fill the dicts in before that call
+    and leave them unchanged after it.
     """
 
     def __init__(self, order: int, vocab: Vocabulary):
@@ -85,6 +96,7 @@ class NGramModel:
         self.bows: dict[int, dict[tuple, float]] = {k: {} for k in range(1, order)}
         self.discounts: dict[int, KNDiscounts] = {}
         self.warnings: list[str] = []
+        self._tables = None  # built by the first prob_many call
 
     def prob(self, word: int, history: tuple) -> float:
         """P(word | history); histories longer than order-1 are truncated."""
@@ -99,6 +111,95 @@ class NGramModel:
                 raise KeyError("word id %d missing from unigram table" % word)
             mult *= self.bows[k - 1].get(h, 1.0)
             h = h[1:]
+
+    def prob_many(self, ids, lens) -> np.ndarray:
+        """P(ids[t] | ids[:t]) at every position t >= 1 of each sequence,
+        bit-identical to `prob`; flat, in input order.
+
+        `ids` holds the id sequences back to back and `lens` their
+        lengths; histories never reach into the previous sequence. Raises
+        ValueError naming the word when a target word has no unigram.
+        """
+        if self._tables is None:
+            self._tables = _build_tables(self)
+        base, keys, has, prob, bow = self._tables
+        ids = np.asarray(ids, dtype=np.int64)
+        lens = np.asarray(lens, dtype=np.int64)
+        n = ids.size
+        # an id no table holds becomes base - 1, the last word of no key
+        words = np.where((ids >= 0) & (ids < base - 1), ids, base - 1)
+        # rows[k][s], s <= n - k: row of the k-gram ids[s:s+k] in the
+        # order-k table, or the table's last row, which stands for an absent
+        # k-gram; the empty gram has row 0
+        rows = [np.zeros(n + 1, dtype=np.int64)]
+        for k in range(1, self.order + 1):
+            q = rows[k - 1][:-1] * base + words[k - 1:]
+            i = np.searchsorted(keys[k], q)
+            rows.append(np.where(keys[k][i] == q, i, keys[k].size - 1))
+        # the longest-match recursion of prob, one order at a time from the
+        # highest; act holds the positions still backing off
+        pos = np.arange(n) - np.repeat(np.cumsum(lens) - lens, lens)
+        tgt = np.flatnonzero(pos > 0)
+        hlen = np.minimum(pos[tgt], self.order - 1)
+        out = np.empty(tgt.size)
+        mult = np.ones(tgt.size)
+        act = np.empty(0, dtype=np.int64)
+        for k in range(self.order, 0, -1):
+            act = np.concatenate([act, np.flatnonzero(hlen == k - 1)])
+            start = tgt[act] - (k - 1)
+            r = rows[k][start]
+            hit = has[k][r]
+            out[act[hit]] = mult[act[hit]] * prob[k][r[hit]]
+            act, start = act[~hit], start[~hit]
+            if k > 1:
+                mult[act] *= bow[k - 1][rows[k - 1][start]]
+        if act.size:
+            w = int(ids[tgt[act[0]]])
+            name = repr(self.vocab.word(w)) if 0 <= w < len(self.vocab) else "id %d" % w
+            raise ValueError("word %s missing from the n-gram model's unigram table"
+                             % name)
+        return out
+
+
+def _build_tables(m: NGramModel):
+    """`base` and the per-order key, has-probability, probability and
+    back-off columns of `prob_many`, each a list indexed by order.
+
+    The order-k table holds, sorted by key, every k-gram that has a
+    probability or a back-off weight, and every prefix of a longer such
+    k-gram. The key of a k-gram is the row of its (k-1)-gram prefix in
+    the order-(k-1) table times `base` plus its last word, so keys stay
+    below (rows of the order-(k-1) table + 1) * base at every order. Each
+    table ends with one extra row, key 2**63 - 1, no probability and
+    back-off weight 1.0, that stands for every absent k-gram.
+    """
+    grams = [None] * (m.order + 1)
+    need = set()
+    for k in range(m.order, 0, -1):
+        grams[k] = list(need.union(m.probs[k], m.bows.get(k, ())))
+        need = {g[:-1] for g in grams[k]}
+    lasts = [None] + [np.fromiter((g[-1] for g in gs), dtype=np.int64, count=len(gs))
+                      for gs in grams[1:]]
+    base = max([len(m.vocab)] + [int(a.max()) + 1 for a in lasts[1:] if a.size]) + 1
+    keys, has, prob, bow = [None], [None], [None], [None]
+    rows = {(): 0}
+    for k in range(1, m.order + 1):
+        gs = grams[k]
+        prefix = np.fromiter(map(rows.__getitem__, [g[:-1] for g in gs]),
+                             dtype=np.int64, count=len(gs))
+        key = prefix * base + lasts[k]
+        srt = np.argsort(key)
+        gs = [gs[i] for i in srt.tolist()]
+        rows = dict(zip(gs, itertools.count()))
+        probs, bows = m.probs[k], m.bows.get(k, {})
+        keys.append(np.append(key[srt], np.iinfo(np.int64).max))
+        has.append(np.append(np.fromiter((g in probs for g in gs), dtype=bool,
+                                         count=len(gs)), False))
+        prob.append(np.append(np.fromiter((probs.get(g, 0.0) for g in gs),
+                                          dtype=np.float64, count=len(gs)), 0.0))
+        bow.append(np.append(np.fromiter((bows.get(g, 1.0) for g in gs),
+                                         dtype=np.float64, count=len(gs)), 1.0))
+    return base, keys, has, prob, bow
 
 
 def _window_counts(sentences: list[list[int]], order: int) -> dict[int, Counter]:
@@ -192,21 +293,17 @@ def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
     return m
 
 
-def position_probs(m: NGramModel, seqs: Iterable[list[int]]) -> list[list[float]]:
+def position_probs(m: NGramModel, seqs: Iterable[list[int]]) -> list[np.ndarray]:
     """Linear P(ids[t+1] | ids[:t+1]) for every position t of each
-    bos/eos-framed id list, with one prob call per distinct n-gram."""
-    memo = {}
-    out = []
-    for ids in seqs:
-        ps = []
-        for t in range(1, len(ids)):
-            gram = tuple(ids[max(0, t - m.order + 1):t + 1])
-            p = memo.get(gram)
-            if p is None:
-                p = memo[gram] = m.prob(gram[-1], gram[:-1])
-            ps.append(p)
-        out.append(ps)
-    return out
+    bos/eos-framed id list, from one `prob_many` call; arrays in input
+    order."""
+    seqs = list(seqs)
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                      count=int(lens.sum()))
+    npos = np.maximum(lens - 1, 0)
+    ps = m.prob_many(ids, lens)
+    return [ps[o:o + k] for o, k in zip((np.cumsum(npos) - npos).tolist(), npos.tolist())]
 
 
 def kn_perplexity(m: NGramModel, corpus: Iterable[list[int]]) -> float:
@@ -215,7 +312,7 @@ def kn_perplexity(m: NGramModel, corpus: Iterable[list[int]]) -> float:
     nwords = sum(map(len, probs))
     if nwords == 0:
         raise ValueError("empty corpus")
-    return 10.0 ** (-sum(sum(map(math.log10, ps)) for ps in probs) / nwords)
+    return 10.0 ** (-sum(sum(map(math.log10, ps.tolist())) for ps in probs) / nwords)
 
 
 def _fmt(x: float) -> str:

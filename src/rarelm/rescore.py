@@ -1,12 +1,14 @@
 """N-best hypothesis rescoring with a neural LM, optionally interpolated
 with a Kneser-Ney n-gram model in the probability domain."""
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import neural
 from .neural import NeuralLM, position_logprobs
-from .ngram import position_probs
 from .textcorpus import encode, read_tab_pairs
 
 
@@ -43,21 +45,46 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     The mix is linear in the probability domain per position. State is
     reset for every hypothesis; OOV words map to unk. All hypotheses go
     through one batched pass of the neural model. The two models are
-    joined by word: each neural-vocab id maps to the KN id of the same
-    word, or to KN's unk, and KN is queried once per distinct n-gram.
+    joined by word, for the whole group at once: one take through a map
+    from each neural-vocab id to the KN id of the same word, or to KN's
+    unk, gives the KN ids of every position, and one `prob_many` call
+    their probabilities. The mix is elementwise; each hypothesis sums
+    its positions left to right, so every score has the bits of
+    sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions.
     """
     if interp_weight > 0.0 and kn is None:
         raise ValueError("interp_weight > 0 requires an n-gram model")
     mu = interp_weight
     seqs = [encode(words, nlm.vocab) for words in word_lists]
     lps = position_logprobs(nlm, seqs)
-    if mu <= 0.0:
+    if mu <= 0.0 or not seqs:
         return [sum(lp.tolist()) for lp in lps]
-    to_kn = [kn.vocab.id(w) for w in nlm.vocab.id_to_word]
-    qs = position_probs(kn, [[to_kn[i] for i in ids] for ids in seqs])
-    return [sum(math.log10((1.0 - mu) * 10.0 ** p + mu * q)
-                for p, q in zip(lp.tolist(), q_row))
-            for lp, q_row in zip(lps, qs)]
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                      count=int(lens.sum()))
+    to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
+                        count=len(nlm.vocab))
+    q = kn.prob_many(np.take(to_kn, ids), lens)
+    # numpy's power and log10 can differ from math's in the last bit
+    lp = np.concatenate(lps).tolist()
+    p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp), dtype=np.float64,
+                    count=len(lp))
+    mix = ((1.0 - mu) * p + mu * q).tolist()
+    return _left_sums(np.fromiter(map(math.log10, mix), dtype=np.float64,
+                                  count=len(mix)), lens - 1).tolist()
+
+
+def _left_sums(values, counts):
+    """Sum of each run of `counts` consecutive values, added strictly left
+    to right as sum() does; np.sum adds pairwise, with other bits."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    grid = np.zeros((counts.size, int(counts.max())))
+    grid[rows, cols] = values
+    acc = np.zeros(counts.size)
+    for col in grid.T:
+        acc += col
+    return acc
 
 
 def _rescore_group(group, nlm, kn, cfg):

@@ -105,6 +105,27 @@ def test_bad_arpa_value_is_a_domain_error(workdir, capsys):
             in capsys.readouterr().err
 
 
+def test_arpa_without_unk_names_the_word(workdir, capsys):
+    # an external ARPA file need not list <unk>; OOV words then have no
+    # unigram, and the error names the word
+    d = workdir
+    lines = (d / "kn.arpa").read_text().split("\n")
+    unk = next(i for i, l in enumerate(lines) if l.split("\t")[1:2] == ["<unk>"])
+    del lines[unk]
+    n1 = next(i for i, l in enumerate(lines) if l.startswith("ngram 1="))
+    lines[n1] = "ngram 1=%d" % (int(lines[n1][len("ngram 1="):]) - 1)
+    (d / "nounk.arpa").write_text("\n".join(lines))
+    (d / "oov_nbest.txt").write_text("u1\t1\t-1.0\tzzzq\n")
+    (d / "oov.txt").write_text("zzzq\n")
+    for argv in (["ppl", "--corpus", str(d / "oov.txt")],
+                 ["rescore", "--model", str(d / "lstm.rlm"), "--interp-weight", "0.3",
+                  "--nbest", str(d / "oov_nbest.txt"),
+                  "--output", str(d / "rescored_nounk.tsv")]):
+        assert run(argv + ["--ngram", str(d / "nounk.arpa")]) == 1
+        assert "error: word '<unk>' missing from the n-gram model's unigram table" \
+            in capsys.readouterr().err
+
+
 def test_sweep_command(workdir, capsys):
     d = workdir
     bundle = d / "bundle"

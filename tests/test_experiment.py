@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def test_gen_synthetic_deterministic(tmp_path):
     d1 = experiment.write_bundle(b1, tmp_path / "a")
     d2 = experiment.write_bundle(b2, tmp_path / "b")
     for key in d1:
-        assert open(d1[key], "rb").read() == open(d2[key], "rb").read()
+        assert Path(d1[key]).read_bytes() == Path(d2[key]).read_bytes()
 
 
 def test_gen_synthetic_reference_in_nbest():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rarelm import ngram
 from rarelm.textcorpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, encode
@@ -118,6 +118,9 @@ def test_uniform_model_perplexity():
         m.probs[1][(w,)] = 0.25
     ppl = ngram.kn_perplexity(m, [[BOS_ID, 3, 3, 1]])
     assert abs(ppl - 4.0) < 1e-9
+    seqs = [[BOS_ID, 3, 3, 1], [BOS_ID, 1]]
+    got = ngram.position_probs(m, seqs)
+    assert [ps.tolist() for ps in got] == scalar_position_probs(m, seqs)
 
 
 def test_sentence_logprob_matches_oracle():
@@ -129,28 +132,71 @@ def test_sentence_logprob_matches_oracle():
                - ref_sentence_logprob(enc, ids, 4, len(vocab))) < 1e-9
 
 
-@settings(max_examples=40, deadline=None)
+def scalar_position_probs(m, seqs):
+    return [[m.prob(ids[t], tuple(ids[max(0, t - m.order + 1):t]))
+             for t in range(1, len(ids))] for ids in seqs]
+
+
+@settings(max_examples=60, deadline=None)
 @given(corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]),
                                 min_size=1, max_size=7), min_size=1, max_size=8),
-       order=st.integers(1, 4),
+       order=st.integers(1, 5), prune_min_count=st.sampled_from([0, 2]),
+       via_arpa=st.booleans(),
        text=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "oov"]), max_size=7),
                      min_size=1, max_size=8))
-def test_position_probs_property(corpus, order, text):
-    # one query per distinct n-gram gives each position the bits of prob
-    m, vocab, enc = make_model(corpus, order)
-    seqs = [encode(s, vocab) for s in text]
-    got = ngram.position_probs(m, seqs)
-    assert [len(ps) for ps in got] == [len(ids) - 1 for ids in seqs]
-    for ids, ps in zip(seqs, got):
-        assert ps == [m.prob(ids[t], tuple(ids[max(0, t - order + 1):t]))
-                      for t in range(1, len(ids))]
+# pruning keeps "a b c d" but neither "a b c" nor any bigram "a x", so the
+# history "a b c" has a prefix that is neither an entry nor a history
+@example(corpus=[["a", "b", "c", "d"]] * 2, order=4, prune_min_count=2,
+         via_arpa=False, text=[["a", "b", "c", "d"]])
+@example(corpus=[["a", "b", "c", "d"]] * 2, order=4, prune_min_count=2,
+         via_arpa=True, text=[["a", "b", "c", "d"]])
+def test_position_probs_property(corpus, order, prune_min_count, via_arpa, text):
+    # the batched lookup gives each position the bits of prob, for trained,
+    # pruned and re-imported models alike
+    m, vocab, enc = make_model(corpus, order, prune_min_count=prune_min_count)
+    if via_arpa:
+        m = ngram.import_arpa(ngram.export_arpa(m))
+    seqs = [encode(s, m.vocab) for s in text]
+    # unframed sequences too: no history reaches into the previous one
+    unframed = [ids[1:-1] for ids in seqs]
+    assert [ps.tolist() for ps in ngram.position_probs(m, seqs + unframed)] == \
+        scalar_position_probs(m, seqs + unframed)
+    want = scalar_position_probs(m, seqs)
+    nwords = sum(map(len, want))
+    assert ngram.kn_perplexity(m, seqs) == \
+        10.0 ** (-sum(sum(map(math.log10, ps)) for ps in want) / nwords)
+    if prune_min_count or via_arpa:
+        return
     # the oracle takes the model's discounts, which fall back to 0.75
     # where the estimate is degenerate
     ds = {k: (d.d1, d.d2, d.d3plus) for k, d in m.discounts.items()}
-    nwords = sum(len(ids) - 1 for ids in seqs)
-    want = 10.0 ** (-sum(ref_sentence_logprob(enc, ids, order, len(vocab), ds)
-                         for ids in seqs) / nwords)
-    assert abs(ngram.kn_perplexity(m, seqs) - want) < 1e-9
+    ref = 10.0 ** (-sum(ref_sentence_logprob(enc, ids, order, len(vocab), ds)
+                        for ids in seqs) / nwords)
+    assert abs(ngram.kn_perplexity(m, seqs) - ref) < 1e-9
+
+
+def test_position_probs_key_range():
+    # |V|**5 > 2**63: keys packed as raw base-|V| numbers would overflow at
+    # order 5, so this pins the rank-chained keys
+    rng = random.Random(3)
+    words = ["w%d" % i for i in range(7000)]
+    rng.shuffle(words)
+    corpus = [words[i:i + 10] for i in range(0, len(words), 10)]
+    corpus += [rng.sample(words[:100], 10) for _ in range(100)]
+    m, vocab, _ = make_model(corpus, 5)
+    assert len(vocab) ** 5 >= 2 ** 63
+    text = corpus[:50] + [[rng.choice(words) for _ in range(8)] for _ in range(50)]
+    text += [s[:4] + ["oov"] + s[4:] for s in corpus[50:100]]
+    seqs = [encode(s, vocab) for s in text]
+    got = ngram.position_probs(m, seqs)
+    assert [ps.tolist() for ps in got] == scalar_position_probs(m, seqs)
+
+
+def test_position_probs_names_missing_unigram():
+    m, vocab, _ = make_model([["a", "b"]], 2)
+    del m.probs[1][(UNK_ID,)]
+    with pytest.raises(ValueError, match="word '<unk>' missing"):
+        ngram.position_probs(m, [encode(["a", "zzz"], vocab)])
 
 
 def test_perplexity_empty_corpus():

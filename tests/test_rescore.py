@@ -6,7 +6,7 @@ import pytest
 
 from rarelm import neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
-from rarelm.textcorpus import build_vocab, encode
+from rarelm.textcorpus import Vocabulary, build_vocab, encode
 
 
 def setup_models():
@@ -51,6 +51,50 @@ def test_mixture_direct_arithmetic():
         expect += math.log10(0.7 * p_n + mu * p_k)
     got = rescore.lm_scores(nlm, kn, [words], mu)[0]
     assert abs(got - expect) < 1e-12
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kn_words", ["same", "reordered", "smaller"])
+def test_lm_scores_bits_of_scalar_formula(mu, kn_words):
+    # the whole-group join, elementwise mix and column sums give each
+    # hypothesis the bits of the per-position formula summed left to right
+    nlm, _, vocab = setup_models()
+    rng = random.Random(4)
+    corpus = [[rng.choice(["a", "b", "c", "d"]) for _ in range(rng.randint(2, 6))]
+              for _ in range(30)]
+    words = {"same": ["a", "b", "c", "d"], "reordered": ["d", "b", "a", "c"],
+             "smaller": ["a", "c"]}[kn_words]
+    kvocab = Vocabulary(words)
+    kn = ngram.train_kn([encode(s, kvocab) for s in corpus], 3, kvocab)
+    lists = [[rng.choice(["a", "b", "c", "d", "oov"]) for _ in range(rng.randint(0, 7))]
+             for _ in range(60)]
+    got = rescore.lm_scores(nlm, kn, lists, mu)
+    seqs = [encode(ws, vocab) for ws in lists]
+    want = []
+    for ids, lp in zip(seqs, neural.position_logprobs(nlm, seqs)):
+        kids = [kn.vocab.id(vocab.word(i)) for i in ids]
+        acc = 0.0
+        for t, p in enumerate(lp.tolist(), 1):
+            if mu == 0.0:  # no KN term at all
+                acc += p
+                continue
+            q = kn.prob(kids[t], tuple(kids[max(0, t - kn.order + 1):t]))
+            acc += math.log10((1.0 - mu) * 10.0 ** p + mu * q)
+        want.append(acc)
+    assert got == want
+
+
+def test_rescoring_makes_no_scalar_kn_query(monkeypatch):
+    nlm, kn, vocab = setup_models()
+    lists = [NBestList("u%d" % i, [Hypothesis(1, -1.0, ["a", "b", "oov"]),
+                                   Hypothesis(2, -1.5, ["a", "c"])]) for i in range(3)]
+
+    def spy(*args):
+        raise AssertionError("NGramModel.prob called")
+
+    monkeypatch.setattr(ngram.NGramModel, "prob", spy)
+    rescore.rescore_lists(lists, nlm, kn, RescoreConfig(interp_weight=0.3))
+    ngram.kn_perplexity(kn, [encode(["a", "b", "oov"], vocab)])
 
 
 def test_mu_without_kn_rejected():
