@@ -127,10 +127,10 @@ def cmd_ppl(args):
 def cmd_wer(args):
     refs = rescore.read_onebest(args.refs)
     hyps = rescore.read_onebest(args.hyps)
-    report = metrics.corpus_wer(refs, hyps)
+    report, acc = metrics.corpus_scores(
+        refs, hyps, _word_set(args.tracked) if args.tracked else ())
     sys.stdout.write(metrics.format_wer_report(report))
     if args.tracked:
-        acc = metrics.rare_word_accuracy(refs, hyps, _word_set(args.tracked))
         if acc.defined:
             print("tracked_occurrences\t%d" % acc.occurrences)
             print("tracked_correct\t%d" % acc.correct)

@@ -1,6 +1,9 @@
-"""WER via Levenshtein alignment and rare-word recognition accuracy."""
+"""WER via Levenshtein alignment, rare-word recognition accuracy, and the
+left-to-right sums and perplexity of per-position log-probabilities."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 MATCH, SUB, INS, DEL = "match", "sub", "ins", "del"
 GAP = "-"
@@ -82,48 +85,60 @@ def alignment_cost(ops) -> int:
     return sum(1 for tag, _, _ in ops if tag != MATCH)
 
 
-def sentence_wer_counts(ref, hyp) -> WerReport:
-    ops = align(ref, hyp)
-    r = WerReport(ref_word_count=len(ref))
-    for tag, _, _ in ops:
-        if tag == SUB:
-            r.substitutions += 1
-        elif tag == INS:
-            r.insertions += 1
-        elif tag == DEL:
-            r.deletions += 1
-    return r
+def corpus_scores(refs: dict, hyps: dict, tracked=()) -> tuple[WerReport, RareAccuracyReport]:
+    """WER totals and tracked-word accuracy from one alignment per utterance.
+
+    Every hyp utt_id must have a reference. Each tracked-word reference
+    occurrence counts as correct iff its alignment op is an exact match.
+    Zero occurrences gives a flagged (undefined-accuracy) report, not an
+    error.
+    """
+    wer = WerReport()
+    acc = RareAccuracyReport(tracked=set(tracked))
+    for utt in sorted(hyps):
+        if utt not in refs:
+            raise ValueError("no reference for utterance %s" % utt)
+        wer.ref_word_count += len(refs[utt])
+        for tag, rtok, _ in align(refs[utt], hyps[utt]):
+            if tag == SUB:
+                wer.substitutions += 1
+            elif tag == INS:
+                wer.insertions += 1
+            elif tag == DEL:
+                wer.deletions += 1
+            if rtok in acc.tracked:
+                acc.occurrences += 1
+                if tag == MATCH:
+                    acc.correct += 1
+    return wer, acc
 
 
 def corpus_wer(refs: dict, hyps: dict) -> WerReport:
-    """Totals over utterances; every hyp utt_id must have a reference."""
-    total = WerReport()
-    for utt in sorted(hyps):
-        if utt not in refs:
-            raise KeyError("no reference for utterance %s" % utt)
-        r = sentence_wer_counts(refs[utt], hyps[utt])
-        total.substitutions += r.substitutions
-        total.insertions += r.insertions
-        total.deletions += r.deletions
-        total.ref_word_count += r.ref_word_count
-    return total
+    """The WER half of corpus_scores."""
+    return corpus_scores(refs, hyps)[0]
 
 
-def rare_word_accuracy(refs: dict, hyps: dict, tracked) -> RareAccuracyReport:
-    """Each tracked-word reference occurrence counts as correct iff its
-    alignment op is an exact match. Zero occurrences gives a flagged
-    (undefined-accuracy) report, not an error."""
-    tracked = set(tracked)
-    report = RareAccuracyReport(tracked=tracked)
-    for utt in sorted(hyps):
-        if utt not in refs:
-            raise KeyError("no reference for utterance %s" % utt)
-        for tag, rtok, _ in align(refs[utt], hyps[utt]):
-            if rtok in tracked:
-                report.occurrences += 1
-                if tag == MATCH:
-                    report.correct += 1
-    return report
+def left_sums(values, lens):
+    """Sum of each sequence's max(lens - 1, 0) consecutive values, one per
+    scored position, added strictly left to right as sum() does; np.sum
+    adds pairwise, with other bits."""
+    counts = np.maximum(lens - 1, 0)
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    grid = np.zeros((counts.size, int(counts.max(initial=0))))
+    grid[rows, cols] = values
+    acc = np.zeros(counts.size)
+    for col in grid.T:
+        acc += col
+    return acc
+
+
+def perplexity(log10s, lens) -> float:
+    """10 ** -(mean log10 probability per scored position); each sequence
+    is summed left to right, then the sequence sums in order."""
+    if log10s.size == 0:
+        raise ValueError("empty corpus")
+    return 10.0 ** (-sum(left_sums(log10s, lens).tolist()) / log10s.size)
 
 
 def format_wer_report(r: WerReport) -> str:

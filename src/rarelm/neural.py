@@ -6,29 +6,22 @@ matrix U (d_h x |V|) applied as a pure inner product: y = U^T h, no output
 bias. Parameters live in float64; checkpoints store float32.
 """
 
-import itertools
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .textcorpus import BOS_ID, SPECIALS, Vocabulary
+from .metrics import perplexity
+from .textcorpus import SPECIALS, Vocabulary, pack
 
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
 BATCH_ROWS = 64  # rows per batched inference step; bounds memory at any |V|
 GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
-
-
-@dataclass
-class LMState:
-    """Recurrent state: hidden/context vector h and LSTM cell c."""
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -74,9 +67,6 @@ class NeuralLM:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def zero_state(self, batch: int = 1) -> LMState:
-        return LMState(np.zeros((batch, self.d_h)), np.zeros((batch, self.d_h)))
-
     def copy(self) -> "NeuralLM":
         return NeuralLM(self.vocab, self.d_s, self.d_h,
                         self.S.copy(), self.W.copy(), self.b.copy(), self.U.copy())
@@ -116,26 +106,32 @@ def _gates(z, c_prev):
     return c, h
 
 
-def forward_step(m: NeuralLM, words, state: LMState):
+def forward_step(m: NeuralLM, words, h, c):
     """One batched inference step over B rows.
 
-    words: (B,) input ids. Returns (natural-log softmax over V, shape
-    (B, |V|), new state). The input state is never mutated.
+    words: (B,) input ids; h, c: (B, d_h) hidden and cell state. Returns
+    (natural-log softmax over V, shape (B, |V|), new h, new c). The input
+    state is never mutated.
     """
     words = np.asarray(words)
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
-    z = np.concatenate([m.S[:, words].T, state.h], axis=1) @ m.W.T + m.b
-    c, h = _gates(z, state.c)
+    z = np.concatenate([m.S[:, words].T, h], axis=1) @ m.W.T + m.b
+    c, h = _gates(z, c)
     y = h @ m.U
     y -= y.max(axis=1, keepdims=True)
     y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
-    return y, LMState(h, c)
+    return y, h, c
 
 
-def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
+def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     """log10 P(ids[t+1] | ids[:t+1]) for every position t of each
-    bos/eos-framed id list; state is reset per sequence.
+    bos/eos-framed id sequence; state is reset per sequence.
+
+    `ids` holds the sequences back to back and `lens` their lengths, as
+    `textcorpus.pack` lays them out. Returns one flat array in input
+    order: sequence i contributes its max(lens[i] - 1, 0) positions, as in
+    `NGramModel.prob_many`.
 
     Each distinct prefix goes through the LSTM once. Sequences are taken
     GROUP_ROWS at a time, in input order, and each group is walked as a
@@ -143,15 +139,12 @@ def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
     word) keys of its live rows are its distinct prefixes ids[:t+1]. They
     step through forward_step BATCH_ROWS at a time, each from its parent
     prefix's state, and every sequence reads its target from its own
-    prefix's row. Returns arrays in input order.
+    prefix's row.
     """
-    n = len(seqs)
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=n)
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
-                       count=int(lens.sum()))
     nv = m.vocab_size
-    if flat.size and (flat.min() < 0 or flat.max() >= nv):
+    if ids.size and (ids.min() < 0 or ids.max() >= nv):
         raise IndexError("word id out of range for |V|=%d" % nv)
+    n = lens.size
     npos = np.maximum(lens - 1, 0)
     start = np.cumsum(lens) - lens
     ostart = np.cumsum(npos) - npos
@@ -159,35 +152,32 @@ def position_logprobs(m: NeuralLM, seqs) -> list[np.ndarray]:
     for a in range(0, n, GROUP_ROWS):
         rows = np.arange(a, min(a + GROUP_ROWS, n))
         slot = np.zeros(rows.size, dtype=np.int64)  # row -> its prefix's state row
-        st = m.zero_state(1)
+        h = c = np.zeros((1, m.d_h))
         for t in range(int(npos[rows].max())):
             live = npos[rows] > t
             rows = rows[live]
-            keys, slot = np.unique(slot[live] * nv + flat[start[rows] + t],
+            keys, slot = np.unique(slot[live] * nv + ids[start[rows] + t],
                                    return_inverse=True)
             parent, words = np.divmod(keys, nv)
-            nxt = m.zero_state(keys.size)
+            nh = np.empty((keys.size, m.d_h))
+            nc = np.empty((keys.size, m.d_h))
             chunk = slot // BATCH_ROWS
-            target = flat[start[rows] + t + 1]
+            target = ids[start[rows] + t + 1]
             for j, b in enumerate(range(0, keys.size, BATCH_ROWS)):
                 e = b + BATCH_ROWS
-                logp, new = forward_step(m, words[b:e],
-                                         LMState(st.h[parent[b:e]], st.c[parent[b:e]]))
-                nxt.h[b:e], nxt.c[b:e] = new.h, new.c
+                p = parent[b:e]
+                logp, nh[b:e], nc[b:e] = forward_step(m, words[b:e], h[p], c[p])
                 sel = chunk == j
                 lp[ostart[rows[sel]] + t] = logp[slot[sel] - b, target[sel]]
-            st = nxt
+            h, c = nh, nc
     lp /= LOG10
-    return [lp[o:o + k] for o, k in zip(ostart.tolist(), npos.tolist())]
+    return lp
 
 
 def nn_perplexity(m: NeuralLM, corpus) -> float:
     """Perplexity over framed sentences; eos counted, bos not."""
-    lps = position_logprobs(m, list(corpus))
-    nwords = sum(len(lp) for lp in lps)
-    if nwords == 0:
-        raise ValueError("empty corpus")
-    return 10.0 ** (-sum(sum(lp.tolist()) for lp in lps) / nwords)
+    ids, lens = pack(corpus)
+    return perplexity(position_logprobs(m, ids, lens), lens)
 
 
 def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
@@ -320,10 +310,7 @@ class TrainingDiverged(RuntimeError):
 
 def _batch_stream(corpus_ids, batch_size):
     """Concatenate framed sentences and fold the stream into batch rows."""
-    stream = []
-    for ids in corpus_ids:
-        stream.extend(ids)
-    stream = np.asarray(stream, dtype=np.int64)
+    stream, _ = pack(corpus_ids)
     nbatch = (len(stream) - 1) // batch_size
     if nbatch < 1:
         raise ValueError("corpus too small for batch_size=%d" % batch_size)

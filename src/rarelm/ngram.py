@@ -27,9 +27,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .textcorpus import BOS_ID, SPECIALS, Vocabulary
-
-LOG10 = math.log(10.0)
+from .metrics import perplexity
+from .textcorpus import BOS_ID, SPECIALS, Vocabulary, pack
 
 
 @dataclass
@@ -293,26 +292,12 @@ def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
     return m
 
 
-def position_probs(m: NGramModel, seqs: Iterable[list[int]]) -> list[np.ndarray]:
-    """Linear P(ids[t+1] | ids[:t+1]) for every position t of each
-    bos/eos-framed id list, from one `prob_many` call; arrays in input
-    order."""
-    seqs = list(seqs)
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
-                      count=int(lens.sum()))
-    npos = np.maximum(lens - 1, 0)
-    ps = m.prob_many(ids, lens)
-    return [ps[o:o + k] for o, k in zip((np.cumsum(npos) - npos).tolist(), npos.tolist())]
-
-
 def kn_perplexity(m: NGramModel, corpus: Iterable[list[int]]) -> float:
     """Perplexity over framed sentences, counting eos but not bos."""
-    probs = position_probs(m, corpus)
-    nwords = sum(map(len, probs))
-    if nwords == 0:
-        raise ValueError("empty corpus")
-    return 10.0 ** (-sum(sum(map(math.log10, ps.tolist())) for ps in probs) / nwords)
+    ids, lens = pack(corpus)
+    ps = m.prob_many(ids, lens).tolist()
+    return perplexity(np.fromiter(map(math.log10, ps), dtype=np.float64, count=len(ps)),
+                      lens)
 
 
 def _fmt(x: float) -> str:

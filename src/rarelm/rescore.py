@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
+from .metrics import left_sums
 from .neural import NeuralLM, position_logprobs
-from .textcorpus import encode, read_tab_pairs
+from .textcorpus import encode, pack, read_tab_pairs
 
 
 @dataclass
@@ -43,48 +44,30 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     """log10 probability of each hypothesis under (1-mu)*P_nlm + mu*P_kn.
 
     The mix is linear in the probability domain per position. State is
-    reset for every hypothesis; OOV words map to unk. All hypotheses go
-    through one batched pass of the neural model. The two models are
-    joined by word, for the whole group at once: one take through a map
-    from each neural-vocab id to the KN id of the same word, or to KN's
-    unk, gives the KN ids of every position, and one `prob_many` call
-    their probabilities. The mix is elementwise; each hypothesis sums
-    its positions left to right, so every score has the bits of
+    reset for every hypothesis; OOV words map to unk. The hypotheses are
+    encoded and packed back to back once; both models answer every
+    position of the group as one flat array in that layout. The two
+    models are joined by word: one take through a map from each
+    neural-vocab id to the KN id of the same word, or to KN's unk, gives
+    the KN ids of every position. The mix is elementwise; each hypothesis
+    sums its positions left to right, so every score has the bits of
     sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions.
     """
     if interp_weight > 0.0 and kn is None:
         raise ValueError("interp_weight > 0 requires an n-gram model")
     mu = interp_weight
-    seqs = [encode(words, nlm.vocab) for words in word_lists]
-    lps = position_logprobs(nlm, seqs)
-    if mu <= 0.0 or not seqs:
-        return [sum(lp.tolist()) for lp in lps]
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
-                      count=int(lens.sum()))
-    to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
-                        count=len(nlm.vocab))
-    q = kn.prob_many(np.take(to_kn, ids), lens)
-    # numpy's power and log10 can differ from math's in the last bit
-    lp = np.concatenate(lps).tolist()
-    p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp), dtype=np.float64,
-                    count=len(lp))
-    mix = ((1.0 - mu) * p + mu * q).tolist()
-    return _left_sums(np.fromiter(map(math.log10, mix), dtype=np.float64,
-                                  count=len(mix)), lens - 1).tolist()
-
-
-def _left_sums(values, counts):
-    """Sum of each run of `counts` consecutive values, added strictly left
-    to right as sum() does; np.sum adds pairwise, with other bits."""
-    rows = np.repeat(np.arange(counts.size), counts)
-    cols = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    grid = np.zeros((counts.size, int(counts.max())))
-    grid[rows, cols] = values
-    acc = np.zeros(counts.size)
-    for col in grid.T:
-        acc += col
-    return acc
+    ids, lens = pack([encode(words, nlm.vocab) for words in word_lists])
+    lp = position_logprobs(nlm, ids, lens)
+    if mu > 0.0:
+        to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
+                            count=len(nlm.vocab))
+        q = kn.prob_many(np.take(to_kn, ids), lens)
+        # numpy's power and log10 can differ from math's in the last bit
+        p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp.tolist()),
+                        dtype=np.float64, count=lp.size)
+        mix = ((1.0 - mu) * p + mu * q).tolist()
+        lp = np.fromiter(map(math.log10, mix), dtype=np.float64, count=len(mix))
+    return left_sums(lp, lens).tolist()
 
 
 def _rescore_group(group, nlm, kn, cfg):

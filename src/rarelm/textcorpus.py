@@ -1,7 +1,11 @@
-"""Corpus ingestion: tokenization, multiword-name joining, vocabulary building."""
+"""Corpus ingestion: tokenization, multiword-name joining, vocabulary building
+and packing id sequences back to back."""
 
+import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 BOS = "<s>"
 EOS = "</s>"
@@ -174,7 +178,16 @@ def build_vocab(corpus: Iterable[list[str]], min_count: int = 1,
 
 def encode(tokens: list[str], vocab: Vocabulary) -> list[int]:
     """Map a sentence to ids framed with bos/eos; OOV tokens map to unk."""
-    return [BOS_ID] + [vocab.id(t) for t in tokens] + [EOS_ID]
+    return [BOS_ID, *map(vocab.word_to_id.get, tokens, itertools.repeat(UNK_ID)), EOS_ID]
+
+
+def pack(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Id sequences laid back to back: (ids, lens), both int64."""
+    seqs = list(seqs)
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                      count=int(lens.sum()))
+    return ids, lens
 
 
 def decode(ids: list[int], vocab: Vocabulary) -> list[str]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from rarelm import cli, enrich, experiment, metrics, neural, ngram, rescore, textcorpus
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
-from rarelm.textcorpus import Vocabulary, build_vocab, encode
+from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
 
 from kn_reference import ref_prob
 from test_metrics import brute_force_distance
@@ -167,9 +167,9 @@ def test_criterion_5_rescoring_boundaries():
         mu0 = rescore.lm_scores(nlm, kn, [h.words], 0.0)[0]
         mu1 = rescore.lm_scores(nlm, kn, [h.words], 1.0)[0]
         ok = ok and mu0 == sum(neural.position_logprobs(
-            nlm, [encode(h.words, vocab)])[0].tolist())
-        ok = ok and mu1 == sum(map(math.log10, ngram.position_probs(
-            kn, [encode(h.words, vocab)])[0]))
+            nlm, *pack([encode(h.words, vocab)])).tolist())
+        ok = ok and mu1 == sum(map(math.log10, kn.prob_many(
+            *pack([encode(h.words, vocab)]))))
     report(5, ok, "lambda=0 reproduces acoustic 1-best; mu boundaries exact",
            time.time() - t0, 5)
 
@@ -194,8 +194,8 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
     ppl_enr = neural.nn_perplexity(enriched, refs_enc)
 
     tracked = set(pipe["rare_streets"])
-    acc_base = metrics.rare_word_accuracy(pipe["data"].refs, onebest_base, tracked)
-    acc_enr = metrics.rare_word_accuracy(pipe["data"].refs, onebest_all, tracked)
+    acc_base = metrics.corpus_scores(pipe["data"].refs, onebest_base, tracked)[1]
+    acc_enr = metrics.corpus_scores(pipe["data"].refs, onebest_all, tracked)[1]
 
     a = ppl_enr < ppl_base
     b = wer_all.wer < wer_base.wer

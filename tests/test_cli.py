@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rarelm import cli
+from rarelm import cli, metrics
 
 
 def run(argv, capsys=None):
@@ -226,6 +226,34 @@ def test_domain_error_exit_code_1(tmp_path):
     missing = tmp_path / "nope.txt"
     assert run(["build-vocab", "--corpus", str(missing),
                 "--output", str(tmp_path / "v.txt")]) == 1
+
+
+def write_wer_inputs(tmp_path, hyps):
+    (tmp_path / "refs.txt").write_text("u1\ta b c\nu2\td e\nu3\tf\n")
+    (tmp_path / "hyps.txt").write_text(hyps)
+    (tmp_path / "tracked.txt").write_text("b\nf\n")
+    return ["wer", "--refs", str(tmp_path / "refs.txt"),
+            "--hyps", str(tmp_path / "hyps.txt"),
+            "--tracked", str(tmp_path / "tracked.txt")]
+
+
+def test_wer_aligns_each_utterance_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    align = metrics.align
+    monkeypatch.setattr(metrics, "align", lambda r, h: calls.append((r, h)) or align(r, h))
+    argv = write_wer_inputs(tmp_path, "u1\ta x c\nu2\td e\nu3\tf\n")
+    assert run(argv) == 0
+    assert sorted(calls) == [(["a", "b", "c"], ["a", "x", "c"]),
+                             (["d", "e"], ["d", "e"]), (["f"], ["f"])]
+    out = capsys.readouterr().out
+    assert "substitutions\t1\n" in out
+    assert "tracked_occurrences\t2\ntracked_correct\t1\n" in out
+
+
+def test_wer_hypothesis_without_reference(tmp_path, capsys):
+    assert run(write_wer_inputs(tmp_path, "u1\ta b c\nuttX\tf\n")) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: no reference for utterance uttX"
 
 
 def test_reproducibility_stamp(workdir, capsys):

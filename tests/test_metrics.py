@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,7 +78,7 @@ def test_corpus_wer_additivity():
     refs = {"u1": ["a", "b"], "u2": ["c", "d", "e"]}
     hyps = {"u1": ["a"], "u2": ["c", "x", "e"]}
     total = metrics.corpus_wer(refs, hyps)
-    parts = [metrics.sentence_wer_counts(refs[u], hyps[u]) for u in refs]
+    parts = [metrics.corpus_wer({u: refs[u]}, {u: hyps[u]}) for u in refs]
     assert total.errors == sum(p.errors for p in parts)
     assert total.ref_word_count == sum(p.ref_word_count for p in parts)
 
@@ -94,27 +95,27 @@ def test_corpus_wer_order_invariance():
 
 
 def test_corpus_wer_missing_reference():
-    with pytest.raises(KeyError, match="u2"):
+    with pytest.raises(ValueError, match="u2"):
         metrics.corpus_wer({"u1": ["a"]}, {"u2": ["a"]})
 
 
 def test_rare_accuracy_all_matched():
     refs = {"u": ["boon_lay", "road"]}
     hyps = {"u": ["boon_lay", "road"]}
-    r = metrics.rare_word_accuracy(refs, hyps, {"boon_lay"})
+    r = metrics.corpus_scores(refs, hyps, {"boon_lay"})[1]
     assert r.occurrences == 1 and r.accuracy == 1.0
 
 
 def test_rare_accuracy_substituted_occurrence():
     refs = {"u": ["at", "boon_lay", "place"]}
     hyps = {"u": ["at", "bully", "plays"]}
-    r = metrics.rare_word_accuracy(refs, hyps, {"boon_lay"})
+    r = metrics.corpus_scores(refs, hyps, {"boon_lay"})[1]
     assert r.occurrences == 1 and r.correct == 0
 
 
 def test_rare_accuracy_zero_occurrences_flagged():
     refs = {"u": ["a", "b"]}
-    r = metrics.rare_word_accuracy(refs, refs, {"never"})
+    r = metrics.corpus_scores(refs, refs, {"never"})[1]
     assert not r.defined
     assert r.occurrences == 0
     with pytest.raises(ValueError):
@@ -126,10 +127,25 @@ def test_rare_correct_bounded_by_matches():
     for _ in range(20):
         refs = {"u": [rng.choice("abxy") for _ in range(6)]}
         hyps = {"u": [rng.choice("abxy") for _ in range(6)]}
-        wer = metrics.corpus_wer(refs, hyps)
+        wer, acc = metrics.corpus_scores(refs, hyps, {"a", "b"})
         matches = wer.ref_word_count - wer.substitutions - wer.deletions
-        acc = metrics.rare_word_accuracy(refs, hyps, {"a", "b"})
         assert acc.correct <= matches
+
+
+# one list of per-position values per sequence, with the sequence length
+# that scores that many positions: 0 or 1 tokens score none
+sequences = st.lists(st.lists(st.floats(-1e6, 1e6), max_size=20).flatmap(
+    lambda v: st.tuples(st.just(v), st.sampled_from([0, 1] if not v else [len(v) + 1]))),
+    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seqs=sequences)
+def test_left_sums_bits_of_sum(seqs):
+    values = np.array([x for v, _ in seqs for x in v], dtype=np.float64)
+    lens = np.array([n for _, n in seqs], dtype=np.int64)
+    got = metrics.left_sums(values, lens).tolist()
+    assert [x.hex() for x in got] == [float(sum(v)).hex() for v, _ in seqs]
 
 
 def test_format_wer_report_has_tsv_block():

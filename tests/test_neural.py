@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelm import neural
-from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode
+from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode, pack
 
 
 def small_vocab(n_extra=1):
     return Vocabulary(["x%d" % i for i in range(n_extra)])
+
+
+def zeros(m):
+    return np.zeros((1, m.d_h))
 
 
 def numeric_grads(m, inputs, targets, h0, c0, eps=1e-5):
@@ -69,7 +73,7 @@ def test_init_forget_bias():
 
 def test_forward_step_softmax():
     m = neural.init_model(small_vocab(3), 3, 4, seed=0)
-    lp, st = neural.forward_step(m, [0], m.zero_state())
+    lp, _, _ = neural.forward_step(m, [0], zeros(m), zeros(m))
     p = np.exp(lp[0])
     assert abs(p.sum() - 1.0) < 1e-6
     assert np.all(p > 0)
@@ -78,7 +82,7 @@ def test_forward_step_softmax():
 def test_forward_step_zero_weights_uniform():
     m = neural.init_model(small_vocab(1), 2, 2, seed=0)
     m.S[:] = 0; m.W[:] = 0; m.b[:] = 0; m.U[:] = 0
-    lp, _ = neural.forward_step(m, [0], m.zero_state())
+    lp, _, _ = neural.forward_step(m, [0], zeros(m), zeros(m))
     assert np.allclose(np.exp(lp), 0.25)
 
 
@@ -91,7 +95,7 @@ def test_forward_step_hand_scalar_lstm():
                                     [0.3, 0.2], [-0.2, 0.1]]),
                         b=np.array([0.0, 1.0, 0.0, 0.0]),
                         U=np.array([[0.7, -0.5, 0.1]]))
-    st = neural.LMState(np.array([[0.25]]), np.array([[0.1]]))
+    h0, c0 = np.array([[0.25]]), np.array([[0.1]])
     x = 0.5
     zi = 0.1 * x + 0.4 * 0.25
     zf = 0.2 * x + -0.1 * 0.25 + 1.0
@@ -103,24 +107,23 @@ def test_forward_step_hand_scalar_lstm():
     y = np.array([0.7 * h, -0.5 * h, 0.1 * h])
     exp = np.exp(y - y.max())
     expected = exp / exp.sum()
-    lp, new_st = neural.forward_step(m, [0], st)
+    lp, new_h, new_c = neural.forward_step(m, [0], h0, c0)
     assert np.allclose(np.exp(lp[0]), expected, atol=1e-12)
-    assert abs(new_st.h[0, 0] - h) < 1e-12
-    assert abs(new_st.c[0, 0] - c) < 1e-12
+    assert abs(new_h[0, 0] - h) < 1e-12
+    assert abs(new_c[0, 0] - c) < 1e-12
 
 
 def test_forward_step_out_of_range():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(IndexError):
-        neural.forward_step(m, [len(m.vocab)], m.zero_state())
+        neural.forward_step(m, [len(m.vocab)], zeros(m), zeros(m))
 
 
 def test_forward_step_state_not_mutated():
     m = neural.init_model(small_vocab(2), 2, 3, seed=0)
-    st = m.zero_state()
-    h0, c0 = st.h.copy(), st.c.copy()
-    neural.forward_step(m, [1], st)
-    assert np.array_equal(st.h, h0) and np.array_equal(st.c, c0)
+    h, c = zeros(m), zeros(m)
+    neural.forward_step(m, [1], h, c)
+    assert np.array_equal(h, zeros(m)) and np.array_equal(c, zeros(m))
 
 
 def test_softmax_property_random_triples():
@@ -129,9 +132,8 @@ def test_softmax_property_random_triples():
         m = neural.init_model(small_vocab(int(rng.integers(1, 5))),
                               int(rng.integers(1, 4)), int(rng.integers(1, 5)),
                               seed=int(rng.integers(1000)))
-        st = neural.LMState(rng.normal(size=(1, m.d_h)),
-                            rng.normal(size=(1, m.d_h)))
-        lp, _ = neural.forward_step(m, [int(rng.integers(m.vocab_size))], st)
+        h, c = rng.normal(size=(1, m.d_h)), rng.normal(size=(1, m.d_h))
+        lp, _, _ = neural.forward_step(m, [int(rng.integers(m.vocab_size))], h, c)
         p = np.exp(lp[0])
         assert abs(p.sum() - 1.0) < 1e-6 and np.all(p > 0)
 
@@ -141,7 +143,7 @@ def test_sentence_logprob_zero_weight_analytic():
     m = neural.init_model(v, 2, 2, seed=0)
     m.S[:] = 0; m.W[:] = 0; m.b[:] = 0; m.U[:] = 0
     ids = [0, 3, 4, 5, 1]  # 4 predicted tokens
-    lp = sum(neural.position_logprobs(m, [ids])[0].tolist())
+    lp = sum(neural.position_logprobs(m, *pack([ids])).tolist())
     assert abs(lp - 4 * math.log10(0.1)) < 1e-9
     assert abs(neural.nn_perplexity(m, [ids]) - 10.0) < 1e-9
 
@@ -149,18 +151,21 @@ def test_sentence_logprob_zero_weight_analytic():
 def test_sentence_logprob_matches_stepwise():
     m = neural.init_model(small_vocab(3), 3, 4, seed=5)
     ids = [0, 3, 4, 3, 1]
-    st = m.zero_state()
+    h = c = zeros(m)
     total = 0.0
     for t in range(len(ids) - 1):
-        lp, st = neural.forward_step(m, [ids[t]], st)
+        lp, h, c = neural.forward_step(m, [ids[t]], h, c)
         total += lp[0, ids[t + 1]] / neural.LOG10
-    assert abs(sum(neural.position_logprobs(m, [ids])[0].tolist()) - total) < 1e-12
+    assert abs(sum(neural.position_logprobs(m, *pack([ids])).tolist()) - total) < 1e-12
 
 
 def test_perplexity_empty_corpus():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(ValueError):
         neural.nn_perplexity(m, [])
+    # sentences, but no position to score
+    with pytest.raises(ValueError, match="empty corpus"):
+        neural.nn_perplexity(m, [[0], []])
 
 
 def test_gradient_check_all_groups():
@@ -377,5 +382,5 @@ def test_softmax_underflow_gives_finite_logprob():
     m.U[0, 3] = 1e4
     m.U[0, 4] = -1e4
     m.b[:] = 5
-    lp = sum(neural.position_logprobs(m, [[0, 4, 1]])[0].tolist())
+    lp = sum(neural.position_logprobs(m, *pack([[0, 4, 1]])).tolist())
     assert math.isfinite(lp) and lp < -1000

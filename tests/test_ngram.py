@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rarelm import ngram
-from rarelm.textcorpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, encode
+from rarelm.textcorpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, encode, pack
 
 from kn_reference import ref_prob, ref_sentence_logprob
 
@@ -106,7 +107,7 @@ def test_oracle_equivalence_small_corpora():
 
 def test_sentence_logprob_bos_eos_only():
     m, vocab, _ = make_model([["a", "b"]], 2)
-    lp = sum(map(math.log10, ngram.position_probs(m, [[BOS_ID, EOS_ID]])[0]))
+    lp = sum(map(math.log10, m.prob_many(*pack([[BOS_ID, EOS_ID]]))))
     assert abs(lp - math.log10(m.prob(EOS_ID, (BOS_ID,)))) < 1e-12
 
 
@@ -119,8 +120,7 @@ def test_uniform_model_perplexity():
     ppl = ngram.kn_perplexity(m, [[BOS_ID, 3, 3, 1]])
     assert abs(ppl - 4.0) < 1e-9
     seqs = [[BOS_ID, 3, 3, 1], [BOS_ID, 1]]
-    got = ngram.position_probs(m, seqs)
-    assert [ps.tolist() for ps in got] == scalar_position_probs(m, seqs)
+    assert per_sequence(m, seqs) == scalar_position_probs(m, seqs)
 
 
 def test_sentence_logprob_matches_oracle():
@@ -128,8 +128,16 @@ def test_sentence_logprob_matches_oracle():
     corpus = random_corpus(rng)
     m, vocab, enc = make_model(corpus, 4)
     ids = enc[0]
-    assert abs(sum(map(math.log10, ngram.position_probs(m, [ids])[0]))
+    assert abs(sum(map(math.log10, m.prob_many(*pack([ids]))))
                - ref_sentence_logprob(enc, ids, 4, len(vocab))) < 1e-9
+
+
+def per_sequence(m, seqs):
+    """prob_many over seqs packed back to back, sliced back into lists of
+    max(len - 1, 0) positions."""
+    ids, lens = pack(seqs)
+    flat = m.prob_many(ids, lens)
+    return [ps.tolist() for ps in np.split(flat, np.cumsum(np.maximum(lens - 1, 0))[:-1])]
 
 
 def scalar_position_probs(m, seqs):
@@ -159,8 +167,7 @@ def test_position_probs_property(corpus, order, prune_min_count, via_arpa, text)
     seqs = [encode(s, m.vocab) for s in text]
     # unframed sequences too: no history reaches into the previous one
     unframed = [ids[1:-1] for ids in seqs]
-    assert [ps.tolist() for ps in ngram.position_probs(m, seqs + unframed)] == \
-        scalar_position_probs(m, seqs + unframed)
+    assert per_sequence(m, seqs + unframed) == scalar_position_probs(m, seqs + unframed)
     want = scalar_position_probs(m, seqs)
     nwords = sum(map(len, want))
     assert ngram.kn_perplexity(m, seqs) == \
@@ -188,21 +195,23 @@ def test_position_probs_key_range():
     text = corpus[:50] + [[rng.choice(words) for _ in range(8)] for _ in range(50)]
     text += [s[:4] + ["oov"] + s[4:] for s in corpus[50:100]]
     seqs = [encode(s, vocab) for s in text]
-    got = ngram.position_probs(m, seqs)
-    assert [ps.tolist() for ps in got] == scalar_position_probs(m, seqs)
+    assert per_sequence(m, seqs) == scalar_position_probs(m, seqs)
 
 
 def test_position_probs_names_missing_unigram():
     m, vocab, _ = make_model([["a", "b"]], 2)
     del m.probs[1][(UNK_ID,)]
     with pytest.raises(ValueError, match="word '<unk>' missing"):
-        ngram.position_probs(m, [encode(["a", "zzz"], vocab)])
+        m.prob_many(*pack([encode(["a", "zzz"], vocab)]))
 
 
 def test_perplexity_empty_corpus():
     m, _, _ = make_model([["a"]], 2)
     with pytest.raises(ValueError):
         ngram.kn_perplexity(m, [])
+    # sentences, but no position to score
+    with pytest.raises(ValueError, match="empty corpus"):
+        ngram.kn_perplexity(m, [[BOS_ID], []])
 
 
 def test_train_empty_corpus():

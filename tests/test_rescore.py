@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rarelm import neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
-from rarelm.textcorpus import Vocabulary, build_vocab, encode
+from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
 
 
 def setup_models():
@@ -24,7 +25,7 @@ def test_mu_zero_equals_neural():
     nlm, kn, vocab = setup_models()
     words = ["a", "b", "c"]
     got = rescore.lm_scores(nlm, kn, [words], 0.0)[0]
-    want = sum(neural.position_logprobs(nlm, [encode(words, vocab)])[0].tolist())
+    want = sum(neural.position_logprobs(nlm, *pack([encode(words, vocab)])).tolist())
     assert abs(got - want) < 1e-12
 
 
@@ -32,7 +33,7 @@ def test_mu_one_equals_kn():
     nlm, kn, vocab = setup_models()
     words = ["a", "b"]
     got = rescore.lm_scores(nlm, kn, [words], 1.0)[0]
-    want = sum(map(math.log10, ngram.position_probs(kn, [encode(words, vocab)])[0]))
+    want = sum(map(math.log10, kn.prob_many(*pack([encode(words, vocab)]))))
     assert abs(got - want) < 1e-12
 
 
@@ -42,10 +43,10 @@ def test_mixture_direct_arithmetic():
     words = ["a", "b"]
     ids = encode(words, vocab)
     mu = 0.3
-    st = nlm.zero_state()
+    h = c = np.zeros((1, nlm.d_h))
     expect = 0.0
     for t in range(len(ids) - 1):
-        lp, st = neural.forward_step(nlm, [ids[t]], st)
+        lp, h, c = neural.forward_step(nlm, [ids[t]], h, c)
         p_n = math.exp(lp[0, ids[t + 1]])
         p_k = kn.prob(ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1]))
         expect += math.log10(0.7 * p_n + mu * p_k)
@@ -70,8 +71,10 @@ def test_lm_scores_bits_of_scalar_formula(mu, kn_words):
              for _ in range(60)]
     got = rescore.lm_scores(nlm, kn, lists, mu)
     seqs = [encode(ws, vocab) for ws in lists]
+    flat, lens = pack(seqs)
+    lps = np.split(neural.position_logprobs(nlm, flat, lens), np.cumsum(lens - 1)[:-1])
     want = []
-    for ids, lp in zip(seqs, neural.position_logprobs(nlm, seqs)):
+    for ids, lp in zip(seqs, lps):
         kids = [kn.vocab.id(vocab.word(i)) for i in ids]
         acc = 0.0
         for t, p in enumerate(lp.tolist(), 1):

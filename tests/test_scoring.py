@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nn_reference
 from rarelm import neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
-from rarelm.textcorpus import BOS_ID, EOS_ID, Vocabulary, encode
+from rarelm.textcorpus import BOS_ID, EOS_ID, Vocabulary, encode, pack
 
 TOL = 1e-12
 WORDS = ["a", "b", "c", "d", "e"]
@@ -22,6 +22,12 @@ def random_model(n_words, d_s, d_h, seed, scale):
     for arr in (m.S, m.W, m.b, m.U):
         arr[...] = rng.normal(0.0, scale, arr.shape)
     return m
+
+
+def per_sequence(flat, seqs):
+    """A flat per-position array sliced into one array of len - 1
+    positions per sequence."""
+    return np.split(flat, np.cumsum([len(s) - 1 for s in seqs])[:-1])
 
 
 models = st.builds(random_model, st.integers(1, 5), st.integers(1, 4),
@@ -38,7 +44,9 @@ def test_core_matches_oracle(m, data):
     word = st.integers(2, m.vocab_size - 1)  # unk and real words
     seqs = [[BOS_ID] + data.draw(st.lists(word, max_size=9)) + [EOS_ID]
             for _ in range(n)]
-    got = neural.position_logprobs(m, seqs)
+    flat = neural.position_logprobs(m, *pack(seqs))
+    assert flat.size == sum(len(s) - 1 for s in seqs)
+    got = per_sequence(flat, seqs)
     assert [len(lp) for lp in got] == [len(s) - 1 for s in seqs]
     for ids, lp in zip(seqs, got):
         assert abs(sum(lp.tolist()) - nn_reference.sentence_logprob(m, ids)) < TOL
@@ -56,7 +64,7 @@ def test_core_matches_oracle_under_heavy_sharing(m, data):
         stem = data.draw(st.sampled_from(stems))
         cut = data.draw(st.integers(0, len(stem)))
         seqs.append([BOS_ID] + stem[:cut] + data.draw(st.sampled_from([[EOS_ID], []])))
-    got = neural.position_logprobs(m, seqs)
+    got = per_sequence(neural.position_logprobs(m, *pack(seqs)), seqs)
     for ids, lp in zip(seqs, got):
         want = [math.log10(p) for p in nn_reference.position_probs(m, ids)]
         assert len(lp) == len(want)
@@ -71,20 +79,19 @@ def test_each_distinct_prefix_steps_once(monkeypatch):
     calls = []
     step = neural.forward_step
 
-    def spy(m, words, state):
-        logp, new = step(m, words, state)
-        stepped = [prefix_of[h.tobytes()] + (w,)
-                   for h, w in zip(state.h, words.tolist())]
-        prefix_of.update(zip((h.tobytes() for h in new.h), stepped))
+    def spy(m, words, h, c):
+        logp, nh, nc = step(m, words, h, c)
+        stepped = [prefix_of[r.tobytes()] + (w,) for r, w in zip(h, words.tolist())]
+        prefix_of.update(zip((r.tobytes() for r in nh), stepped))
         calls.append(stepped)
-        return logp, new
+        return logp, nh, nc
 
     monkeypatch.setattr(neural, "forward_step", spy)
     monkeypatch.setattr(neural, "GROUP_ROWS", 250)
     rng = np.random.default_rng(0)
     seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
             for _ in range(600)]
-    neural.position_logprobs(m, seqs)
+    neural.position_logprobs(m, *pack(seqs))
     # chunks of GROUP_ROWS sequences in input order, each walked from
     # position 0, whose only prefix is <s>
     chunks = []
@@ -112,7 +119,23 @@ def test_out_of_range_id_raises(bad, where):
     short = [BOS_ID, bad, EOS_ID] if where == "input" else [BOS_ID, 3, bad]
     # beside longer sequences, so the short one would be padded in a batch
     with pytest.raises(IndexError):
-        neural.position_logprobs(m, [[BOS_ID, 3, 4, 3, EOS_ID]] * 3 + [short])
+        neural.position_logprobs(m, *pack([[BOS_ID, 3, 4, 3, EOS_ID]] * 3 + [short]))
+
+
+def test_both_models_share_the_flat_layout():
+    # one value per scored position, len - 1 per sequence and none for
+    # sequences of 0 or 1 tokens, in input order, from either model
+    m = random_model(3, 2, 3, 0, 0.5)
+    kn = kn_for(m.vocab)
+    seqs = [[], [BOS_ID], [BOS_ID, 3, 4, EOS_ID], [BOS_ID, EOS_ID], [], [BOS_ID, 5]]
+    ids, lens = pack(seqs)
+    lp = neural.position_logprobs(m, ids, lens)
+    q = kn.prob_many(ids, lens)
+    assert lp.size == q.size == 5
+    framed = [s for s in seqs if len(s) > 1]
+    assert lp.tolist() == neural.position_logprobs(m, *pack(framed)).tolist()
+    assert q.tolist() == kn.prob_many(*pack(framed)).tolist()
+    assert neural.position_logprobs(m, *pack([])).size == 0
 
 
 def kn_for(vocab):
@@ -181,9 +204,9 @@ def test_rescore_lists_in_small_groups(monkeypatch):
     calls = []
     score = rescore.position_logprobs
 
-    def spy(nlm, seqs):
-        calls.append(len(seqs))
-        return score(nlm, seqs)
+    def spy(nlm, ids, lens):
+        calls.append(lens.size)
+        return score(nlm, ids, lens)
 
     monkeypatch.setattr(neural, "GROUP_ROWS", 3)
     monkeypatch.setattr(rescore, "position_logprobs", spy)
@@ -211,9 +234,9 @@ def test_steps_stay_within_row_cap(monkeypatch):
     widths = []
     step = neural.forward_step
 
-    def spy(m, words, state):
+    def spy(m, words, h, c):
         widths.append(len(words))
-        return step(m, words, state)
+        return step(m, words, h, c)
 
     monkeypatch.setattr(neural, "forward_step", spy)
     m = random_model(3, 2, 3, 0, 0.5)

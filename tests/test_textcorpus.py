@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rarelm import textcorpus as tc
@@ -80,6 +81,16 @@ def test_encode_known_and_unk():
     v = tc.build_vocab([["a"]])
     assert tc.encode(["a"], v) == [0, v.id("a"), 1]
     assert tc.encode(["zzz"], v) == [0, 2, 1]
+
+
+def test_pack_empty_and_short_sequences():
+    ids, lens = tc.pack([])
+    assert ids.dtype == lens.dtype == np.int64
+    assert ids.size == 0 and lens.size == 0
+    ids, lens = tc.pack([[], [5], [0, 7, 1], []])
+    assert ids.dtype == lens.dtype == np.int64
+    assert ids.tolist() == [5, 0, 7, 1]
+    assert lens.tolist() == [0, 1, 3, 0]
 
 
 def test_encode_decode_roundtrip():
