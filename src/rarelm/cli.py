@@ -188,7 +188,6 @@ def build_parser():
     sp.add_argument("--min-count", type=int, default=1, dest="min_count")
     sp.add_argument("--max-size", type=int, default=None, dest="max_size")
     sp.add_argument("--output", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("train-lstm", cmd_train_lstm, help="train the LSTM language model")
     sp.add_argument("--corpus", required=True)
@@ -214,7 +213,6 @@ def build_parser():
     sp.add_argument("--order", type=int, default=4)
     sp.add_argument("--prune-min-count", type=int, default=0, dest="prune_min_count")
     sp.add_argument("--output", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("enrich", cmd_enrich, help="enrich rare-word embeddings")
     sp.add_argument("--model", required=True)
@@ -239,7 +237,6 @@ def build_parser():
     sp.add_argument("--word-penalty", type=float, default=0.0, dest="word_penalty")
     sp.add_argument("--output", required=True)
     sp.add_argument("--onebest")
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("ppl", cmd_ppl, help="corpus perplexity under a model")
     sp.add_argument("--corpus", required=True)
@@ -247,13 +244,11 @@ def build_parser():
     model = sp.add_mutually_exclusive_group(required=True)
     model.add_argument("--model", help="LSTM checkpoint")
     model.add_argument("--ngram", help="ARPA model")
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("wer", cmd_wer, help="word error rate of hypotheses vs references")
     sp.add_argument("--refs", required=True)
     sp.add_argument("--hyps", required=True)
     sp.add_argument("--tracked", help="word list for recognition accuracy")
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("sweep", cmd_sweep, help="threshold or candidate-count sweep")
     sp.add_argument("what", choices=["threshold", "candidates"])

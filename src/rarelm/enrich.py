@@ -40,6 +40,8 @@ class EnrichConfig:
     shared: bool = True
 
     def __post_init__(self):
+        if self.threshold < 0:
+            raise ValueError("threshold must be >= 0")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.weighting not in WEIGHTINGS:
@@ -50,41 +52,6 @@ class EnrichConfig:
 
 class NoCandidates(ValueError):
     """Rare words need enriching but the frequent set is empty."""
-
-
-@dataclass
-class FrequencyPartition:
-    """Split of a word scope into frequent (count >= threshold) and rare."""
-    threshold: int
-    scope: set
-    frequent: set
-    rare: set
-
-
-def partition_by_frequency(counts: dict, scope, threshold: int) -> FrequencyPartition:
-    """Words in scope with count below the threshold are rare; missing
-    counts are treated as zero."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    scope = set(scope)
-    frequent = {w for w in scope if counts.get(w, 0) >= threshold}
-    return FrequencyPartition(threshold, scope, frequent, scope - frequent)
-
-
-def nbest_word_types(nbest_lists) -> set:
-    """All word types occurring in any hypothesis of the given lists."""
-    words = set()
-    for nb in nbest_lists:
-        for hyp in nb.hypotheses:
-            words.update(hyp.words)
-    return words
-
-
-def restrict_to_nbest(p: FrequencyPartition, nbest_lists) -> FrequencyPartition:
-    """Intersect the rare set with the words seen in the n-best lists."""
-    mentioned = nbest_word_types(nbest_lists)
-    return FrequencyPartition(p.threshold, p.scope, set(p.frequent),
-                              p.rare & mentioned)
 
 
 @dataclass
@@ -102,21 +69,19 @@ class EnrichmentPlan:
                 f.write("%s\t%s\n" % (rare, pairs))
 
 
-def select_candidates(p: FrequencyPartition, cfg: EnrichConfig,
-                      counts: dict = None) -> EnrichmentPlan:
+def select_candidates(frequent: set, rare: set, cfg: EnrichConfig,
+                      counts: dict) -> EnrichmentPlan:
     """Draw candidate words for every rare word from the frequent set.
 
     With cfg.shared one sample of min(k, |frequent|) words is drawn once
-    and shared by every rare word; otherwise each rare word gets its own
-    sample. Weights are 1 for 'equal', or counts normalized to mean 1 for
-    'frequency'.
+    and shared by every rare word; otherwise each rare word, in sorted
+    order, gets its own sample. Weights are 1 for 'equal', or counts
+    normalized to mean 1 for 'frequency'.
     """
-    if not p.frequent:
+    if not frequent:
         raise NoCandidates("no candidates available")
-    if cfg.weighting == "frequency" and counts is None:
-        raise ValueError("frequency weighting requires counts")
     rng = np.random.default_rng(cfg.seed)
-    pool = sorted(p.frequent)
+    pool = sorted(frequent)
     n = min(cfg.k, len(pool))
 
     def weigh(sample):
@@ -128,34 +93,33 @@ def select_candidates(p: FrequencyPartition, cfg: EnrichConfig,
 
     plan = {}
     if cfg.shared:
-        sample = list(rng.choice(pool, size=n, replace=False))
-        weighted = weigh(sample)
-        for rare in sorted(p.rare):
-            plan[rare] = list(weighted)
+        weighted = weigh(list(rng.choice(pool, size=n, replace=False)))
+        for word in sorted(rare):
+            plan[word] = list(weighted)
     else:
-        for rare in sorted(p.rare):
-            sample = list(rng.choice(pool, size=n, replace=False))
-            plan[rare] = weigh(sample)
+        for word in sorted(rare):
+            plan[word] = weigh(list(rng.choice(pool, size=n, replace=False)))
     return EnrichmentPlan(plan)
 
 
 def plan_enrichment(counts: dict, scope, vocab: Vocabulary, cfg: EnrichConfig,
                     nbest: Optional[list] = None) -> EnrichmentPlan:
-    """The enrichment plan of one configuration: partition the scope at
-    cfg.threshold, keep only the rare words the n-best lists mention when
-    cfg.mode is fromNbest (nbest is needed then), drop words outside the
-    vocabulary, and draw the candidates.
+    """The enrichment plan of one configuration.
 
-    The plan is empty when no scope word is rare. NoCandidates is raised
-    when the vocabulary holds no frequent scope word.
+    The in-vocabulary scope words split at cfg.threshold into frequent
+    (count >= threshold; a missing count is 0) and rare words. In
+    fromNbest mode (nbest is needed then) only the rare words some
+    hypothesis mentions stay rare. The plan is empty when no word is
+    rare; otherwise NoCandidates is raised when no word is frequent.
     """
-    part = partition_by_frequency(counts, scope, cfg.threshold)
+    words = set(scope) & vocab.word_to_id.keys()
+    frequent = {w for w in words if counts.get(w, 0) >= cfg.threshold}
+    rare = words - frequent
     if cfg.mode == "fromNbest":
-        part = restrict_to_nbest(part, nbest)
-    known = set(vocab.word_to_id)
-    part.rare &= known
-    part.frequent &= known
-    return select_candidates(part, cfg, counts)
+        rare &= {w for nb in nbest for hyp in nb.hypotheses for w in hyp.words}
+    if not rare:
+        return EnrichmentPlan({})
+    return select_candidates(frequent, rare, cfg, counts)
 
 
 @dataclass

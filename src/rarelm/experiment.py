@@ -119,6 +119,14 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
     """Generate the full benchmark bundle, deterministic by cfg.seed."""
     if cfg.n_streets < 1 or cfg.n_train < 1 or cfg.n_eval < 1:
         raise ValueError("counts must be >= 1")
+    n_rare = int(round(cfg.rare_fraction * cfg.n_streets))
+    if not 0 < n_rare < cfg.n_streets:
+        raise ValueError("rare_fraction must leave at least one rare and one "
+                         "frequent street")
+    if cfg.threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    if cfg.nbest_size < 3:
+        raise ValueError("nbest_size must be >= 3")
     rng = np.random.default_rng(cfg.seed)
     streets = _street_names(cfg, rng)
     profile = _street_count_profile(cfg)
@@ -151,7 +159,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
     order = rng.permutation(len(train))
     train = [train[i] for i in order]
 
-    cutoff = cfg.n_streets - int(round(cfg.rare_fraction * cfg.n_streets))
+    cutoff = cfg.n_streets - n_rare
     frequent_streets = streets[:cutoff]
     rare_streets = streets[cutoff:]
 
@@ -249,7 +257,6 @@ class ExperimentBundle:
 
 class Run(NamedTuple):
     wer: metrics.WerReport
-    onebest: dict          # utt -> chosen words
     model: NeuralLM        # the enriched model, or the bundle's own
     plan: EnrichmentPlan   # empty when nothing was enriched
 
@@ -269,7 +276,7 @@ def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run
     model = enrich.enrich_embeddings(bundle.model, plan)[0] if plan else bundle.model
     rescored = rescore.rescore_lists(bundle.nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = {nb.utt_id: nb.hypotheses[0].words for nb in rescored}
-    return Run(metrics.corpus_wer(bundle.refs, onebest), onebest, model, plan)
+    return Run(metrics.corpus_wer(bundle.refs, onebest), model, plan)
 
 
 def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:

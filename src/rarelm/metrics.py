@@ -88,18 +88,20 @@ def alignment_cost(ops) -> int:
 def corpus_scores(refs: dict, hyps: dict, tracked=()) -> tuple[WerReport, RareAccuracyReport]:
     """WER totals and tracked-word accuracy from one alignment per utterance.
 
-    Every hyp utt_id must have a reference. Each tracked-word reference
-    occurrence counts as correct iff its alignment op is an exact match.
-    Zero occurrences gives a flagged (undefined-accuracy) report, not an
-    error.
+    Every hyp utt_id must have a reference; a reference without a
+    hypothesis is aligned against an empty one, so its words count as
+    deletions. Each tracked-word reference occurrence counts as correct
+    iff its alignment op is an exact match. Zero occurrences gives a
+    flagged (undefined-accuracy) report, not an error.
     """
+    orphans = sorted(hyps.keys() - refs.keys())
+    if orphans:
+        raise ValueError("no reference for utterance %s" % orphans[0])
     wer = WerReport()
     acc = RareAccuracyReport(tracked=set(tracked))
-    for utt in sorted(hyps):
-        if utt not in refs:
-            raise ValueError("no reference for utterance %s" % utt)
+    for utt in sorted(refs):
         wer.ref_word_count += len(refs[utt])
-        for tag, rtok, _ in align(refs[utt], hyps[utt]):
+        for tag, rtok, _ in align(refs[utt], hyps.get(utt, [])):
             if tag == SUB:
                 wer.substitutions += 1
             elif tag == INS:

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("lr_decay must be in (0, 1]")
 
 
 class NeuralLM:

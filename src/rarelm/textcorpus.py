@@ -107,9 +107,6 @@ class Vocabulary:
     def word(self, idx: int) -> str:
         return self.id_to_word[idx]
 
-    def count(self, word: str) -> int:
-        return self.counts.get(word, 0)
-
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for w in self.id_to_word:
@@ -188,16 +185,6 @@ def pack(seqs) -> tuple[np.ndarray, np.ndarray]:
     ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
                       count=int(lens.sum()))
     return ids, lens
-
-
-def decode(ids: list[int], vocab: Vocabulary) -> list[str]:
-    """Inverse of encode for in-vocabulary sentences; strips bos/eos framing."""
-    toks = [vocab.word(i) for i in ids]
-    if toks and toks[0] == BOS:
-        toks = toks[1:]
-    if toks and toks[-1] == EOS:
-        toks = toks[:-1]
-    return toks
 
 
 def read_corpus(path) -> Iterator[list[str]]:

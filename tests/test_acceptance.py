@@ -183,9 +183,8 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
                 for u in sorted(pipe["data"].refs)]
 
     cfg = replace(bundle.enrich_cfg, k=5)
-    wer_base, onebest_base, _, _ = experiment.run_configuration(
-        bundle, replace(cfg, threshold=0))
-    wer_all, onebest_all, enriched, _ = experiment.run_configuration(
+    wer_base, base, _ = experiment.run_configuration(bundle, replace(cfg, threshold=0))
+    wer_all, enriched, _ = experiment.run_configuration(
         bundle, replace(cfg, threshold=10))
     wer_nb = experiment.run_configuration(
         bundle, replace(cfg, threshold=10, mode="fromNbest")).wer
@@ -193,9 +192,13 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
     ppl_base = neural.nn_perplexity(bundle.model, refs_enc)
     ppl_enr = neural.nn_perplexity(enriched, refs_enc)
 
+    def onebest(model):
+        return {nb.utt_id: nb.hypotheses[0].words for nb in rescore.rescore_lists(
+            bundle.nbest, model, bundle.kn, bundle.rescore_cfg)}
+
     tracked = set(pipe["rare_streets"])
-    acc_base = metrics.corpus_scores(pipe["data"].refs, onebest_base, tracked)[1]
-    acc_enr = metrics.corpus_scores(pipe["data"].refs, onebest_all, tracked)[1]
+    acc_base = metrics.corpus_scores(pipe["data"].refs, onebest(base), tracked)[1]
+    acc_enr = metrics.corpus_scores(pipe["data"].refs, onebest(enriched), tracked)[1]
 
     a = ppl_enr < ppl_base
     b = wer_all.wer < wer_base.wer

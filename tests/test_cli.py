@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rarelm import cli, metrics
+from rarelm import __version__, cli, metrics
 
 
 def run(argv, capsys=None):
@@ -54,6 +54,27 @@ def test_enrich_from_nbest_mode(workdir):
                 "--scope", str(bundle / "streets.txt"), "--mode", "fromNbest",
                 "--nbest", str(bundle / "nbest.txt"),
                 "--output", str(d / "enriched_nb.rlm"), "--seed", "2"]) == 0
+
+
+def test_enrich_per_word_sampling(workdir):
+    d = workdir
+    assert run(["enrich", "--model", str(d / "lstm.rlm"),
+                "--scope", str(d / "bundle" / "streets.txt"), "--k", "2",
+                "--per-word-sampling", "--output", str(d / "enriched_pw.rlm"),
+                "--plan-out", str(d / "plan_pw.tsv"), "--seed", "2"]) == 0
+    samples = [line.split("\t")[1] for line in
+               (d / "plan_pw.tsv").read_text().splitlines()]
+    assert len(samples) > 1 and len(set(samples)) > 1
+
+
+def test_enrich_out_of_vocabulary_scope_copies_model(workdir, capsys):
+    d = workdir
+    (d / "nowhere.txt").write_text("nowhere_street\n")
+    assert run(["enrich", "--model", str(d / "lstm.rlm"),
+                "--scope", str(d / "nowhere.txt"),
+                "--output", str(d / "unchanged.rlm")]) == 0
+    assert "enriched 0 words" in capsys.readouterr().out
+    assert filecmp.cmp(d / "lstm.rlm", d / "unchanged.rlm", shallow=False)
 
 
 def test_enrich_from_nbest_requires_nbest(workdir):
@@ -256,13 +277,25 @@ def test_wer_hypothesis_without_reference(tmp_path, capsys):
     assert err.splitlines()[-1] == "error: no reference for utterance uttX"
 
 
+def test_wer_reference_without_hypothesis_counts_deletions(tmp_path, capsys):
+    assert run(write_wer_inputs(tmp_path, "u1\ta b c\n")) == 0
+    out = capsys.readouterr().out
+    assert "ref_words\t6\n" in out and "deletions\t3\n" in out
+    assert "wer\t0.500000\n" in out
+    assert "tracked_occurrences\t2\ntracked_correct\t1\n" in out
+
+
 def test_reproducibility_stamp(workdir, capsys):
     d = workdir
-    run(["ppl", "--corpus", str(d / "bundle" / "train.txt"),
-         "--model", str(d / "lstm.rlm"), "--seed", "9"])
+    run(["enrich", "--model", str(d / "lstm.rlm"),
+         "--scope", str(d / "bundle" / "streets.txt"),
+         "--output", str(d / "stamp.rlm"), "--seed", "9"])
     out = capsys.readouterr().out
     assert out.startswith("# rarelm ")
     assert "seed=9" in out and "config=" in out
+    run(["ppl", "--corpus", str(d / "bundle" / "train.txt"),
+         "--model", str(d / "lstm.rlm")])
+    assert capsys.readouterr().out.startswith("# rarelm %s seed=- config=" % __version__)
 
 
 def test_command_artifacts_byte_identical_on_rerun(tmp_path):

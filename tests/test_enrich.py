@@ -13,19 +13,24 @@ def model_with(words, d_s=3, d_h=4, seed=0):
     return neural.init_model(Vocabulary(words), d_s, d_h, seed)
 
 
+def plan_for(counts, scope, nbest=None, **cfg):
+    """plan_enrichment over a vocabulary holding every scope word."""
+    return enrich.plan_enrichment(counts, scope, Vocabulary(sorted(scope)),
+                                  EnrichConfig(**cfg), nbest)
+
+
 def test_partition_by_threshold():
-    p = enrich.partition_by_frequency({"x": 12, "y": 3}, {"x", "y"}, 10)
-    assert p.frequent == {"x"} and p.rare == {"y"}
+    plan = plan_for({"x": 12, "y": 3}, {"x", "y"}, threshold=10)
+    assert plan.candidates == {"y": [("x", 1.0)]}
 
 
 def test_partition_threshold_zero():
-    p = enrich.partition_by_frequency({"x": 12, "y": 0}, {"x", "y"}, 0)
-    assert p.rare == set()
+    assert len(plan_for({"x": 12, "y": 0}, {"x", "y"}, threshold=0)) == 0
 
 
 def test_partition_missing_count_is_rare():
-    p = enrich.partition_by_frequency({"x": 12}, {"x", "z"}, 10)
-    assert "z" in p.rare
+    plan = plan_for({"x": 12}, {"x", "z"}, threshold=10)
+    assert "z" in plan.candidates
 
 
 def nbest_with(words_lists):
@@ -34,64 +39,79 @@ def nbest_with(words_lists):
 
 
 def test_restrict_to_nbest():
-    p = enrich.FrequencyPartition(10, {"a", "b", "x"}, {"x"}, {"a", "b"})
-    r = enrich.restrict_to_nbest(p, nbest_with([["a", "q"]]))
-    assert r.rare == {"a"} and r.frequent == {"x"}
+    plan = plan_for({"x": 12}, {"a", "b", "x"}, nbest_with([["a", "q"]]),
+                    mode="fromNbest")
+    assert plan.candidates == {"a": [("x", 1.0)]}
 
 
 def test_restrict_to_nbest_empty():
-    p = enrich.FrequencyPartition(10, {"a", "x"}, {"x"}, {"a"})
-    r = enrich.restrict_to_nbest(p, nbest_with([["q", "z"]]))
-    assert r.rare == set()
+    plan = plan_for({"x": 12}, {"a", "x"}, nbest_with([["q", "z"]]), mode="fromNbest")
+    assert len(plan) == 0
 
 
 def test_restrict_never_adds_frequent():
-    p = enrich.FrequencyPartition(10, {"a", "x"}, {"x"}, {"a"})
-    r = enrich.restrict_to_nbest(p, nbest_with([["a", "x"]]))
-    assert r.rare == {"a"} and r.frequent == {"x"}
+    plan = plan_for({"x": 12}, {"a", "x"}, nbest_with([["a", "x"]]), mode="fromNbest")
+    assert plan.candidates == {"a": [("x", 1.0)]}
+
+
+def test_restrict_to_nbest_takes_words_of_every_hypothesis():
+    plan = plan_for({"x": 12}, {"a", "b", "c", "x"},
+                    nbest_with([["a"], ["q"]]) + nbest_with([["b", "a"]]),
+                    mode="fromNbest")
+    assert set(plan.candidates) == {"a", "b"}
 
 
 def test_select_candidates_clamped_and_shared():
-    p = enrich.FrequencyPartition(10, set(), {"f1", "f2", "f3"}, {"r1", "r2"})
-    plan = enrich.select_candidates(p, EnrichConfig(k=5, seed=0))
+    plan = enrich.select_candidates({"f1", "f2", "f3"}, {"r1", "r2"},
+                                    EnrichConfig(k=5, seed=0), {})
     assert set(plan.candidates) == {"r1", "r2"}
     assert plan.candidates["r1"] == plan.candidates["r2"]
     assert len(plan.candidates["r1"]) == 3
 
 
 def test_select_candidates_equal_weights():
-    p = enrich.FrequencyPartition(10, set(), {"f1", "f2"}, {"r"})
-    plan = enrich.select_candidates(p, EnrichConfig(k=2, seed=1))
+    plan = enrich.select_candidates({"f1", "f2"}, {"r"}, EnrichConfig(k=2, seed=1), {})
     assert all(w == 1.0 for _, w in plan.candidates["r"])
 
 
 def test_select_candidates_deterministic():
-    p = enrich.FrequencyPartition(10, set(), {"f%d" % i for i in range(10)}, {"r"})
-    p1 = enrich.select_candidates(p, EnrichConfig(k=3, seed=42))
-    p2 = enrich.select_candidates(p, EnrichConfig(k=3, seed=42))
+    pool = {"f%d" % i for i in range(10)}
+    p1 = enrich.select_candidates(pool, {"r"}, EnrichConfig(k=3, seed=42), {})
+    p2 = enrich.select_candidates(pool, {"r"}, EnrichConfig(k=3, seed=42), {})
     assert p1.candidates == p2.candidates
 
 
 def test_select_candidates_frequency_weighting():
-    p = enrich.FrequencyPartition(10, set(), {"f1", "f2"}, {"r"})
-    plan = enrich.select_candidates(p, EnrichConfig(k=2, seed=0, weighting="frequency"),
-                                    counts={"f1": 30, "f2": 10})
+    plan = enrich.select_candidates({"f1", "f2"}, {"r"},
+                                    EnrichConfig(k=2, seed=0, weighting="frequency"),
+                                    {"f1": 30, "f2": 10})
     weights = dict(plan.candidates["r"])
     assert abs(sum(weights.values()) / len(weights) - 1.0) < 1e-12
     assert weights["f1"] == 3 * weights["f2"]
 
 
 def test_select_candidates_no_frequent():
-    p = enrich.FrequencyPartition(10, set(), set(), {"r"})
     with pytest.raises(ValueError, match="no candidates available"):
-        enrich.select_candidates(p, EnrichConfig(k=3, seed=0))
+        enrich.select_candidates(set(), {"r"}, EnrichConfig(k=3, seed=0), {})
+
+
+def test_select_candidates_per_word_sampling():
+    pool = {"f%d" % i for i in range(10)}
+    rare = {"r3", "r1", "r2"}
+    plan = enrich.select_candidates(pool, rare, EnrichConfig(k=3, seed=5, shared=False), {})
+    rng = np.random.default_rng(5)
+    expected = {r: [(c, 1.0) for c in rng.choice(sorted(pool), size=3, replace=False)]
+                for r in sorted(rare)}
+    assert plan.candidates == expected
+    assert len({tuple(cands) for cands in plan.candidates.values()}) > 1
 
 
 @pytest.mark.parametrize("field,value,message", [
     ("k", 0, "k must be >= 1"),
     ("weighting", "cosine", "unknown weighting"),
     ("mode", "someStreets", "mode must be"),
-], ids=["k", "weighting", "mode"])
+    ("threshold", -1, "threshold must be >= 0"),
+], ids=["k", "weighting", "mode", "threshold"])
 def test_enrich_config_rejects(field, value, message):
     with pytest.raises(ValueError, match=message):
         EnrichConfig(**{field: value})
@@ -101,6 +121,8 @@ def test_plan_enrichment_empty_cases():
     vocab = Vocabulary(["f", "r"])
     counts = {"f": 20, "r": 2}
     plan = enrich.plan_enrichment(counts, {"f", "r"}, vocab, EnrichConfig(threshold=0))
+    assert len(plan) == 0
+    plan = enrich.plan_enrichment(counts, {"nowhere_street"}, vocab, EnrichConfig())
     assert len(plan) == 0
     plan = enrich.plan_enrichment(counts, {"f", "r", "gone"}, vocab, EnrichConfig(k=3))
     assert plan.candidates == {"r": [("f", 1.0)]}

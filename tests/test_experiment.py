@@ -92,7 +92,7 @@ def test_sweep_that_mutates_model_raises(monkeypatch, key):
 
     def mutating_run(b, enrich_cfg):
         b.model.U[0, 0] += 1.0
-        return experiment.Run(report, {}, b.model, EnrichmentPlan({}))
+        return experiment.Run(report, b.model, EnrichmentPlan({}))
 
     monkeypatch.setattr(experiment, "run_configuration", mutating_run)
     with pytest.raises(RuntimeError, match="modified the input model"):
@@ -134,3 +134,17 @@ def test_format_sweep_table():
 def test_gen_synthetic_rejects_bad_counts():
     with pytest.raises(ValueError):
         experiment.gen_synthetic(SyntheticConfig(n_streets=0))
+
+
+@pytest.mark.parametrize("settings,message", [
+    (dict(rare_fraction=0.0), "rare_fraction"),
+    (dict(rare_fraction=1.0), "rare_fraction"),
+    (dict(n_streets=10, rare_fraction=0.01), "rare_fraction"),
+    (dict(rare_fraction=1.5), "rare_fraction"),
+    (dict(threshold=0), "threshold must be >= 1"),
+    (dict(nbest_size=2), "nbest_size must be >= 3"),
+], ids=["no-rare", "no-frequent", "rounds-to-no-rare", "fraction-above-1",
+        "threshold-0", "nbest-2"])
+def test_gen_synthetic_rejects_unrealisable(settings, message):
+    with pytest.raises(ValueError, match=message):
+        experiment.gen_synthetic(SyntheticConfig(**settings))

@@ -94,6 +94,13 @@ def test_corpus_wer_order_invariance():
         (b.substitutions, b.insertions, b.deletions)
 
 
+def test_reference_without_hypothesis_is_all_deletions():
+    refs = {"u1": ["a", "b"], "u2": ["c", "d", "e"]}
+    wer, acc = metrics.corpus_scores(refs, {"u1": ["a", "b"]}, {"b", "d"})
+    assert (wer.ref_word_count, wer.deletions, wer.errors) == (5, 3, 3)
+    assert (acc.occurrences, acc.correct) == (2, 1)
+
+
 def test_corpus_wer_missing_reference():
     with pytest.raises(ValueError, match="u2"):
         metrics.corpus_wer({"u1": ["a"]}, {"u2": ["a"]})

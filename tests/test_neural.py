@@ -241,6 +241,13 @@ def test_training_shapes_preserved():
         assert np.all(np.isfinite(arr))
 
 
+@pytest.mark.parametrize("lr_decay", [-1.0, 0.0, 1.5])
+def test_train_config_rejects_lr_decay(lr_decay):
+    # a negative factor turns descent into ascent; 0 silently stops learning
+    with pytest.raises(ValueError, match=r"lr_decay must be in \(0, 1\]"):
+        neural.TrainConfig(lr_decay=lr_decay).validate()
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     corpus = [["a", "b", "c"]] * 5
     v = build_vocab(corpus)
