@@ -74,18 +74,56 @@ def _word_set(path) -> set:
         return {line.strip() for line in f if line.strip()}
 
 
-def cmd_enrich(args):
+def _load_arpa(path):
+    with open(path, encoding="utf-8") as f:
+        return ngram.import_arpa(f.read())
+
+
+def _add_enrich_options(sp):
+    """Declare the options of one enrichment, read by _enrich_settings."""
+    sp.add_argument("--scope", required=True, help="lexicon file, one name per line")
+    sp.add_argument("--counts", help="word<TAB>count file; defaults to vocab counts")
+    sp.add_argument("--threshold", type=int, default=10)
+    sp.add_argument("--k", type=int, default=5)
+    sp.add_argument("--weighting", choices=enrich.WEIGHTINGS, default="equal")
+    sp.add_argument("--mode", choices=enrich.MODES, default="allStreets")
+    sp.add_argument("--per-word-sampling", action="store_true", dest="per_word_sampling")
+    sp.add_argument("--seed", type=int, default=0)
+
+
+def _enrich_settings(args, vocab):
+    """The enrichment config, word counts and scope the enrich options give."""
     if args.mode == "fromNbest" and not args.nbest:
         raise ValueError("--mode fromNbest requires --nbest")
     cfg = enrich.EnrichConfig(threshold=args.threshold, k=args.k, seed=args.seed,
                               weighting=args.weighting, mode=args.mode,
                               shared=not args.per_word_sampling)
-    m = neural.load_model(args.model)
-    counts = m.vocab.counts
+    counts = vocab.counts
     if args.counts:
         counts = dict(textcorpus.read_word_counts(args.counts))
+    return cfg, counts, _word_set(args.scope)
+
+
+def _add_rescore_options(sp):
+    """Declare the options of one rescoring, read by _rescore_settings."""
+    sp.add_argument("--ngram", help="ARPA model to interpolate with")
+    sp.add_argument("--lm-weight", type=float, default=1.0, dest="lm_weight")
+    sp.add_argument("--interp-weight", type=float, default=0.0, dest="interp_weight")
+    sp.add_argument("--word-penalty", type=float, default=0.0, dest="word_penalty")
+
+
+def _rescore_settings(args):
+    """The rescoring config and the KN model (or None) the rescore options give."""
+    cfg = RescoreConfig(lm_weight=args.lm_weight, interp_weight=args.interp_weight,
+                        word_penalty=args.word_penalty)
+    return cfg, _load_arpa(args.ngram) if args.ngram else None
+
+
+def cmd_enrich(args):
+    m = neural.load_model(args.model)
+    cfg, counts, scope = _enrich_settings(args, m.vocab)
     nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
-    plan = enrich.plan_enrichment(counts, _word_set(args.scope), m.vocab, cfg, nbest)
+    plan = enrich.plan_enrichment(counts, scope, m.vocab, cfg, nbest)
     enriched, report = enrich.enrich_embeddings(m, plan)
     neural.save_model(enriched, args.output)
     if args.plan_out:
@@ -94,14 +132,8 @@ def cmd_enrich(args):
 
 
 def cmd_rescore(args):
+    cfg, kn = _rescore_settings(args)
     m = neural.load_model(args.model)
-    kn = None
-    if args.ngram:
-        with open(args.ngram, encoding="utf-8") as f:
-            kn = ngram.import_arpa(f.read())
-    cfg = RescoreConfig(lm_weight=args.lm_weight,
-                        interp_weight=args.interp_weight,
-                        word_penalty=args.word_penalty)
     lists = rescore.read_nbest(args.nbest)
     rescored = rescore.rescore_lists(lists, m, kn, cfg)
     rescore.write_rescored(rescored, args.output)
@@ -117,8 +149,7 @@ def cmd_ppl(args):
         enc = [textcorpus.encode(s, m.vocab) for s in sentences]
         total = neural.nn_perplexity(m, enc)
     else:
-        with open(args.ngram, encoding="utf-8") as f:
-            kn = ngram.import_arpa(f.read())
+        kn = _load_arpa(args.ngram)
         enc = [textcorpus.encode(s, kn.vocab) for s in sentences]
         total = ngram.kn_perplexity(kn, enc)
     print("perplexity\t%.4f" % total)
@@ -141,13 +172,14 @@ def cmd_wer(args):
 
 
 def cmd_sweep(args):
+    """Each row is the enrich + rescore + wer run with the same options."""
     m = neural.load_model(args.model)
+    enrich_cfg, counts, scope = _enrich_settings(args, m.vocab)
+    rescore_cfg, kn = _rescore_settings(args)
     bundle = experiment.ExperimentBundle(
-        counts=m.vocab.counts, scope=_word_set(args.scope), model=m, kn=None,
+        counts=counts, scope=scope, model=m, kn=kn,
         refs=rescore.read_onebest(args.refs), nbest=rescore.read_nbest(args.nbest),
-        enrich_cfg=enrich.EnrichConfig(threshold=args.threshold, k=args.k,
-                                       seed=args.seed),
-        rescore_cfg=RescoreConfig(lm_weight=args.lm_weight))
+        enrich_cfg=enrich_cfg, rescore_cfg=rescore_cfg)
     key = "threshold" if args.what == "threshold" else "k"
     rows = experiment.sweep(bundle, key, [int(v) for v in args.values.split(",")])
     out = experiment.format_sweep(rows, key)
@@ -158,13 +190,15 @@ def cmd_sweep(args):
 
 
 def cmd_gen_synthetic(args):
+    confusions = None
+    if args.confusions:
+        confusions = {s: words.split() for _, s, words in
+                      textcorpus.read_tab_pairs(args.confusions, "street<TAB>words")}
     cfg = experiment.SyntheticConfig(
         n_streets=args.streets, rare_fraction=args.rare_fraction,
         n_train=args.train_sentences, n_eval=args.eval_sentences,
-        nbest_size=args.nbest_size, threshold=args.threshold, seed=args.seed)
-    if args.confusions:
-        cfg.confusions = {s: words.split() for _, s, words in
-                          textcorpus.read_tab_pairs(args.confusions, "street<TAB>words")}
+        nbest_size=args.nbest_size, threshold=args.threshold, seed=args.seed,
+        confusions=confusions)
     bundle = experiment.gen_synthetic(cfg)
     paths = experiment.write_bundle(bundle, args.outdir)
     print("synthetic bundle -> %s" % args.outdir)
@@ -216,25 +250,15 @@ def build_parser():
 
     sp = add("enrich", cmd_enrich, help="enrich rare-word embeddings")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--scope", required=True, help="lexicon file, one name per line")
-    sp.add_argument("--counts", help="word<TAB>count file; defaults to vocab counts")
-    sp.add_argument("--threshold", type=int, default=10)
-    sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--weighting", choices=enrich.WEIGHTINGS, default="equal")
-    sp.add_argument("--mode", choices=enrich.MODES, default="allStreets")
+    _add_enrich_options(sp)
     sp.add_argument("--nbest", help="n-best file, required for fromNbest")
-    sp.add_argument("--per-word-sampling", action="store_true", dest="per_word_sampling")
     sp.add_argument("--plan-out", dest="plan_out")
     sp.add_argument("--output", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("rescore", cmd_rescore, help="rescore n-best lists")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--ngram", help="ARPA model to interpolate with")
+    _add_rescore_options(sp)
     sp.add_argument("--nbest", required=True)
-    sp.add_argument("--lm-weight", type=float, default=1.0, dest="lm_weight")
-    sp.add_argument("--interp-weight", type=float, default=0.0, dest="interp_weight")
-    sp.add_argument("--word-penalty", type=float, default=0.0, dest="word_penalty")
     sp.add_argument("--output", required=True)
     sp.add_argument("--onebest")
 
@@ -254,14 +278,11 @@ def build_parser():
     sp.add_argument("what", choices=["threshold", "candidates"])
     sp.add_argument("--values", required=True, help="comma-separated values")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--scope", required=True)
+    _add_enrich_options(sp)
+    _add_rescore_options(sp)
     sp.add_argument("--nbest", required=True)
     sp.add_argument("--refs", required=True)
-    sp.add_argument("--threshold", type=int, default=10)
-    sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--lm-weight", type=float, default=1.0, dest="lm_weight")
     sp.add_argument("--output")
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = add("gen-synthetic", cmd_gen_synthetic, help="generate the synthetic benchmark")
     sp.add_argument("--outdir", required=True)

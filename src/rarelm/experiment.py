@@ -65,7 +65,7 @@ AM_MARGIN = 0.4  # acoustic lead of the corrupted hypothesis over the reference
 AM_NOISE = 0.05  # std of the per-utterance acoustic score offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     n_streets: int = 40
     rare_fraction: float = 0.5
@@ -75,6 +75,22 @@ class SyntheticConfig:
     threshold: int = 10
     seed: int = 0
     confusions: Optional[dict] = None  # street -> list of confusion tokens
+
+    def __post_init__(self):
+        if self.n_streets < 1 or self.n_train < 1 or self.n_eval < 1:
+            raise ValueError("counts must be >= 1")
+        if not 0 < self.n_rare < self.n_streets:
+            raise ValueError("rare_fraction must leave at least one rare and one "
+                             "frequent street")
+        # a rare street occurs 1 to threshold-1 times in the training corpus
+        if self.threshold < 2:
+            raise ValueError("threshold must be >= 2")
+        if self.nbest_size < 3:
+            raise ValueError("nbest_size must be >= 3")
+
+    @property
+    def n_rare(self) -> int:
+        return int(round(self.rare_fraction * self.n_streets))
 
 
 @dataclass
@@ -102,7 +118,7 @@ def _street_count_profile(cfg: SyntheticConfig) -> list:
     """Zipf-like counts clamped so exactly the configured fraction of
     streets (the tail ranks) falls below the threshold."""
     n = cfg.n_streets
-    cutoff = n - int(round(cfg.rare_fraction * n))
+    cutoff = n - cfg.n_rare
     scale = cfg.threshold * (cutoff + 1) ** 1.15
     counts = []
     for r in range(n):
@@ -117,16 +133,6 @@ def _street_count_profile(cfg: SyntheticConfig) -> list:
 
 def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
     """Generate the full benchmark bundle, deterministic by cfg.seed."""
-    if cfg.n_streets < 1 or cfg.n_train < 1 or cfg.n_eval < 1:
-        raise ValueError("counts must be >= 1")
-    n_rare = int(round(cfg.rare_fraction * cfg.n_streets))
-    if not 0 < n_rare < cfg.n_streets:
-        raise ValueError("rare_fraction must leave at least one rare and one "
-                         "frequent street")
-    if cfg.threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if cfg.nbest_size < 3:
-        raise ValueError("nbest_size must be >= 3")
     rng = np.random.default_rng(cfg.seed)
     streets = _street_names(cfg, rng)
     profile = _street_count_profile(cfg)
@@ -159,7 +165,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
     order = rng.permutation(len(train))
     train = [train[i] for i in order]
 
-    cutoff = cfg.n_streets - n_rare
+    cutoff = cfg.n_streets - cfg.n_rare
     frequent_streets = streets[:cutoff]
     rare_streets = streets[cutoff:]
 

@@ -81,10 +81,6 @@ def align(ref: list[str], hyp: list[str]) -> list[tuple]:
     return ops
 
 
-def alignment_cost(ops) -> int:
-    return sum(1 for tag, _, _ in ops if tag != MATCH)
-
-
 def corpus_scores(refs: dict, hyps: dict, tracked=()) -> tuple[WerReport, RareAccuracyReport]:
     """WER totals and tracked-word accuracy from one alignment per utterance.
 

@@ -24,7 +24,7 @@ BATCH_ROWS = 64  # rows per batched inference step; bounds memory at any |V|
 GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1.0
     clip_norm: float = 5.0
@@ -35,15 +35,15 @@ class TrainConfig:
     lr_decay: float = 0.5
     batch_size: int = 16
 
-    def validate(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+    def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
         if self.bptt_len < 1:
             raise ValueError("bptt_len must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError("clip_norm must be finite and > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -330,10 +330,13 @@ def train(m: NeuralLM, corpus_ids, cfg: TrainConfig, val_ids=None,
     None; the learning rate is multiplied by lr_decay whenever it fails to
     improve. Deterministic given cfg.seed.
     """
-    cfg.validate()
     corpus_ids = list(corpus_ids)
     if not corpus_ids:
         raise ValueError("empty corpus")
+    if val_ids is not None:
+        val_ids = list(val_ids)
+        if not val_ids:
+            raise ValueError("empty validation corpus")
     m = m.copy()
     rng = np.random.default_rng(cfg.seed)
     inputs, targets = _batch_stream(corpus_ids, cfg.batch_size)
@@ -410,9 +413,10 @@ def load_model(path) -> NeuralLM:
     """Read an RLM1 checkpoint into float64 parameters.
 
     Raises CheckpointError for a bad magic, a truncated or unreadable
-    header, a header without the model's dimensions, a payload whose byte
-    length differs from what the header's dimensions need, and non-finite
-    weights.
+    header, a header without the model's dimensions, a vocabulary with a
+    repeated or non-string word, counts that are not |V| non-negative
+    integers, a payload whose byte length differs from what the header's
+    dimensions need, and non-finite weights.
     """
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
@@ -442,8 +446,16 @@ def load_model(path) -> NeuralLM:
         words = header["vocab"]
         if not isinstance(words, list) or len(words) != nv or words[:3] != list(SPECIALS):
             raise CheckpointError("checkpoint vocabulary is inconsistent")
-        counts = dict(zip(words, header.get("counts", [])))
-        vocab = Vocabulary(words[3:], counts)
+        if not all(isinstance(w, str) for w in words):
+            raise CheckpointError("checkpoint vocabulary holds a non-string word")
+        if len(set(words)) != nv:
+            raise CheckpointError("checkpoint vocabulary repeats a word")
+        counts = header.get("counts", [0] * nv)
+        if not (isinstance(counts, list) and len(counts) == nv
+                and all(type(c) is int and c >= 0 for c in counts)):
+            raise CheckpointError("checkpoint counts must be a list of %d "
+                                  "non-negative integers" % nv)
+        vocab = Vocabulary(words[3:], dict(zip(words, counts)))
         shapes = [(d_s, nv), (4 * d_h, d_s + d_h), (4 * d_h,), (d_h, nv)]
         sizes = [int(np.prod(s)) for s in shapes]
         need = sum(sizes)

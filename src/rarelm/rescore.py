@@ -27,17 +27,19 @@ class NBestList:
     hypotheses: list[Hypothesis] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RescoreConfig:
     lm_weight: float = 1.0          # lambda
     interp_weight: float = 0.0      # mu, probability mass on the KN model
     word_penalty: float = 0.0       # gamma, per-word insertion bonus
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 <= self.interp_weight <= 1.0):
             raise ValueError("interp_weight must be in [0, 1]")
-        if self.lm_weight < 0:
-            raise ValueError("lm_weight must be >= 0")
+        if not (math.isfinite(self.lm_weight) and self.lm_weight >= 0):
+            raise ValueError("lm_weight must be finite and >= 0")
+        if not math.isfinite(self.word_penalty):
+            raise ValueError("word_penalty must be finite")
 
 
 def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list[float]:
@@ -96,7 +98,6 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
     in groups of up to neural.GROUP_ROWS hypotheses, so that prefixes
     shared across lists are scored once and memory stays bounded.
     """
-    cfg.validate()
     out = []
     group = []
     nhyps = 0

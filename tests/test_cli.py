@@ -150,13 +150,23 @@ def test_arpa_without_unk_names_the_word(workdir, capsys):
 def test_sweep_command(workdir, capsys):
     d = workdir
     bundle = d / "bundle"
-    assert run(["sweep", "threshold", "--values", "0,10",
-                "--model", str(d / "lstm.rlm"),
-                "--scope", str(bundle / "streets.txt"),
+    common = ["--model", str(d / "lstm.rlm"), "--scope", str(bundle / "streets.txt"),
+              "--k", "3", "--seed", "2"]
+    assert run(["sweep", "threshold", "--values", "0,1000000",
                 "--nbest", str(bundle / "nbest.txt"),
-                "--refs", str(bundle / "refs.txt"), "--seed", "2"]) == 0
+                "--refs", str(bundle / "refs.txt")] + common) == 0
     out = capsys.readouterr().out
     assert "threshold" in out and "wer" in out
+    # no rare word and no candidate both score the input model
+    assert tsv_value(out, "0") == tsv_value(out, "1000000")
+    assert run(["enrich", "--threshold", "1000000",
+                "--output", str(d / "none.rlm")] + common) == 1
+    assert "error: no candidates available" in capsys.readouterr().err
+
+
+def in_dir(d, argv):
+    """argv with each file name made a path under d."""
+    return [str(d / a) if a.endswith((".txt", ".rlm", ".arpa")) else a for a in argv]
 
 
 def tsv_value(out, key):
@@ -165,32 +175,40 @@ def tsv_value(out, key):
             if line.startswith(key + "\t")][-1]
 
 
-def test_sweep_and_enrich_share_one_path(workdir, capsys):
+# at an LM weight of 30 the enrichment flags move the WER of this small bundle
+@pytest.mark.parametrize("enrich_flags,rescore_flags,wer", [
+    ([], [], "0.017094"),
+    ([], ["--ngram", "kn.arpa", "--interp-weight", "0.3"], "0.051282"),
+    ([], ["--lm-weight", "30"], "0.059829"),
+    (["--weighting", "frequency", "--per-word-sampling"], ["--lm-weight", "30"],
+     "0.051282"),
+    (["--mode", "fromNbest"], ["--lm-weight", "30"], "0.059829"),
+    (["--counts", "counts.txt"], ["--lm-weight", "30"], "0.051282"),
+], ids=["defaults", "ngram", "lm-weight", "frequency-per-word", "fromNbest", "counts"])
+def test_sweep_and_enrich_share_one_path(workdir, capsys, enrich_flags, rescore_flags,
+                                         wer):
     d = workdir
     bundle = d / "bundle"
+    # half of every vocabulary count moves the threshold split
+    (d / "counts.txt").write_text("".join(
+        "%s\t%d\n" % (w, int(c) // 2) for w, c in
+        (line.split("\t") for line in (d / "vocab.txt").read_text().splitlines())))
+    enrich_flags, rescore_flags = in_dir(d, enrich_flags), in_dir(d, rescore_flags)
     common = ["--model", str(d / "lstm.rlm"), "--scope", str(bundle / "streets.txt"),
-              "--k", "3", "--seed", "2"]
-    sweep = ["sweep", "threshold", "--nbest", str(bundle / "nbest.txt"),
-             "--refs", str(bundle / "refs.txt")] + common
+              "--nbest", str(bundle / "nbest.txt"), "--k", "3", "--seed", "2"]
     assert run(["enrich", "--threshold", "10", "--output", str(d / "shared.rlm")]
-               + common) == 0
+               + common + enrich_flags) == 0
     assert run(["rescore", "--model", str(d / "shared.rlm"),
                 "--nbest", str(bundle / "nbest.txt"),
                 "--output", str(d / "shared.tsv"),
-                "--onebest", str(d / "shared_1best.tsv")]) == 0
+                "--onebest", str(d / "shared_1best.tsv")] + rescore_flags) == 0
     capsys.readouterr()
     assert run(["wer", "--refs", str(bundle / "refs.txt"),
                 "--hyps", str(d / "shared_1best.tsv")]) == 0
     want = tsv_value(capsys.readouterr().out, "wer")
-    assert run(sweep + ["--values", "10"]) == 0
-    assert tsv_value(capsys.readouterr().out, "10") == want == "0.017094"
-    # no rare word and no candidate both score the input model
-    assert run(sweep + ["--values", "0,1000000"]) == 0
-    out = capsys.readouterr().out
-    assert tsv_value(out, "0") == tsv_value(out, "1000000")
-    assert run(["enrich", "--threshold", "1000000",
-                "--output", str(d / "none.rlm")] + common) == 1
-    assert "error: no candidates available" in capsys.readouterr().err
+    assert run(["sweep", "threshold", "--values", "10", "--refs", str(bundle / "refs.txt")]
+               + common + enrich_flags + rescore_flags) == 0
+    assert tsv_value(capsys.readouterr().out, "10") == want == wer
 
 
 def enrich_with_counts(d, text):
@@ -236,6 +254,19 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
                 flag, "0"]) == 1
     assert "error: %s must be >= 1" % field in capsys.readouterr().err
     assert not (d / "zero.rlm").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train-lstm", "--corpus", "bundle/train.txt", "--vocab", "vocab.txt",
+      "--clip-norm", "nan"], "clip_norm must be finite and > 0"),
+    (["rescore", "--model", "lstm.rlm", "--nbest", "bundle/nbest.txt",
+      "--lm-weight", "nan"], "lm_weight must be finite and >= 0"),
+], ids=["clip-norm", "lm-weight"])
+def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
+    d = workdir
+    assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1
+    assert "error: %s" % message in capsys.readouterr().err
+    assert not (d / "nan.out").exists()
 
 
 def test_usage_error_exit_code_2():

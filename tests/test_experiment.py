@@ -141,10 +141,11 @@ def test_gen_synthetic_rejects_bad_counts():
     (dict(rare_fraction=1.0), "rare_fraction"),
     (dict(n_streets=10, rare_fraction=0.01), "rare_fraction"),
     (dict(rare_fraction=1.5), "rare_fraction"),
-    (dict(threshold=0), "threshold must be >= 1"),
+    (dict(threshold=0), "threshold must be >= 2"),
+    (dict(threshold=1), "threshold must be >= 2"),
     (dict(nbest_size=2), "nbest_size must be >= 3"),
 ], ids=["no-rare", "no-frequent", "rounds-to-no-rare", "fraction-above-1",
-        "threshold-0", "nbest-2"])
+        "threshold-0", "threshold-1", "nbest-2"])
 def test_gen_synthetic_rejects_unrealisable(settings, message):
     with pytest.raises(ValueError, match=message):
         experiment.gen_synthetic(SyntheticConfig(**settings))

@@ -22,12 +22,12 @@ def brute_force_distance(a, b):
 def test_align_identity():
     ops = metrics.align(["a", "b"], ["a", "b"])
     assert all(tag == MATCH for tag, _, _ in ops)
-    assert metrics.alignment_cost(ops) == 0
+    assert sum(tag != MATCH for tag, _, _ in ops) == 0
 
 
 def test_align_single_deletion():
     ops = metrics.align(["a", "b"], ["a"])
-    assert metrics.alignment_cost(ops) == 1
+    assert sum(tag != MATCH for tag, _, _ in ops) == 1
     assert [tag for tag, _, _ in ops] == [MATCH, DEL]
 
 
@@ -48,8 +48,8 @@ def test_align_cost_equals_bruteforce():
     for _ in range(100):
         ref = [rng.choice(alpha) for _ in range(rng.randint(0, 6))]
         hyp = [rng.choice(alpha) for _ in range(rng.randint(0, 6))]
-        assert metrics.alignment_cost(metrics.align(ref, hyp)) == \
-            brute_force_distance(ref, hyp)
+        ops = metrics.align(ref, hyp)
+        assert sum(tag != MATCH for tag, _, _ in ops) == brute_force_distance(ref, hyp)
 
 
 short_seqs = st.lists(st.sampled_from("abc"), max_size=6)
@@ -58,8 +58,8 @@ short_seqs = st.lists(st.sampled_from("abc"), max_size=6)
 @settings(max_examples=200, deadline=None)
 @given(ref=short_seqs, hyp=short_seqs)
 def test_align_is_optimal(ref, hyp):
-    assert metrics.alignment_cost(metrics.align(ref, hyp)) == \
-        brute_force_distance(ref, hyp)
+    ops = metrics.align(ref, hyp)
+    assert sum(tag != MATCH for tag, _, _ in ops) == brute_force_distance(ref, hyp)
 
 
 def test_corpus_wer_perfect():

@@ -245,7 +245,27 @@ def test_training_shapes_preserved():
 def test_train_config_rejects_lr_decay(lr_decay):
     # a negative factor turns descent into ascent; 0 silently stops learning
     with pytest.raises(ValueError, match=r"lr_decay must be in \(0, 1\]"):
-        neural.TrainConfig(lr_decay=lr_decay).validate()
+        neural.TrainConfig(lr_decay=lr_decay)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_train_config_rejects_non_finite(field, value):
+    # a nan clip norm turns clipping off, since no norm compares > nan
+    with pytest.raises(ValueError, match="%s must be finite and > 0" % field):
+        neural.TrainConfig(**{field: value})
+
+
+def test_train_rejects_empty_validation_corpus():
+    corpus = [["a", "b"]] * 10
+    v = build_vocab(corpus)
+    enc = [encode(s, v) for s in corpus]
+    logged = []
+    with pytest.raises(ValueError, match="empty validation corpus"):
+        neural.train(neural.init_model(v, 3, 4, seed=1), enc,
+                     neural.TrainConfig(epochs=1, batch_size=2), val_ids=[],
+                     log=logged.append)
+    assert logged == []
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -354,6 +374,42 @@ def test_checkpoint_rejects_non_list_vocab(tmp_path):
     neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
     rewrite_header(p, lambda h: h.update(vocab=4))
     with pytest.raises(neural.CheckpointError, match="vocabulary is inconsistent"):
+        neural.load_model(p)
+
+
+def test_checkpoint_rejects_repeated_word(tmp_path):
+    # a repeat would give fewer vocabulary ids than columns of S and U
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(2), 2, 2, seed=0), p)
+    rewrite_header(p, lambda h: h["vocab"].__setitem__(4, h["vocab"][3]))
+    with pytest.raises(neural.CheckpointError, match="repeats a word"):
+        neural.load_model(p)
+
+
+def test_checkpoint_rejects_non_string_word(tmp_path):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    rewrite_header(p, lambda h: h["vocab"].__setitem__(3, 7))
+    with pytest.raises(neural.CheckpointError, match="non-string word"):
+        neural.load_model(p)
+
+
+def set_first_count(value):
+    return lambda h: h["counts"].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("edit", [
+    set_first_count(None), set_first_count(-1), set_first_count("3"),
+    set_first_count(1.5), lambda h: h.update(counts=7),
+    lambda h: h["counts"].pop(),
+], ids=["null", "negative", "string", "float", "not-a-list", "short"])
+def test_checkpoint_rejects_bad_counts(tmp_path, edit):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    rewrite_header(p, edit)
+    with pytest.raises(neural.CheckpointError,
+                       match="counts must be a list of %d non-negative integers"
+                       % len(small_vocab())):
         neural.load_model(p)
 
 

@@ -187,6 +187,19 @@ def test_rescore_monotone_in_lm_weight():
         prev_pos = pos
 
 
+@pytest.mark.parametrize("settings,message", [
+    (dict(lm_weight=math.nan), "lm_weight must be finite and >= 0"),
+    (dict(lm_weight=math.inf), "lm_weight must be finite and >= 0"),
+    (dict(lm_weight=-1.0), "lm_weight must be finite and >= 0"),
+    (dict(word_penalty=math.nan), "word_penalty must be finite"),
+    (dict(word_penalty=-math.inf), "word_penalty must be finite"),
+    (dict(interp_weight=math.nan), r"interp_weight must be in \[0, 1\]"),
+], ids=["lm-nan", "lm-inf", "lm-negative", "penalty-nan", "penalty-inf", "mu-nan"])
+def test_rescore_config_rejects(settings, message):
+    with pytest.raises(ValueError, match=message):
+        RescoreConfig(**settings)
+
+
 def test_rescore_empty_list():
     nlm, _, _ = setup_models()
     with pytest.raises(ValueError):
