@@ -100,7 +100,7 @@ def _enrich_settings(args, vocab):
                               shared=not args.per_word_sampling)
     counts = vocab.counts
     if args.counts:
-        counts = dict(textcorpus.read_word_counts(args.counts))
+        counts = textcorpus.read_word_counts(args.counts)
     return cfg, counts, _word_set(args.scope)
 
 
@@ -116,6 +116,8 @@ def _rescore_settings(args):
     """The rescoring config and the KN model (or None) the rescore options give."""
     cfg = RescoreConfig(lm_weight=args.lm_weight, interp_weight=args.interp_weight,
                         word_penalty=args.word_penalty)
+    if cfg.interp_weight > 0.0 and not args.ngram:
+        raise ValueError("--interp-weight > 0 requires --ngram")
     return cfg, _load_arpa(args.ngram) if args.ngram else None
 
 
@@ -173,9 +175,9 @@ def cmd_wer(args):
 
 def cmd_sweep(args):
     """Each row is the enrich + rescore + wer run with the same options."""
+    rescore_cfg, kn = _rescore_settings(args)
     m = neural.load_model(args.model)
     enrich_cfg, counts, scope = _enrich_settings(args, m.vocab)
-    rescore_cfg, kn = _rescore_settings(args)
     bundle = experiment.ExperimentBundle(
         counts=counts, scope=scope, model=m, kn=kn,
         refs=rescore.read_onebest(args.refs), nbest=rescore.read_nbest(args.nbest),

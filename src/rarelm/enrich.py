@@ -50,10 +50,6 @@ class EnrichConfig:
             raise ValueError("mode must be allStreets or fromNbest")
 
 
-class NoCandidates(ValueError):
-    """Rare words need enriching but the frequent set is empty."""
-
-
 @dataclass
 class EnrichmentPlan:
     """Per rare word: list of (candidate, weight) pairs."""
@@ -79,7 +75,7 @@ def select_candidates(frequent: set, rare: set, cfg: EnrichConfig,
     normalized to mean 1 for 'frequency'.
     """
     if not frequent:
-        raise NoCandidates("no candidates available")
+        raise ValueError("no candidates available")
     rng = np.random.default_rng(cfg.seed)
     pool = sorted(frequent)
     n = min(cfg.k, len(pool))
@@ -110,14 +106,14 @@ def plan_enrichment(counts: dict, scope, vocab: Vocabulary, cfg: EnrichConfig,
     (count >= threshold; a missing count is 0) and rare words. In
     fromNbest mode (nbest is needed then) only the rare words some
     hypothesis mentions stay rare. The plan is empty when no word is
-    rare; otherwise NoCandidates is raised when no word is frequent.
+    rare or none is frequent.
     """
     words = set(scope) & vocab.word_to_id.keys()
     frequent = {w for w in words if counts.get(w, 0) >= cfg.threshold}
     rare = words - frequent
     if cfg.mode == "fromNbest":
         rare &= {w for nb in nbest for hyp in nb.hypotheses for w in hyp.words}
-    if not rare:
+    if not (rare and frequent):
         return EnrichmentPlan({})
     return select_candidates(frequent, rare, cfg, counts)
 

@@ -271,14 +271,11 @@ def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run
     """Enrich the bundle's model under enrich_cfg, rescore every list and
     score the 1-best hypotheses.
 
-    When no scope word is rare, or no frequent candidate exists (extreme
-    thresholds), the bundle's model object itself is scored, uncopied.
+    When the plan is empty (extreme thresholds), the bundle's model
+    object itself is scored, uncopied.
     """
-    try:
-        plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
-                                      enrich_cfg, bundle.nbest)
-    except enrich.NoCandidates:
-        plan = EnrichmentPlan({})
+    plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
+                                  enrich_cfg, bundle.nbest)
     model = enrich.enrich_embeddings(bundle.model, plan)[0] if plan else bundle.model
     rescored = rescore.rescore_lists(bundle.nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = {nb.utt_id: nb.hypotheses[0].words for nb in rescored}

@@ -119,15 +119,10 @@ def corpus_wer(refs: dict, hyps: dict) -> WerReport:
 def left_sums(values, lens):
     """Sum of each sequence's max(lens - 1, 0) consecutive values, one per
     scored position, added strictly left to right as sum() does; np.sum
-    adds pairwise, with other bits."""
+    adds pairwise, with other bits. np.add.at adds in index order."""
     counts = np.maximum(lens - 1, 0)
-    rows = np.repeat(np.arange(counts.size), counts)
-    cols = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    grid = np.zeros((counts.size, int(counts.max(initial=0))))
-    grid[rows, cols] = values
     acc = np.zeros(counts.size)
-    for col in grid.T:
-        acc += col
+    np.add.at(acc, np.repeat(np.arange(counts.size), counts), values)
     return acc
 
 

@@ -217,14 +217,9 @@ def _window_counts(sentences: list[list[int]], order: int) -> dict[int, Counter]
 def modified_counts(sentences: list[list[int]], order: int) -> dict[int, Counter]:
     """KN count modification: continuation counts below the top order."""
     wc = _window_counts(sentences, order)
-    mod = {order: Counter(wc[order])}
+    mod = {order: wc[order]}
     for k in range(order - 1, 0, -1):
-        cont = Counter()
-        for gram in wc[k + 1]:
-            cont[gram[1:]] += 1
-        mk = Counter()
-        for gram, c in cont.items():
-            mk[gram] = c
+        mk = Counter(gram[1:] for gram in wc[k + 1])
         if k >= 2:
             # bos-initial k-grams have no left extension; keep raw counts
             for gram, c in wc[k].items():

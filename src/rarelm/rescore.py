@@ -47,8 +47,9 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
 
     The mix is linear in the probability domain per position. State is
     reset for every hypothesis; OOV words map to unk. The hypotheses are
-    encoded and packed back to back once; both models answer every
-    position of the group as one flat array in that layout. The two
+    taken neural.GROUP_ROWS at a time in input order; each slice is
+    encoded and packed back to back once, and both models answer every
+    position of the slice as one flat array in that layout. The two
     models are joined by word: one take through a map from each
     neural-vocab id to the KN id of the same word, or to KN's unk, gives
     the KN ids of every position. The mix is elementwise; each hypothesis
@@ -58,25 +59,40 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     if interp_weight > 0.0 and kn is None:
         raise ValueError("interp_weight > 0 requires an n-gram model")
     mu = interp_weight
-    ids, lens = pack([encode(words, nlm.vocab) for words in word_lists])
-    lp = position_logprobs(nlm, ids, lens)
     if mu > 0.0:
         to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
                             count=len(nlm.vocab))
-        q = kn.prob_many(np.take(to_kn, ids), lens)
-        # numpy's power and log10 can differ from math's in the last bit
-        p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp.tolist()),
-                        dtype=np.float64, count=lp.size)
-        mix = ((1.0 - mu) * p + mu * q).tolist()
-        lp = np.fromiter(map(math.log10, mix), dtype=np.float64, count=len(mix))
-    return left_sums(lp, lens).tolist()
+    scores = []
+    for a in range(0, len(word_lists), neural.GROUP_ROWS):
+        ids, lens = pack([encode(words, nlm.vocab)
+                          for words in word_lists[a:a + neural.GROUP_ROWS]])
+        lp = position_logprobs(nlm, ids, lens)
+        if mu > 0.0:
+            q = kn.prob_many(np.take(to_kn, ids), lens)
+            # numpy's power and log10 can differ from math's in the last bit
+            p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp.tolist()),
+                            dtype=np.float64, count=lp.size)
+            mix = ((1.0 - mu) * p + mu * q).tolist()
+            lp = np.fromiter(map(math.log10, mix), dtype=np.float64, count=len(mix))
+        scores += left_sums(lp, lens).tolist()
+    return scores
 
 
-def _rescore_group(group, nlm, kn, cfg):
-    lms = iter(lm_scores(nlm, kn, [h.words for nb in group for h in nb.hypotheses],
+def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestList]:
+    """Re-rank n-best lists by am + lambda*lm_log10prob + gamma*|words|.
+
+    Ties are broken by original rank (lower wins); each returned list has
+    its chosen top hypothesis at element 0. An empty list fails before any
+    scoring. All hypotheses go through one lm_scores call in file order;
+    its slices may cut across lists.
+    """
+    for nb in lists:
+        if not nb.hypotheses:
+            raise ValueError("empty n-best list for %s" % nb.utt_id)
+    lms = iter(lm_scores(nlm, kn, [h.words for nb in lists for h in nb.hypotheses],
                          cfg.interp_weight))
     out = []
-    for nb in group:
+    for nb in lists:
         scored = []
         for hyp in nb.hypotheses:
             total = hyp.am_score + cfg.lm_weight * next(lms) \
@@ -87,30 +103,6 @@ def _rescore_group(group, nlm, kn, cfg):
             scored.append(Hypothesis(hyp.rank, hyp.am_score, list(hyp.words), total))
         scored.sort(key=lambda h: (-h.total_score, h.rank))
         out.append(NBestList(nb.utt_id, scored))
-    return out
-
-
-def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestList]:
-    """Re-rank n-best lists by am + lambda*lm_log10prob + gamma*|words|.
-
-    Ties are broken by original rank (lower wins); each returned list has
-    its chosen top hypothesis at element 0. Whole lists are scored together
-    in groups of up to neural.GROUP_ROWS hypotheses, so that prefixes
-    shared across lists are scored once and memory stays bounded.
-    """
-    out = []
-    group = []
-    nhyps = 0
-    for nb in lists:
-        if not nb.hypotheses:
-            raise ValueError("empty n-best list for %s" % nb.utt_id)
-        if group and nhyps + len(nb.hypotheses) > neural.GROUP_ROWS:
-            out.extend(_rescore_group(group, nlm, kn, cfg))
-            group, nhyps = [], 0
-        group.append(nb)
-        nhyps += len(nb.hypotheses)
-    if group:
-        out.extend(_rescore_group(group, nlm, kn, cfg))
     return out
 
 

@@ -114,11 +114,11 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        pairs = read_word_counts(path)
-        words = [w for w, _ in pairs]
+        counts = read_word_counts(path)
+        words = list(counts)
         if words[:3] != list(SPECIALS):
             raise ValueError("vocabulary file must start with %s" % (SPECIALS,))
-        return cls(words[3:], dict(pairs))
+        return cls(words[3:], counts)
 
 
 def read_tab_pairs(path, form: str) -> Iterator[tuple[int, str, str]]:
@@ -135,16 +135,19 @@ def read_tab_pairs(path, form: str) -> Iterator[tuple[int, str, str]]:
             yield lineno, parts[0], parts[1]
 
 
-def read_word_counts(path) -> list[tuple[str, int]]:
-    """The (word, count) pairs of a `word<TAB>count` file, in file order."""
-    pairs = []
+def read_word_counts(path) -> dict[str, int]:
+    """word -> count from a `word<TAB>count` file, in file order; each word
+    may appear once."""
+    counts = {}
     for lineno, word, count in read_tab_pairs(path, "word<TAB>count"):
+        if word in counts:
+            raise ValueError("%s:%d: repeated word %r" % (path, lineno, word))
         try:
-            pairs.append((word, int(count)))
+            counts[word] = int(count)
         except ValueError:
             raise ValueError("%s:%d: count %r is not an integer"
                              % (path, lineno, count))
-    return pairs
+    return counts
 
 
 def word_counts(corpus: Iterable[list[str]]) -> Counter:

@@ -160,8 +160,9 @@ def test_sweep_command(workdir, capsys):
     # no rare word and no candidate both score the input model
     assert tsv_value(out, "0") == tsv_value(out, "1000000")
     assert run(["enrich", "--threshold", "1000000",
-                "--output", str(d / "none.rlm")] + common) == 1
-    assert "error: no candidates available" in capsys.readouterr().err
+                "--output", str(d / "none.rlm")] + common) == 0
+    assert "enriched 0 words" in capsys.readouterr().out
+    assert filecmp.cmp(d / "lstm.rlm", d / "none.rlm", shallow=False)
 
 
 def in_dir(d, argv):
@@ -175,16 +176,24 @@ def tsv_value(out, key):
             if line.startswith(key + "\t")][-1]
 
 
-# at an LM weight of 30 the enrichment flags move the WER of this small bundle
+# At an LM weight of 30 the enrichment flags move the WER of this small
+# bundle. The lists of the first 8 utterances (few.txt) name 3 of the 6
+# rare streets, so fromNbest draws per-word samples for 3 words where
+# allStreets draws them for 6: the fromNbest row differs from its twin
+# without --mode, which shows that sweep reads --mode.
 @pytest.mark.parametrize("enrich_flags,rescore_flags,wer", [
     ([], [], "0.017094"),
     ([], ["--ngram", "kn.arpa", "--interp-weight", "0.3"], "0.051282"),
     ([], ["--lm-weight", "30"], "0.059829"),
     (["--weighting", "frequency", "--per-word-sampling"], ["--lm-weight", "30"],
      "0.051282"),
-    (["--mode", "fromNbest"], ["--lm-weight", "30"], "0.059829"),
+    (["--per-word-sampling", "--nbest", "few.txt"],
+     ["--lm-weight", "30", "--nbest", "few.txt"], "0.470085"),
+    (["--mode", "fromNbest", "--per-word-sampling", "--nbest", "few.txt"],
+     ["--lm-weight", "30", "--nbest", "few.txt"], "0.478632"),
     (["--counts", "counts.txt"], ["--lm-weight", "30"], "0.051282"),
-], ids=["defaults", "ngram", "lm-weight", "frequency-per-word", "fromNbest", "counts"])
+], ids=["defaults", "ngram", "lm-weight", "frequency-per-word", "few-lists", "fromNbest",
+        "counts"])
 def test_sweep_and_enrich_share_one_path(workdir, capsys, enrich_flags, rescore_flags,
                                          wer):
     d = workdir
@@ -193,6 +202,9 @@ def test_sweep_and_enrich_share_one_path(workdir, capsys, enrich_flags, rescore_
     (d / "counts.txt").write_text("".join(
         "%s\t%d\n" % (w, int(c) // 2) for w, c in
         (line.split("\t") for line in (d / "vocab.txt").read_text().splitlines())))
+    lines = (bundle / "nbest.txt").read_text().splitlines(keepends=True)
+    first = list(dict.fromkeys(line.split("\t")[0] for line in lines))[:8]
+    (d / "few.txt").write_text("".join(l for l in lines if l.split("\t")[0] in first))
     enrich_flags, rescore_flags = in_dir(d, enrich_flags), in_dir(d, rescore_flags)
     common = ["--model", str(d / "lstm.rlm"), "--scope", str(bundle / "streets.txt"),
               "--nbest", str(bundle / "nbest.txt"), "--k", "3", "--seed", "2"]
@@ -236,9 +248,12 @@ def synthetic_with_confusions(d, text):
 @pytest.mark.parametrize("make,text,line", [
     (enrich_with_counts, "a\t3\nb 4\n", 2),
     (enrich_with_counts, "a\t3\n\nb\tx\n", 3),
+    (enrich_with_counts, "a\t3\nb\t4\na\t9\n", 3),
     (ngram_with_vocab, "<s>\t0\n</s>\t5\n<unk>\tmany\n", 3),
+    (ngram_with_vocab, "<s>\t0\n</s>\t5\n<unk>\t0\na\t3\nb\t4\na\t9\n", 6),
     (synthetic_with_confusions, "ang_mo\tbully plays\nbukit_batok\n", 2),
-], ids=["counts-no-tab", "counts-not-int", "vocab-not-int", "confusions-no-tab"])
+], ids=["counts-no-tab", "counts-not-int", "counts-repeated", "vocab-not-int",
+        "vocab-repeated", "confusions-no-tab"])
 def test_malformed_input_names_file_and_line(workdir, capsys, make, text, line):
     path, argv = make(workdir, text)
     assert run(argv) == 1
@@ -261,7 +276,14 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
       "--clip-norm", "nan"], "clip_norm must be finite and > 0"),
     (["rescore", "--model", "lstm.rlm", "--nbest", "bundle/nbest.txt",
       "--lm-weight", "nan"], "lm_weight must be finite and >= 0"),
-], ids=["clip-norm", "lm-weight"])
+    # no file is read, so a missing checkpoint does not hide the setting
+    (["rescore", "--model", "missing.rlm", "--nbest", "bundle/nbest.txt",
+      "--interp-weight", "0.3"], "--interp-weight > 0 requires --ngram"),
+    (["sweep", "threshold", "--values", "10", "--model", "missing.rlm",
+      "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
+      "--refs", "bundle/refs.txt", "--interp-weight", "0.3"],
+     "--interp-weight > 0 requires --ngram"),
+], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram"])
 def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
     d = workdir
     assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1

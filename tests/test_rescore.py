@@ -206,6 +206,23 @@ def test_rescore_empty_list():
         rescore.rescore_lists([NBestList("u", [])], nlm, None, RescoreConfig())
 
 
+def test_rescore_empty_list_fails_before_scoring(monkeypatch):
+    # with one hypothesis per slice, scoring as the lists are read would
+    # score u1 and u2 before it reached the empty u3
+    nlm, _, _ = setup_models()
+
+    def spy(*args):
+        raise AssertionError("position_logprobs called")
+
+    monkeypatch.setattr(neural, "GROUP_ROWS", 1)
+    monkeypatch.setattr(rescore, "position_logprobs", spy)
+    lists = [NBestList("u1", [Hypothesis(1, -1.0, ["a", "b"])]),
+             NBestList("u2", [Hypothesis(1, -2.0, ["c"])]),
+             NBestList("u3", [])]
+    with pytest.raises(ValueError, match="empty n-best list for u3"):
+        rescore.rescore_lists(lists, nlm, None, RescoreConfig())
+
+
 def test_nbest_file_roundtrip(tmp_path):
     lists = [NBestList("u1", [Hypothesis(1, -1.5, ["a", "b"]),
                               Hypothesis(2, -2.25, ["a"])]),

@@ -179,7 +179,8 @@ def test_lm_scores_map_ids_to_another_kn_vocab(m, mu, kn_words, hyps):
                                 min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 16))
 def test_rescore_lists_across_groups(m, sizes, seed):
-    # lists are grouped up to the row cap; one list may exceed it alone
+    # all hypotheses are scored together in file order, so one batch of
+    # steps can hold several lists and a list over BATCH_ROWS spans batches
     rng = np.random.default_rng(seed)
     words = m.vocab.id_to_word[3:] + ["oov"]
     lists = [NBestList("u%d" % u, [
@@ -200,12 +201,13 @@ def test_rescore_lists_across_groups(m, sizes, seed):
 
 
 def test_rescore_lists_in_small_groups(monkeypatch):
-    # groups of at most 3 hypotheses; the list of 5 makes a group on its own
-    calls = []
+    # hypotheses go 3 at a time in file order, whatever the list boundaries
+    calls, seen = [], []
     score = rescore.position_logprobs
 
     def spy(nlm, ids, lens):
         calls.append(lens.size)
+        seen.extend(ids.tolist())
         return score(nlm, ids, lens)
 
     monkeypatch.setattr(neural, "GROUP_ROWS", 3)
@@ -218,7 +220,9 @@ def test_rescore_lists_in_small_groups(monkeypatch):
                    [words[j] for j in rng.integers(len(words), size=rng.integers(0, 6))])
         for r in range(size)]) for u, size in enumerate([1, 2, 5, 3, 1, 1, 1, 4])]
     out = rescore.rescore_lists(lists, m, None, RescoreConfig(lm_weight=0.7))
-    assert calls == [3, 5, 3, 3, 4]
+    assert calls == [3, 3, 3, 3, 3, 3]
+    assert seen == [i for nb in lists for h in nb.hypotheses
+                    for i in encode(h.words, m.vocab)]
     assert [nb.utt_id for nb in out] == [nb.utt_id for nb in lists]
     for nb, rr in zip(lists, out):
         assert sorted(h.rank for h in rr.hypotheses) == [h.rank for h in nb.hypotheses]
