@@ -80,7 +80,8 @@ def _load_arpa(path):
 
 
 def _add_enrich_options(sp):
-    """Declare the options of one enrichment, read by _enrich_settings."""
+    """Declare the options of one enrichment, read by _enrich_settings and
+    _enrich_words."""
     sp.add_argument("--scope", required=True, help="lexicon file, one name per line")
     sp.add_argument("--counts", help="word<TAB>count file; defaults to vocab counts")
     sp.add_argument("--threshold", type=int, default=10)
@@ -91,17 +92,19 @@ def _add_enrich_options(sp):
     sp.add_argument("--seed", type=int, default=0)
 
 
-def _enrich_settings(args, vocab):
-    """The enrichment config, word counts and scope the enrich options give."""
+def _enrich_settings(args):
+    """The enrichment config the enrich options give; reads no file."""
     if args.mode == "fromNbest" and not args.nbest:
         raise ValueError("--mode fromNbest requires --nbest")
-    cfg = enrich.EnrichConfig(threshold=args.threshold, k=args.k, seed=args.seed,
-                              weighting=args.weighting, mode=args.mode,
-                              shared=not args.per_word_sampling)
-    counts = vocab.counts
-    if args.counts:
-        counts = textcorpus.read_word_counts(args.counts)
-    return cfg, counts, _word_set(args.scope)
+    return enrich.EnrichConfig(threshold=args.threshold, k=args.k, seed=args.seed,
+                               weighting=args.weighting, mode=args.mode,
+                               shared=not args.per_word_sampling)
+
+
+def _enrich_words(args, vocab):
+    """The word counts (the vocabulary's unless --counts) and the scope."""
+    counts = textcorpus.read_word_counts(args.counts) if args.counts else vocab.counts
+    return counts, _word_set(args.scope)
 
 
 def _add_rescore_options(sp):
@@ -122,8 +125,9 @@ def _rescore_settings(args):
 
 
 def cmd_enrich(args):
+    cfg = _enrich_settings(args)
     m = neural.load_model(args.model)
-    cfg, counts, scope = _enrich_settings(args, m.vocab)
+    counts, scope = _enrich_words(args, m.vocab)
     nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
     plan = enrich.plan_enrichment(counts, scope, m.vocab, cfg, nbest)
     enriched, report = enrich.enrich_embeddings(m, plan)
@@ -175,9 +179,10 @@ def cmd_wer(args):
 
 def cmd_sweep(args):
     """Each row is the enrich + rescore + wer run with the same options."""
+    enrich_cfg = _enrich_settings(args)
     rescore_cfg, kn = _rescore_settings(args)
     m = neural.load_model(args.model)
-    enrich_cfg, counts, scope = _enrich_settings(args, m.vocab)
+    counts, scope = _enrich_words(args, m.vocab)
     bundle = experiment.ExperimentBundle(
         counts=counts, scope=scope, model=m, kn=kn,
         refs=rescore.read_onebest(args.refs), nbest=rescore.read_nbest(args.nbest),

@@ -9,14 +9,13 @@ All other parameters (LSTM weights, biases, non-planned columns) are left
 bit-identical.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .neural import NeuralLM
+from .neural import NeuralLM, same_except_columns
 from .textcorpus import Vocabulary
 
 MODES = ("allStreets", "fromNbest")
@@ -122,27 +121,6 @@ def plan_enrichment(counts: dict, scope, vocab: Vocabulary, cfg: EnrichConfig,
 class EnrichmentReport:
     modified: int
     per_word: dict = field(default_factory=dict)  # word -> norms/candidates
-    untouched_checksum_before: str = ""
-    untouched_checksum_after: str = ""
-
-
-CHECKSUM_ROWS = 64  # rows hashed per block; bounds the copy at any |V|
-
-
-def _untouched_checksum(m: NeuralLM, skip_cols) -> str:
-    """sha256 over W, b and the S and U columns whose ids are not in
-    skip_cols, each as C-order float64 bytes. S and U are hashed a block
-    of rows at a time, which gives the same bytes in the same order as
-    hashing the whole kept-column matrix."""
-    keep = np.ones(m.vocab_size, dtype=bool)
-    keep[np.fromiter(skip_cols, dtype=np.intp)] = False
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(m.W))
-    h.update(np.ascontiguousarray(m.b))
-    for X in (m.S, m.U):
-        for i in range(0, X.shape[0], CHECKSUM_ROWS):
-            h.update(np.compress(keep, X[i:i + CHECKSUM_ROWS], axis=1))
-    return h.hexdigest()
 
 
 def _column_norms(A) -> list[float]:
@@ -170,6 +148,8 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
                 raise ValueError("candidate %r not in vocabulary" % c)
             if c == rare:
                 raise ValueError("word %r listed as its own candidate" % rare)
+            if not math.isfinite(w):
+                raise ValueError("non-finite weight for candidate %r" % c)
             if w <= 0:
                 raise ValueError("non-positive weight for candidate %r" % c)
 
@@ -185,12 +165,13 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
         for j, (c, w) in enumerate(plan.candidates[r]):
             cand[i, j] = vocab.id(c)
             weight[i, j] = w
-    before = _untouched_checksum(m, cols)
     # Eq. 4 column-wise, one candidate slot at a time: every element gets
     # the same additions in the same order as a per-word loop would do.
     norms = []  # S before, S after, U before, U after: one norm per word
+    read = []  # the planned columns of S and U as Eq. 4 read them
     for X0, X in ((m.S, out.S), (m.U, out.U)):
         acc = X0[:, cols]
+        read.append(acc.copy())
         norms.append(_column_norms(acc))
         for j in range(slots):
             rows = np.flatnonzero(ncand > j)
@@ -207,8 +188,11 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
             "u_norm_after": ua,
             "candidates": list(plan.candidates[rare]),
         }
-    report.untouched_checksum_before = before
-    report.untouched_checksum_after = _untouched_checksum(out, cols)
-    if report.untouched_checksum_before != report.untouched_checksum_after:
+    # the output differs from the input only in the planned columns, and
+    # the input's planned columns still hold what Eq. 4 read (a copy that
+    # shares the input's arrays fails here)
+    if not (same_except_columns(m, out, cols)
+            and all(np.array_equal(r.view(np.uint64), X0[:, cols].view(np.uint64))
+                    for r, X0 in zip(read, (m.S, m.U)))):
         raise RuntimeError("enrichment changed parameters outside the planned columns")
     return out, report

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import enrich, metrics, rescore
 from .enrich import EnrichConfig, EnrichmentPlan
-from .neural import NeuralLM
+from .neural import NeuralLM, same_except_columns
 from .rescore import Hypothesis, NBestList, RescoreConfig
 
 STREET_HEADS = [
@@ -286,12 +286,12 @@ def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
     """WER per value of one enrichment setting (key "threshold" or "k"),
     every other setting taken from bundle.enrich_cfg. Raises if the input
     model was mutated."""
-    digest = enrich._untouched_checksum(bundle.model, ())
+    snapshot = bundle.model.copy()
     rows = []
     for v in values:
         wer = run_configuration(bundle, replace(bundle.enrich_cfg, **{key: v})).wer
         rows.append({key: v, "wer": wer.wer, "errors": wer.errors})
-    if enrich._untouched_checksum(bundle.model, ()) != digest:
+    if not same_except_columns(bundle.model, snapshot):
         raise RuntimeError("sweep modified the input model")
     return rows
 

@@ -20,7 +20,9 @@ from .textcorpus import SPECIALS, Vocabulary, pack
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
-BATCH_ROWS = 64  # rows per batched inference step; bounds memory at any |V|
+# rows per batched inference step, per checkpoint write and per parameter
+# comparison; bounds the memory each takes at any |V|
+BATCH_ROWS = 64
 GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
 
 
@@ -72,6 +74,31 @@ class NeuralLM:
     def copy(self) -> "NeuralLM":
         return NeuralLM(self.vocab, self.d_s, self.d_h,
                         self.S.copy(), self.W.copy(), self.b.copy(), self.U.copy())
+
+
+def same_except_columns(a: NeuralLM, b: NeuralLM, cols=()) -> bool:
+    """True when W and b, and every S and U column whose id is not in
+    cols, hold the same bits in models a and b.
+
+    Compares uint64 views, so 0.0 and -0.0 differ, as do NaNs with
+    different payloads. S and U are compared BATCH_ROWS rows at a time,
+    which bounds the memory taken at any |V|.
+    """
+    pairs = ((a.S, b.S), (a.W, b.W), (a.b, b.b), (a.U, b.U))
+    if any(x.shape != y.shape or x.dtype != y.dtype for x, y in pairs):
+        return False
+    if not (np.array_equal(a.W.view(np.uint64), b.W.view(np.uint64))
+            and np.array_equal(a.b.view(np.uint64), b.b.view(np.uint64))):
+        return False
+    keep = np.ones(a.S.shape[1], dtype=bool)
+    keep[np.fromiter(cols, dtype=np.intp)] = False
+    for x, y in ((a.S, b.S), (a.U, b.U)):
+        x, y = x.view(np.uint64), y.view(np.uint64)
+        for i in range(0, x.shape[0], BATCH_ROWS):
+            differ = x[i:i + BATCH_ROWS] != y[i:i + BATCH_ROWS]
+            if differ.any(axis=0)[keep].any():
+                return False
+    return True
 
 
 def init_model(vocab: Vocabulary, d_s: int = 32, d_h: int = 64,
@@ -402,7 +429,8 @@ def save_model(m: NeuralLM, path) -> None:
         f.write(struct.pack("<I", len(hbytes)))
         f.write(hbytes)
         for arr in (m.S, m.W, m.b, m.U):
-            arr.astype("<f4").tofile(f)
+            for i in range(0, arr.shape[0], BATCH_ROWS):
+                arr[i:i + BATCH_ROWS].astype("<f4").tofile(f)
 
 
 class CheckpointError(ValueError):

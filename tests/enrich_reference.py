@@ -1,27 +1,25 @@
 """Per-word reference implementation of Eq. 4 enrichment and of the
-untouched-parameter digest.
+untouched-parameter comparison.
 
 Deliberately naive: one planned word at a time, one candidate at a time,
-and a digest over a fancy-indexed copy of the kept columns. Used as an
-oracle for the vectorised `rarelm.enrich.enrich_embeddings` and
-`rarelm.enrich._untouched_checksum`, which must agree bit for bit.
+and a comparison of each kept column's bytes. Used as an oracle for the
+vectorised `rarelm.enrich.enrich_embeddings` and
+`rarelm.neural.same_except_columns`, which must agree bit for bit.
 """
-
-import hashlib
 
 import numpy as np
 
 
-def untouched_checksum(m, skip_cols):
-    """sha256 over W, b and the S and U columns not in skip_cols."""
-    keep = np.array([j for j in range(m.vocab_size) if j not in skip_cols],
-                    dtype=np.int64)
-    h = hashlib.sha256()
-    h.update(m.W.tobytes())
-    h.update(m.b.tobytes())
-    h.update(np.ascontiguousarray(m.S[:, keep]).tobytes())
-    h.update(np.ascontiguousarray(m.U[:, keep]).tobytes())
-    return h.hexdigest()
+def same_except_columns(a, b, skip_cols):
+    """True when W, b and the S and U columns not in skip_cols hold the
+    same bytes in models a and b, which have the same dimensions."""
+    if a.W.tobytes() != b.W.tobytes() or a.b.tobytes() != b.b.tobytes():
+        return False
+    for X, Y in ((a.S, b.S), (a.U, b.U)):
+        for j in range(a.vocab_size):
+            if j not in skip_cols and X[:, j].tobytes() != Y[:, j].tobytes():
+                return False
+    return True
 
 
 def enrich(m, plan):

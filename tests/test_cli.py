@@ -283,7 +283,16 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
       "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
       "--refs", "bundle/refs.txt", "--interp-weight", "0.3"],
      "--interp-weight > 0 requires --ngram"),
-], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram"])
+    (["enrich", "--model", "missing.rlm", "--scope", "bundle/streets.txt", "--k", "0"],
+     "k must be >= 1"),
+    (["sweep", "threshold", "--values", "10", "--model", "missing.rlm",
+      "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
+      "--refs", "bundle/refs.txt", "--k", "0"], "k must be >= 1"),
+    (["enrich", "--model", "missing.rlm", "--scope", "bundle/streets.txt",
+      "--mode", "fromNbest"], "--mode fromNbest requires --nbest"),
+], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram",
+        "enrich-k-missing-model", "sweep-k-missing-model",
+        "enrich-fromNbest-missing-model"])
 def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
     d = workdir
     assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1

@@ -153,12 +153,13 @@ def test_enrich_two_candidate_centroid():
 def test_enrich_untouched_parameters_identical():
     m = model_with(["r", "c", "other"])
     plan = enrich.EnrichmentPlan({"r": [("c", 1.0)]})
-    out, report = enrich.enrich_embeddings(m, plan)
+    out, _ = enrich.enrich_embeddings(m, plan)
     assert np.array_equal(out.W, m.W) and np.array_equal(out.b, m.b)
     other = m.vocab.id("other")
     assert np.array_equal(out.S[:, other], m.S[:, other])
     assert np.array_equal(out.U[:, other], m.U[:, other])
-    assert report.untouched_checksum_before == report.untouched_checksum_after
+    assert neural.same_except_columns(m, out, [m.vocab.id("r")])
+    assert not neural.same_except_columns(m, out)
 
 
 def test_enrich_snapshot_semantics():
@@ -183,11 +184,46 @@ def test_enrich_out_of_vocab_all_or_nothing():
     assert np.array_equal(m.S, S0)
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_enrich_rejects_non_finite_weight(w):
+    m = model_with(["r", "c"])
+    plan = enrich.EnrichmentPlan({"r": [("c", w)]})
+    with pytest.raises(ValueError, match="non-finite weight for candidate 'c'"):
+        enrich.enrich_embeddings(m, plan)
+
+
 def test_enrich_rejects_self_candidate():
     m = model_with(["r"])
     plan = enrich.EnrichmentPlan({"r": [("r", 1.0)]})
     with pytest.raises(ValueError, match="own candidate"):
         enrich.enrich_embeddings(m, plan)
+
+
+@pytest.mark.parametrize("name", "SUWb")
+def test_enrich_raises_when_copy_changes_untouched(monkeypatch, name):
+    m = model_with(["r", "c", "z"])
+    where = {"S": (0, m.vocab.id("z")), "U": (-1, m.vocab.id("z")),
+             "W": (1, 2), "b": (3,)}[name]
+    copy = neural.NeuralLM.copy
+
+    def faulty_copy(self):
+        out = copy(self)
+        arr = getattr(out, name)
+        arr[where] = np.nextafter(arr[where], np.inf)
+        return out
+
+    monkeypatch.setattr(neural.NeuralLM, "copy", faulty_copy)
+    with pytest.raises(RuntimeError, match="outside the planned columns"):
+        enrich.enrich_embeddings(m, enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
+
+
+def test_enrich_raises_when_copy_shares_input_s(monkeypatch):
+    m = model_with(["r", "c"])
+    monkeypatch.setattr(neural.NeuralLM, "copy", lambda self: neural.NeuralLM(
+        self.vocab, self.d_s, self.d_h, self.S, self.W.copy(), self.b.copy(),
+        self.U.copy()))
+    with pytest.raises(RuntimeError, match="outside the planned columns"):
+        enrich.enrich_embeddings(m, enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
 
 
 def test_empty_plan_is_identity():
@@ -272,7 +308,7 @@ def random_model(n_words, d_s, d_h, seed):
     return m
 
 
-# d_s and d_h reach past CHECKSUM_ROWS so the digest hashes several blocks
+# d_s and d_h reach past BATCH_ROWS so the comparison takes several blocks
 models = st.builds(random_model, st.integers(2, 12), st.integers(1, 70),
                    st.integers(1, 140), st.integers(0, 2 ** 16))
 weights = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5))
@@ -296,23 +332,48 @@ def plans(draw, m):
 def test_enrich_matches_reference(m, data):
     plan = data.draw(plans(m))
     S, U, per_word = enrich_reference.enrich(m, plan)
+    before = m.copy()
     out, report = enrich.enrich_embeddings(m, plan)
     assert np.array_equal(out.S, S) and np.array_equal(out.U, U)
     assert np.array_equal(out.W, m.W) and np.array_equal(out.b, m.b)
     assert report.per_word == per_word
     cols = {m.vocab.id(r) for r in plan.candidates}
     assert report.modified == len(cols)
-    digest = enrich_reference.untouched_checksum(m, cols)
-    assert report.untouched_checksum_before == digest
-    assert report.untouched_checksum_after == digest
+    assert enrich_reference.same_except_columns(m, out, cols)
+    assert enrich_reference.same_except_columns(m, before, ())
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=models, data=st.data())
-def test_untouched_checksum_matches_reference(m, data):
+def test_same_except_columns_matches_reference(m, data):
     skip = data.draw(st.sets(st.integers(0, m.vocab_size - 1)))
-    assert (enrich._untouched_checksum(m, skip)
-            == enrich_reference.untouched_checksum(m, skip))
-    # the sweeps pass an empty tuple
-    assert (enrich._untouched_checksum(m, ())
-            == enrich_reference.untouched_checksum(m, ()))
+    other = m.copy()
+    assert neural.same_except_columns(m, other, skip)
+    assert neural.same_except_columns(m, other)  # as the sweep calls it
+    # one flipped bit anywhere; on a zeroed element bit 63 turns 0.0 into -0.0
+    name = data.draw(st.sampled_from("SWbU"))
+    flat = getattr(other, name).reshape(-1)
+    i = data.draw(st.integers(0, flat.size - 1))
+    if data.draw(st.booleans()):
+        getattr(m, name).reshape(-1)[i] = flat[i] = 0.0
+    flat.view(np.uint64)[i] ^= np.uint64(1) << np.uint64(data.draw(st.integers(0, 63)))
+    same = enrich_reference.same_except_columns(m, other, skip)
+    assert same == (name in "SU" and i % m.vocab_size in skip)
+    assert neural.same_except_columns(m, other, skip) == same
+    assert neural.same_except_columns(other, m, skip) == same
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("name", "SWbU")
+@pytest.mark.parametrize("x,y,same", [(0.0, -0.0, False), (np.nan, NAN_PAYLOAD, False),
+                                      (np.nan, np.nan, True)],
+                         ids=["signed-zero", "nan-payload", "same-nan"])
+def test_same_except_columns_compares_bits(name, x, y, same):
+    m = model_with(["r", "c"])
+    getattr(m, name).reshape(-1)[-1] = x
+    other = m.copy()
+    getattr(other, name).reshape(-1)[-1] = y
+    assert neural.same_except_columns(m, other) == same
+    assert enrich_reference.same_except_columns(m, other, ()) == same

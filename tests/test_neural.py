@@ -281,6 +281,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.vocab.counts == v.counts
 
 
+def test_checkpoint_written_in_blocks_has_whole_array_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(neural, "BATCH_ROWS", 3)
+    m = neural.init_model(build_vocab([["a", "b", "c"]]), 5, 4, seed=7)
+    p = tmp_path / "m.rlm"
+    neural.save_model(m, p)
+    payload = b"".join(arr.astype("<f4").tobytes() for arr in (m.S, m.W, m.b, m.U))
+    assert all(arr.shape[0] > neural.BATCH_ROWS for arr in (m.S, m.W, m.b, m.U))
+    data = p.read_bytes()
+    assert data[8 + int.from_bytes(data[4:8], "little"):] == payload
+
+
 @settings(max_examples=30, deadline=None)
 @given(words=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
                       .filter(lambda w: w not in SPECIALS), max_size=6),
