@@ -177,8 +177,20 @@ def cmd_wer(args):
             print("tracked_accuracy\tundefined")
 
 
+def _sweep_values(text) -> list:
+    """The integers of the comma-separated --values option."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError("--values: %r is not an integer" % item) from None
+    return values
+
+
 def cmd_sweep(args):
     """Each row is the enrich + rescore + wer run with the same options."""
+    values = _sweep_values(args.values)
     enrich_cfg = _enrich_settings(args)
     rescore_cfg, kn = _rescore_settings(args)
     m = neural.load_model(args.model)
@@ -188,7 +200,7 @@ def cmd_sweep(args):
         refs=rescore.read_onebest(args.refs), nbest=rescore.read_nbest(args.nbest),
         enrich_cfg=enrich_cfg, rescore_cfg=rescore_cfg)
     key = "threshold" if args.what == "threshold" else "k"
-    rows = experiment.sweep(bundle, key, [int(v) for v in args.values.split(",")])
+    rows = experiment.sweep(bundle, key, values)
     out = experiment.format_sweep(rows, key)
     sys.stdout.write(out)
     if args.output:

@@ -123,15 +123,9 @@ class EnrichmentReport:
     per_word: dict = field(default_factory=dict)  # word -> norms/candidates
 
 
-def _column_norms(A) -> list[float]:
-    """Euclidean norm of each column of A, as np.linalg.norm gives it:
-    sqrt(dot(x, x)) on a contiguous copy of the column. One transposed
-    copy of A makes every column a contiguous row."""
-    return [math.sqrt(x.dot(x)) for x in A.T.copy()]
-
-
 def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, EnrichmentReport]:
-    """Apply the centroid update to the planned columns of S and U.
+    """Apply the centroid update to the planned columns of S and U, one
+    planned word at a time in plan order.
 
     Candidate vectors are read from the unmodified input, so the result
     does not depend on update order even if a candidate is itself planned.
@@ -154,40 +148,21 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
                 raise ValueError("non-positive weight for candidate %r" % c)
 
     out = m.copy()
-    rares = list(plan.candidates)
-    cols = np.array([vocab.id(r) for r in rares], dtype=np.intp)
-    ncand = np.array([len(plan.candidates[r]) for r in rares], dtype=np.intp)
-    slots = int(ncand.max()) if rares else 0
-    # candidate j of each planned word; rows without a j-th candidate stay 0
-    cand = np.zeros((len(rares), slots), dtype=np.intp)
-    weight = np.zeros((len(rares), slots))
-    for i, r in enumerate(rares):
-        for j, (c, w) in enumerate(plan.candidates[r]):
-            cand[i, j] = vocab.id(c)
-            weight[i, j] = w
-    # Eq. 4 column-wise, one candidate slot at a time: every element gets
-    # the same additions in the same order as a per-word loop would do.
-    norms = []  # S before, S after, U before, U after: one norm per word
-    read = []  # the planned columns of S and U as Eq. 4 read them
-    for X0, X in ((m.S, out.S), (m.U, out.U)):
-        acc = X0[:, cols]
-        read.append(acc.copy())
-        norms.append(_column_norms(acc))
-        for j in range(slots):
-            rows = np.flatnonzero(ncand > j)
-            acc[:, rows] += weight[rows, j] * X0[:, cand[rows, j]]
-        acc /= ncand + 1.0
-        X[:, cols] = acc
-        norms.append(_column_norms(acc))
+    cols = np.array([vocab.id(r) for r in plan.candidates], dtype=np.intp)
     report = EnrichmentReport(modified=len(cols))
-    for rare, (sb, sa, ub, ua) in zip(rares, zip(*norms)):
-        report.per_word[rare] = {
-            "s_norm_before": sb,
-            "s_norm_after": sa,
-            "u_norm_before": ub,
-            "u_norm_after": ua,
-            "candidates": list(plan.candidates[rare]),
-        }
+    read = []  # the planned columns of S and U as Eq. 4 read them
+    for name, X0, X in (("s", m.S, out.S), ("u", m.U, out.U)):
+        read.append(X0[:, cols])
+        for (rare, cands), r, x in zip(plan.candidates.items(), cols, read[-1].T):
+            # norms of the contiguous acc, as np.linalg.norm takes them
+            acc = x.copy()
+            entry = report.per_word.setdefault(rare, {"candidates": list(cands)})
+            entry[name + "_norm_before"] = math.sqrt(acc.dot(acc))
+            for c, w in cands:
+                acc += w * X0[:, vocab.id(c)]
+            acc /= len(cands) + 1.0
+            X[:, r] = acc
+            entry[name + "_norm_after"] = math.sqrt(acc.dot(acc))
     # the output differs from the input only in the planned columns, and
     # the input's planned columns still hold what Eq. 4 read (a copy that
     # shares the input's arrays fails here)

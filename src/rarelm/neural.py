@@ -141,16 +141,25 @@ def forward_step(m: NeuralLM, words, h, c):
     words: (B,) input ids; h, c: (B, d_h) hidden and cell state. Returns
     (natural-log softmax over V, shape (B, |V|), new h, new c). The input
     state is never mutated.
+
+    A row gets the same bits in any batch of up to BATCH_ROWS rows: BLAS
+    takes a matmul of fewer than 8 rows down other kernels (gemv for one
+    row), so a narrower step repeats its rows up to 8 and returns the
+    first B.
     """
     words = np.asarray(words)
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
+    B = words.size
+    if B < 8:
+        pad = np.arange(8) % B
+        words, h, c = words[pad], h[pad], c[pad]
     z = np.concatenate([m.S[:, words].T, h], axis=1) @ m.W.T + m.b
     c, h = _gates(z, c)
     y = h @ m.U
     y -= y.max(axis=1, keepdims=True)
     y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
-    return y, h, c
+    return y[:B], h[:B], c[:B]
 
 
 def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:

@@ -63,6 +63,7 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
         to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
                             count=len(nlm.vocab))
     scores = []
+    # slices, not one pass: they bound the memory of the KN join and the mix
     for a in range(0, len(word_lists), neural.GROUP_ROWS):
         ids, lens = pack([encode(words, nlm.vocab)
                           for words in word_lists[a:a + neural.GROUP_ROWS]])

@@ -2,8 +2,8 @@
 untouched-parameter comparison.
 
 Deliberately naive: one planned word at a time, one candidate at a time,
-and a comparison of each kept column's bytes. Used as an oracle for the
-vectorised `rarelm.enrich.enrich_embeddings` and
+norms from np.linalg.norm, and a comparison of each kept column's bytes.
+Used as an oracle for `rarelm.enrich.enrich_embeddings` and the block-wise
 `rarelm.neural.same_except_columns`, which must agree bit for bit.
 """
 

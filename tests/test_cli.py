@@ -290,9 +290,12 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
       "--refs", "bundle/refs.txt", "--k", "0"], "k must be >= 1"),
     (["enrich", "--model", "missing.rlm", "--scope", "bundle/streets.txt",
       "--mode", "fromNbest"], "--mode fromNbest requires --nbest"),
+    (["sweep", "threshold", "--values", "10,,20", "--model", "missing.rlm",
+      "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
+      "--refs", "bundle/refs.txt"], "--values: '' is not an integer"),
 ], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram",
         "enrich-k-missing-model", "sweep-k-missing-model",
-        "enrich-fromNbest-missing-model"])
+        "enrich-fromNbest-missing-model", "sweep-values-missing-model"])
 def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
     d = workdir
     assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1

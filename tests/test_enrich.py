@@ -343,6 +343,28 @@ def test_enrich_matches_reference(m, data):
     assert enrich_reference.same_except_columns(m, before, ())
 
 
+def test_enrich_matches_reference_at_paper_width():
+    # the paper's d_s and d_h; ten planned words with 1 to 6 candidates,
+    # and the planned w1 is the candidate of w0
+    m = random_model(50, 300, 1000, 7)
+    rng = np.random.default_rng(7)
+    words = m.vocab.id_to_word[3:]
+    cands = {}
+    for i, r in enumerate(words[:10]):
+        sample = rng.choice([w for w in words if w != r], size=i % 6 + 1, replace=False)
+        cands[r] = [(str(c), float(rng.uniform(0.1, 3.0))) for c in sample]
+    cands["w0"] = [("w1", 1.5)]
+    plan = enrich.EnrichmentPlan(cands)
+    S, U, per_word = enrich_reference.enrich(m, plan)
+    out, report = enrich.enrich_embeddings(m, plan)
+    assert out.S.tobytes() == S.tobytes() and out.U.tobytes() == U.tobytes()
+
+    def bits(report):
+        return {w: {k: v.hex() if isinstance(v, float) else v for k, v in e.items()}
+                for w, e in report.items()}
+    assert bits(report.per_word) == bits(per_word)
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=models, data=st.data())
 def test_same_except_columns_matches_reference(m, data):

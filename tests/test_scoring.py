@@ -253,6 +253,51 @@ def test_steps_stay_within_row_cap(monkeypatch):
     assert widths and max(widths) == neural.BATCH_ROWS
 
 
+# the desk walkthrough's |V|, d_s and d_h, and a wider shape
+@pytest.mark.parametrize("nv,d_s,d_h,examples,max_hyps",
+                         [(142, 32, 64, 30, 150), (5000, 300, 1000, 4, 12)],
+                         ids=["desk", "wide"])
+def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
+    # every score has the bits it gets alone, whatever the hypotheses
+    # scored beside it, their order, their split into lm_scores calls,
+    # GROUP_ROWS and BATCH_ROWS; weights are scaled so that pre-activations
+    # and logits are of order 1
+    m = neural.init_model(Vocabulary(["w%d" % i for i in range(nv - 3)]), d_s, d_h, 0)
+    rng = np.random.default_rng(0)
+    for arr, scale in ((m.S, 1.0), (m.W, (d_s + d_h) ** -0.5), (m.b, 1.0),
+                       (m.U, 3.0 * d_h ** -0.5)):
+        arr[...] = rng.normal(0.0, scale, arr.shape)
+    words = m.vocab.id_to_word[3:13] + ["oov"]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        stems = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=6),
+                                   min_size=1, max_size=4))
+        hyps = []
+        for _ in range(data.draw(st.integers(1, max_hyps))):
+            stem = data.draw(st.sampled_from(stems))
+            hyps.append(stem[:data.draw(st.integers(0, len(stem)))]
+                        + data.draw(st.lists(st.sampled_from(words), max_size=2)))
+        alone = [rescore.lm_scores(m, None, [h])[0].hex() for h in hyps]
+        order = data.draw(st.permutations(range(len(hyps))))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(hyps)), max_size=4))
+                      - {len(hyps)})
+        got = [None] * len(hyps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "GROUP_ROWS", data.draw(st.integers(1, len(hyps))))
+            # at most 64: with two BLAS threads, a desk step of 111 to 142
+            # rows gets other bits than a narrower one
+            mp.setattr(neural, "BATCH_ROWS", data.draw(st.integers(1, 64)))
+            for part in np.split(np.array(order), cuts):
+                scores = rescore.lm_scores(m, None, [hyps[i] for i in part])
+                for i, score in zip(part, scores):
+                    got[i] = score.hex()
+        assert got == alone
+
+    check()
+
+
 def oracle_onebest(nbest, m, kn, mu):
     chosen = {}
     for nb in nbest:
