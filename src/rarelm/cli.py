@@ -126,12 +126,12 @@ def _rescore_settings(args):
 
 def cmd_enrich(args):
     cfg = _enrich_settings(args)
-    m = neural.load_model(args.model)
-    counts, scope = _enrich_words(args, m.vocab)
+    with open(args.model, "rb") as f:
+        vocab = neural._read_header(f)[0]
+    counts, scope = _enrich_words(args, vocab)
     nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
-    plan = enrich.plan_enrichment(counts, scope, m.vocab, cfg, nbest)
-    enriched, report = enrich.enrich_embeddings(m, plan)
-    neural.save_model(enriched, args.output)
+    plan = enrich.plan_enrichment(counts, scope, vocab, cfg, nbest)
+    report = enrich.enrich_checkpoint(args.model, args.output, plan)
     if args.plan_out:
         plan.to_file(args.plan_out)
     print("enriched %d words (%s) -> %s" % (report.modified, args.mode, args.output))

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import neural
 from .neural import NeuralLM, same_except_columns
 from .textcorpus import Vocabulary
 
@@ -123,15 +124,9 @@ class EnrichmentReport:
     per_word: dict = field(default_factory=dict)  # word -> norms/candidates
 
 
-def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, EnrichmentReport]:
-    """Apply the centroid update to the planned columns of S and U, one
-    planned word at a time in plan order.
-
-    Candidate vectors are read from the unmodified input, so the result
-    does not depend on update order even if a candidate is itself planned.
-    Validates the whole plan before touching anything.
-    """
-    vocab = m.vocab
+def _check_plan(plan: EnrichmentPlan, vocab: Vocabulary) -> tuple:
+    """Validate the whole plan against vocab; returns the planned ids in
+    plan order, and the sorted ids of every planned or candidate word."""
     for rare, cands in plan.candidates.items():
         if rare not in vocab:
             raise ValueError("planned word %r not in vocabulary" % rare)
@@ -146,28 +141,94 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
                 raise ValueError("non-finite weight for candidate %r" % c)
             if w <= 0:
                 raise ValueError("non-positive weight for candidate %r" % c)
+    cols = [vocab.id(r) for r in plan.candidates]
+    used = set(cols).union(vocab.id(c) for cands in plan.candidates.values() for c, _ in cands)
+    return np.array(cols, dtype=np.intp), np.array(sorted(used), dtype=np.intp)
 
+
+def _eq4(plan: EnrichmentPlan, vocab: Vocabulary, used, XT, name: str,
+         report: EnrichmentReport) -> np.ndarray:
+    """Eq. 4 over one matrix, one planned word at a time in plan order,
+    from XT[k], the column of word id used[k] as a float64 row. Returns the
+    new columns as rows; the norms, of the contiguous acc as np.linalg.norm
+    takes them, go into report.per_word."""
+    at = {int(v): k for k, v in enumerate(used)}
+    out = np.empty((len(plan), XT.shape[1]))
+    for acc_out, (rare, cands) in zip(out, plan.candidates.items()):
+        acc = XT[at[vocab.id(rare)]].copy()
+        entry = report.per_word.setdefault(rare, {"candidates": list(cands)})
+        entry[name + "_norm_before"] = math.sqrt(acc.dot(acc))
+        for c, w in cands:
+            acc += w * XT[at[vocab.id(c)]]
+        acc /= len(cands) + 1.0
+        acc_out[:] = acc
+        entry[name + "_norm_after"] = math.sqrt(acc.dot(acc))
+    return out
+
+
+def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, EnrichmentReport]:
+    """Apply Eq. 4 to the planned columns of a copy of m's S and U.
+
+    Candidate vectors are read from the unmodified input, so the result
+    does not depend on update order even if a candidate is itself planned.
+    Validates the whole plan before touching anything.
+    """
+    cols, used = _check_plan(plan, m.vocab)
     out = m.copy()
-    cols = np.array([vocab.id(r) for r in plan.candidates], dtype=np.intp)
     report = EnrichmentReport(modified=len(cols))
-    read = []  # the planned columns of S and U as Eq. 4 read them
+    read = []  # the columns of S and U as Eq. 4 read them
     for name, X0, X in (("s", m.S, out.S), ("u", m.U, out.U)):
-        read.append(X0[:, cols])
-        for (rare, cands), r, x in zip(plan.candidates.items(), cols, read[-1].T):
-            # norms of the contiguous acc, as np.linalg.norm takes them
-            acc = x.copy()
-            entry = report.per_word.setdefault(rare, {"candidates": list(cands)})
-            entry[name + "_norm_before"] = math.sqrt(acc.dot(acc))
-            for c, w in cands:
-                acc += w * X0[:, vocab.id(c)]
-            acc /= len(cands) + 1.0
-            X[:, r] = acc
-            entry[name + "_norm_after"] = math.sqrt(acc.dot(acc))
+        read.append(X0.T[used])
+        X[:, cols] = _eq4(plan, m.vocab, used, read[-1], name, report).T
     # the output differs from the input only in the planned columns, and
-    # the input's planned columns still hold what Eq. 4 read (a copy that
-    # shares the input's arrays fails here)
+    # the input still holds what Eq. 4 read (a copy that shares the
+    # input's arrays fails here)
     if not (same_except_columns(m, out, cols)
-            and all(np.array_equal(r.view(np.uint64), X0[:, cols].view(np.uint64))
+            and all(np.array_equal(r.view(np.uint64), X0.T[used].view(np.uint64))
                     for r, X0 in zip(read, (m.S, m.U)))):
         raise RuntimeError("enrichment changed parameters outside the planned columns")
     return out, report
+
+
+def enrich_checkpoint(src, dst, plan: EnrichmentPlan) -> EnrichmentReport:
+    """Write to dst (which may be src) the bytes save_model writes for
+    enrich_embeddings(load_model(src), plan), without building a model.
+
+    Pass 1 reads and checks src block by block and gathers the S and U
+    columns Eq. 4 reads; pass 2 copies src with the planned columns
+    replaced, block by block.
+    """
+    with open(src, "rb") as f:
+        vocab, d_s, d_h = neural._read_header(f)
+        cols, used = _check_plan(plan, vocab)
+        start = f.tell()
+        read = {"S": np.empty((d_s, used.size), dtype="<f4"),
+                "U": np.empty((d_h, used.size), dtype="<f4")}
+        for name, i, block in neural._payload_blocks(f, d_s, d_h, len(vocab)):
+            if name in read:
+                read[name][i:i + len(block)] = block[:, used]
+        report = EnrichmentReport(modified=len(cols))
+        new = {name: _eq4(plan, vocab, used, np.ascontiguousarray(X.T, dtype=np.float64),
+                          name.lower(), report).T.astype("<f4")
+               for name, X in read.items()}
+        f.seek(start)
+
+        def edited():
+            # src still holds what pass 1 read, and each written block
+            # differs from its source only in the planned columns
+            for name, i, block in neural._payload_blocks(f, d_s, d_h, len(vocab)):
+                if name in new:
+                    out = block.copy()
+                    out[:, cols] = new[name][i:i + len(block)]
+                    differ = out.view(np.uint32) != block.view(np.uint32)
+                    differ[:, cols] = False
+                    if differ.any() or not np.array_equal(
+                            block[:, used].view(np.uint32),
+                            read[name][i:i + len(block)].view(np.uint32)):
+                        raise RuntimeError("enrichment changed parameters "
+                                           "outside the planned columns")
+                    block = out
+                yield block
+
+        neural._write_checkpoint(dst, vocab, d_s, d_h, edited())
+    return report

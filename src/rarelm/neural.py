@@ -20,9 +20,13 @@ from .textcorpus import SPECIALS, Vocabulary, pack
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
-# rows per batched inference step, per checkpoint write and per parameter
-# comparison; bounds the memory each takes at any |V|
+# rows per batched inference step, per checkpoint block read or written and
+# per parameter comparison; bounds the memory each takes at any |V|. A step
+# wider than STEP_ROWS_MAX can change bits with 2 BLAS threads, so raising
+# either must first show that scores keep their bits at the new width with
+# OPENBLAS_NUM_THREADS=1 and =2, each set in a fresh subprocess.
 BATCH_ROWS = 64
+STEP_ROWS_MAX = 64
 GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
 
 
@@ -142,15 +146,18 @@ def forward_step(m: NeuralLM, words, h, c):
     (natural-log softmax over V, shape (B, |V|), new h, new c). The input
     state is never mutated.
 
-    A row gets the same bits in any batch of up to BATCH_ROWS rows: BLAS
-    takes a matmul of fewer than 8 rows down other kernels (gemv for one
-    row), so a narrower step repeats its rows up to 8 and returns the
-    first B.
+    A row gets the same bits in any batch of up to STEP_ROWS_MAX rows,
+    and a wider step raises ValueError: BLAS takes a matmul of fewer than
+    8 rows down other kernels (gemv for one row), so a narrower step
+    repeats its rows up to 8 and returns the first B.
     """
     words = np.asarray(words)
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
     B = words.size
+    if B > STEP_ROWS_MAX:
+        raise ValueError("step of %d rows is wider than STEP_ROWS_MAX=%d"
+                         % (B, STEP_ROWS_MAX))
     if B < 8:
         pad = np.arange(8) % B
         words, h, c = words[pad], h[pad], c[pad]
@@ -421,97 +428,129 @@ def train(m: NeuralLM, corpus_ids, cfg: TrainConfig, val_ids=None,
     return m, history
 
 
-def save_model(m: NeuralLM, path) -> None:
-    """Write the RLM1 checkpoint: magic, JSON header, float32 LE payloads."""
+def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> None:
+    """Write an RLM1 checkpoint: magic, JSON header, then the float32 LE
+    payload blocks in order, to a file beside path that replaces path only
+    once whole. On failure it is removed and path keeps its bytes. Plain
+    open() gives it the mode the umask gives any new file."""
     header = {
         "version": CHECKPOINT_VERSION,
-        "d_s": m.d_s,
-        "d_h": m.d_h,
-        "vocab_size": m.vocab_size,
+        "d_s": d_s,
+        "d_h": d_h,
+        "vocab_size": len(vocab),
         "gate_order": "ifgo",
-        "vocab": m.vocab.id_to_word,
-        "counts": [m.vocab.counts.get(w, 0) for w in m.vocab.id_to_word],
+        "vocab": vocab.id_to_word,
+        "counts": [vocab.counts.get(w, 0) for w in vocab.id_to_word],
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(hbytes)))
-        f.write(hbytes)
-        for arr in (m.S, m.W, m.b, m.U):
-            for i in range(0, arr.shape[0], BATCH_ROWS):
-                arr[i:i + BATCH_ROWS].astype("<f4").tofile(f)
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(MAGIC + struct.pack("<I", len(hbytes)) + hbytes)
+            for block in blocks:
+                f.write(block)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def save_model(m: NeuralLM, path) -> None:
+    """Write m as an RLM1 checkpoint, BATCH_ROWS rows at a time."""
+    _write_checkpoint(path, m.vocab, m.d_s, m.d_h,
+                      (arr[i:i + BATCH_ROWS].astype("<f4") for arr in (m.S, m.W, m.b, m.U)
+                       for i in range(0, arr.shape[0], BATCH_ROWS)))
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def load_model(path) -> NeuralLM:
-    """Read an RLM1 checkpoint into float64 parameters.
+def _shapes(d_s: int, d_h: int, nv: int) -> list:
+    """The shapes of S, W, b and U, in payload order."""
+    return [(d_s, nv), (4 * d_h, d_s + d_h), (4 * d_h,), (d_h, nv)]
+
+
+def _read_header(f) -> tuple:
+    """Read the magic and JSON header of the RLM1 checkpoint open as f,
+    leaving f at the payload; returns (vocab, d_s, d_h).
 
     Raises CheckpointError for a bad magic, a truncated or unreadable
     header, a header without the model's dimensions, a vocabulary with a
     repeated or non-string word, counts that are not |V| non-negative
-    integers, a payload whose byte length differs from what the header's
-    dimensions need, and non-finite weights.
+    integers, and a payload whose byte length differs from what the
+    header's dimensions need.
     """
+    if f.read(4) != MAGIC:
+        raise CheckpointError("bad magic: not an RLM1 checkpoint")
+    raw = f.read(4)
+    if len(raw) < 4:
+        raise CheckpointError("truncated checkpoint header")
+    (hlen,) = struct.unpack("<I", raw)
+    payload_bytes = os.fstat(f.fileno()).st_size - (8 + hlen)
+    if payload_bytes < 0:
+        raise CheckpointError("truncated checkpoint header")
+    hbytes = f.read(hlen)
+    try:
+        header = json.loads(hbytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError("unreadable checkpoint header: %s" % e)
+    if not isinstance(header, dict):
+        raise CheckpointError("unreadable checkpoint header: not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError("unsupported checkpoint version %r" % header.get("version"))
+    for key in ("d_s", "d_h", "vocab_size", "vocab"):
+        if key not in header:
+            raise CheckpointError("checkpoint header lacks %r" % key)
+    d_s, d_h, nv = header["d_s"], header["d_h"], header["vocab_size"]
+    if not all(isinstance(v, int) and v > 0 for v in (d_s, d_h, nv)):
+        raise CheckpointError("checkpoint dims must be positive integers")
+    words = header["vocab"]
+    if not isinstance(words, list) or len(words) != nv or words[:3] != list(SPECIALS):
+        raise CheckpointError("checkpoint vocabulary is inconsistent")
+    if not all(isinstance(w, str) for w in words):
+        raise CheckpointError("checkpoint vocabulary holds a non-string word")
+    if len(set(words)) != nv:
+        raise CheckpointError("checkpoint vocabulary repeats a word")
+    counts = header.get("counts", [0] * nv)
+    if not (isinstance(counts, list) and len(counts) == nv
+            and all(type(c) is int and c >= 0 for c in counts)):
+        raise CheckpointError("checkpoint counts must be a list of %d "
+                              "non-negative integers" % nv)
+    need = 4 * sum(math.prod(s) for s in _shapes(d_s, d_h, nv))
+    if payload_bytes != need:
+        raise CheckpointError("payload length %d does not match header dims "
+                              "(expected %d)" % (payload_bytes, need))
+    return Vocabulary(words[3:], dict(zip(words, counts))), d_s, d_h
+
+
+def _payload_blocks(f, d_s: int, d_h: int, nv: int):
+    """Yield (name, first row, float32 block) for BATCH_ROWS rows at a
+    time of S, W, b and U, read from f at the payload and checked for
+    non-finite values. Each block is a view of one reused buffer, valid
+    until the next is yielded."""
+    shapes = _shapes(d_s, d_h, nv)
+    buf = np.empty(BATCH_ROWS * max(math.prod(s[1:]) for s in shapes), dtype="<f4")
+    for name, shape in zip("SWbU", shapes):
+        width = math.prod(shape[1:])
+        for i in range(0, shape[0], BATCH_ROWS):
+            rows = min(BATCH_ROWS, shape[0] - i)
+            block = buf[:rows * width]
+            if f.readinto(block) != block.nbytes:
+                raise CheckpointError("checkpoint payload ended early in %s" % name)
+            if not np.isfinite(block).all():
+                raise CheckpointError("checkpoint holds non-finite weights in %s" % name)
+            yield name, i, block.reshape((rows,) + shape[1:])
+
+
+def load_model(path) -> NeuralLM:
+    """Read an RLM1 checkpoint into float64 parameters, block by block.
+    Raises CheckpointError for the faults _read_header names and for
+    non-finite weights."""
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise CheckpointError("bad magic: not an RLM1 checkpoint")
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise CheckpointError("truncated checkpoint header")
-        (hlen,) = struct.unpack("<I", raw)
-        payload_bytes = os.fstat(f.fileno()).st_size - (8 + hlen)
-        if payload_bytes < 0:
-            raise CheckpointError("truncated checkpoint header")
-        hbytes = f.read(hlen)
-        try:
-            header = json.loads(hbytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError("unreadable checkpoint header: %s" % e)
-        if not isinstance(header, dict):
-            raise CheckpointError("unreadable checkpoint header: not a JSON object")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError("unsupported checkpoint version %r" % header.get("version"))
-        for key in ("d_s", "d_h", "vocab_size", "vocab"):
-            if key not in header:
-                raise CheckpointError("checkpoint header lacks %r" % key)
-        d_s, d_h, nv = header["d_s"], header["d_h"], header["vocab_size"]
-        if not all(isinstance(v, int) and v > 0 for v in (d_s, d_h, nv)):
-            raise CheckpointError("checkpoint dims must be positive integers")
-        words = header["vocab"]
-        if not isinstance(words, list) or len(words) != nv or words[:3] != list(SPECIALS):
-            raise CheckpointError("checkpoint vocabulary is inconsistent")
-        if not all(isinstance(w, str) for w in words):
-            raise CheckpointError("checkpoint vocabulary holds a non-string word")
-        if len(set(words)) != nv:
-            raise CheckpointError("checkpoint vocabulary repeats a word")
-        counts = header.get("counts", [0] * nv)
-        if not (isinstance(counts, list) and len(counts) == nv
-                and all(type(c) is int and c >= 0 for c in counts)):
-            raise CheckpointError("checkpoint counts must be a list of %d "
-                                  "non-negative integers" % nv)
-        vocab = Vocabulary(words[3:], dict(zip(words, counts)))
-        shapes = [(d_s, nv), (4 * d_h, d_s + d_h), (4 * d_h,), (d_h, nv)]
-        sizes = [int(np.prod(s)) for s in shapes]
-        need = sum(sizes)
-        # np.fromfile drops a trailing partial float, so compare bytes first
-        if payload_bytes != need * 4:
-            raise CheckpointError(
-                "payload length %d does not match header dims (expected %d)"
-                % (payload_bytes, need * 4))
-        payload = np.fromfile(f, dtype="<f4", count=need)
-    if payload.size != need:
-        raise CheckpointError("checkpoint payload ended early: %d of %d floats"
-                              % (payload.size, need))
-    arrays = []
-    off = 0
-    for name, shape, n in zip("SWbU", shapes, sizes):
-        block = payload[off:off + n]
-        if not np.isfinite(block).all():
-            raise CheckpointError("checkpoint holds non-finite weights in %s" % name)
-        arrays.append(block.astype(np.float64).reshape(shape))
-        off += n
-    S, W, b, U = arrays
-    return NeuralLM(vocab, d_s, d_h, S, W, b, U)
+        vocab, d_s, d_h = _read_header(f)
+        params = dict(zip("SWbU", (np.empty(s) for s in _shapes(d_s, d_h, len(vocab)))))
+        for name, i, block in _payload_blocks(f, d_s, d_h, len(vocab)):
+            params[name][i:i + len(block)] = block
+    return NeuralLM(vocab, d_s, d_h, **params)

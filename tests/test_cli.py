@@ -1,9 +1,11 @@
 import filecmp
 import os
+import shutil
 
+import numpy as np
 import pytest
 
-from rarelm import __version__, cli, metrics
+from rarelm import __version__, cli, metrics, neural
 
 
 def run(argv, capsys=None):
@@ -75,6 +77,73 @@ def test_enrich_out_of_vocabulary_scope_copies_model(workdir, capsys):
                 "--output", str(d / "unchanged.rlm")]) == 0
     assert "enriched 0 words" in capsys.readouterr().out
     assert filecmp.cmp(d / "lstm.rlm", d / "unchanged.rlm", shallow=False)
+
+
+def enrich_argv(d, model, output):
+    return ["enrich", "--model", str(model), "--scope", str(d / "bundle" / "streets.txt"),
+            "--k", "3", "--output", str(output), "--seed", "2"]
+
+
+def test_enrich_in_place_builds_no_model(workdir, tmp_path, monkeypatch):
+    # enrich streams the checkpoint; writing over its own source gives the
+    # bytes it writes elsewhere
+    def no_model(*args):
+        raise AssertionError("enrich built a model")
+
+    monkeypatch.setattr(neural, "load_model", no_model)
+    monkeypatch.setattr(neural.NeuralLM, "copy", no_model)
+    m = tmp_path / "m.rlm"
+    shutil.copyfile(workdir / "lstm.rlm", m)
+    assert run(enrich_argv(workdir, m, tmp_path / "elsewhere.rlm")) == 0
+    assert run(enrich_argv(workdir, m, m)) == 0
+    assert m.read_bytes() == (tmp_path / "elsewhere.rlm").read_bytes()
+    assert m.read_bytes() != (workdir / "lstm.rlm").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["elsewhere.rlm", "m.rlm"]
+
+
+def assert_failure_keeps_output(d, argv, output, capsys, message):
+    """argv fails with message, leaving output's bytes and no other file."""
+    before = {f.name: f.read_bytes() for f in d.iterdir()}
+    assert output.name in before
+    assert run(argv) == 1
+    assert "error: %s" % message in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in d.iterdir()} == before
+
+
+@pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
+def test_failed_enrich_keeps_output(workdir, tmp_path, capsys, same_path):
+    m = neural.load_model(workdir / "lstm.rlm")
+    m.U[-1, -1] = np.nan
+    src = tmp_path / "nan.rlm"
+    neural.save_model(m, src)
+    out = src if same_path else tmp_path / "out.rlm"
+    out.write_bytes(src.read_bytes() if same_path else b"an earlier output")
+    assert_failure_keeps_output(tmp_path, enrich_argv(workdir, src, out), out, capsys,
+                                "checkpoint holds non-finite weights in U")
+
+
+class FullDisk(np.ndarray):
+    """An array whose checkpoint blocks fail to write."""
+    def astype(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+
+def test_failed_train_lstm_keeps_output(workdir, tmp_path, capsys, monkeypatch):
+    # save_model fails after writing the header, S, W and b
+    train = neural.train
+
+    def train_then_fail_at_u(*args, **kwargs):
+        m, history = train(*args, **kwargs)
+        m.U = m.U.view(FullDisk)
+        return m, history
+
+    monkeypatch.setattr(neural, "train", train_then_fail_at_u)
+    out = tmp_path / "lstm.rlm"
+    out.write_bytes(b"an earlier output")
+    argv = ["train-lstm", "--corpus", str(workdir / "bundle" / "train.txt"),
+            "--vocab", str(workdir / "vocab.txt"), "--output", str(out),
+            "--embed-dim", "2", "--hidden-dim", "2", "--epochs", "1", "--batch-size", "8"]
+    assert_failure_keeps_output(tmp_path, argv, out, capsys, "no space left on device")
 
 
 def test_enrich_from_nbest_requires_nbest(workdir):

@@ -226,6 +226,30 @@ def test_enrich_raises_when_copy_shares_input_s(monkeypatch):
         enrich.enrich_embeddings(m, enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
 
 
+@pytest.mark.parametrize("name", "SU")
+def test_enrich_checkpoint_raises_when_source_changes_between_passes(
+        tmp_path, monkeypatch, name):
+    # pass 2 finds a planned column of src no longer holding what pass 1 read
+    src = tmp_path / "m.rlm"
+    neural.save_model(model_with(["r", "c", "z"]), src)
+    r = neural.load_model(src).vocab.id("r")
+    blocks = neural._payload_blocks
+    passes = []
+
+    def second_pass_differs(*args):
+        passes.append(None)
+        for n, i, block in blocks(*args):
+            if len(passes) == 2 and n == name and i == 0:
+                block[0, r] = np.nextafter(block[0, r], np.inf)
+            yield n, i, block
+
+    monkeypatch.setattr(neural, "_payload_blocks", second_pass_differs)
+    with pytest.raises(RuntimeError, match="outside the planned columns"):
+        enrich.enrich_checkpoint(src, tmp_path / "out.rlm",
+                                 enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
+    assert [f.name for f in tmp_path.iterdir()] == ["m.rlm"]
+
+
 def test_empty_plan_is_identity():
     m = model_with(["r"])
     out, report = enrich.enrich_embeddings(m, enrich.EnrichmentPlan({}))
@@ -343,7 +367,7 @@ def test_enrich_matches_reference(m, data):
     assert enrich_reference.same_except_columns(m, before, ())
 
 
-def test_enrich_matches_reference_at_paper_width():
+def paper_width_case():
     # the paper's d_s and d_h; ten planned words with 1 to 6 candidates,
     # and the planned w1 is the candidate of w0
     m = random_model(50, 300, 1000, 7)
@@ -354,15 +378,48 @@ def test_enrich_matches_reference_at_paper_width():
         sample = rng.choice([w for w in words if w != r], size=i % 6 + 1, replace=False)
         cands[r] = [(str(c), float(rng.uniform(0.1, 3.0))) for c in sample]
     cands["w0"] = [("w1", 1.5)]
-    plan = enrich.EnrichmentPlan(cands)
+    return m, enrich.EnrichmentPlan(cands)
+
+
+def bits(per_word):
+    return {w: {k: v.hex() if isinstance(v, float) else v for k, v in e.items()}
+            for w, e in per_word.items()}
+
+
+def test_enrich_matches_reference_at_paper_width():
+    m, plan = paper_width_case()
     S, U, per_word = enrich_reference.enrich(m, plan)
     out, report = enrich.enrich_embeddings(m, plan)
     assert out.S.tobytes() == S.tobytes() and out.U.tobytes() == U.tobytes()
-
-    def bits(report):
-        return {w: {k: v.hex() if isinstance(v, float) else v for k, v in e.items()}
-                for w, e in report.items()}
     assert bits(report.per_word) == bits(per_word)
+
+
+def assert_streamed_matches_in_memory(m, plan, d):
+    """enrich_checkpoint writes the bytes, and reports the norms, that
+    save_model(enrich_embeddings(load_model(src))) gives."""
+    src, want, got = d / "src.rlm", d / "want.rlm", d / "got.rlm"
+    neural.save_model(m, src)
+    out, report = enrich.enrich_embeddings(neural.load_model(src), plan)
+    neural.save_model(out, want)
+    streamed = enrich.enrich_checkpoint(src, got, plan)
+    assert got.read_bytes() == want.read_bytes()
+    assert streamed.modified == report.modified
+    assert bits(streamed.per_word) == bits(report.per_word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=models, data=st.data())
+def test_enrich_checkpoint_matches_in_memory(tmp_path_factory, m, data):
+    # plans may be empty, weights non-integral and candidates planned;
+    # small blocks put every matrix across several
+    plan = data.draw(plans(m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neural, "BATCH_ROWS", data.draw(st.integers(1, 64)))
+        assert_streamed_matches_in_memory(m, plan, tmp_path_factory.mktemp("ckpt"))
+
+
+def test_enrich_checkpoint_matches_in_memory_at_paper_width(tmp_path):
+    assert_streamed_matches_in_memory(*paper_width_case(), tmp_path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rarelm import neural
+from rarelm import enrich, neural
 from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode, pack
 
 
@@ -117,6 +117,16 @@ def test_forward_step_out_of_range():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(IndexError):
         neural.forward_step(m, [len(m.vocab)], zeros(m), zeros(m))
+
+
+def test_forward_step_rejects_a_step_wider_than_the_cap():
+    # wider steps can change bits with 2 BLAS threads
+    m = neural.init_model(small_vocab(), 2, 3, seed=0)
+    n = neural.STEP_ROWS_MAX
+    h = np.zeros((n + 1, m.d_h))
+    neural.forward_step(m, np.ones(n, dtype=int), h[:n], h[:n])
+    with pytest.raises(ValueError, match="wider than STEP_ROWS_MAX=64"):
+        neural.forward_step(m, np.ones(n + 1, dtype=int), h, h)
 
 
 def test_forward_step_state_not_mutated():
@@ -424,14 +434,31 @@ def test_checkpoint_rejects_bad_counts(tmp_path, edit):
         neural.load_model(p)
 
 
+def enrich_to_missing_output(p):
+    """enrich_checkpoint from p; asserts that it created no file."""
+    try:
+        enrich.enrich_checkpoint(p, p.parent / "out.rlm",
+                                 enrich.EnrichmentPlan({"x0": [("x1", 1.0)]}))
+    finally:
+        assert [f.name for f in p.parent.iterdir()] == [p.name]
+
+
+@pytest.mark.parametrize("read", [neural.load_model, enrich_to_missing_output],
+                         ids=["load_model", "enrich_checkpoint"])
+@pytest.mark.parametrize("name", "SWbU")
+@pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_checkpoint_rejects_non_finite(tmp_path, bad):
-    m = neural.init_model(small_vocab(), 2, 2, seed=0)
-    m.U[1, 2] = bad
+def test_checkpoint_rejects_non_finite(tmp_path, monkeypatch, read, name, row, bad):
+    # with 3-row blocks every matrix spans several, so the first and the
+    # last row fall in different blocks
+    monkeypatch.setattr(neural, "BATCH_ROWS", 3)
+    m = neural.init_model(small_vocab(2), 5, 4, seed=0)
+    assert all(len(getattr(m, n)) > 3 for n in "SWbU")
+    getattr(m, name)[row] = bad
     p = tmp_path / "m.rlm"
     neural.save_model(m, p)
-    with pytest.raises(neural.CheckpointError, match="non-finite weights in U"):
-        neural.load_model(p)
+    with pytest.raises(neural.CheckpointError, match="non-finite weights in %s" % name):
+        read(p)
 
 
 @pytest.mark.parametrize("extra", [2, 4])
