@@ -127,11 +127,11 @@ def _rescore_settings(args):
 def cmd_enrich(args):
     cfg = _enrich_settings(args)
     with open(args.model, "rb") as f:
-        vocab = neural._read_header(f)[0]
-    counts, scope = _enrich_words(args, vocab)
-    nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
-    plan = enrich.plan_enrichment(counts, scope, vocab, cfg, nbest)
-    report = enrich.enrich_checkpoint(args.model, args.output, plan)
+        header = neural._read_header(f)
+        counts, scope = _enrich_words(args, header[0])
+        nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
+        plan = enrich.plan_enrichment(counts, scope, header[0], cfg, nbest)
+        report = enrich.enrich_checkpoint(f, header, args.output, plan)
     if args.plan_out:
         plan.to_file(args.plan_out)
     print("enriched %d words (%s) -> %s" % (report.modified, args.mode, args.output))

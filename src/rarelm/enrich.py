@@ -190,45 +190,46 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
     return out, report
 
 
-def enrich_checkpoint(src, dst, plan: EnrichmentPlan) -> EnrichmentReport:
-    """Write to dst (which may be src) the bytes save_model writes for
-    enrich_embeddings(load_model(src), plan), without building a model.
+def enrich_checkpoint(f, header, dst, plan: EnrichmentPlan) -> EnrichmentReport:
+    """Write to dst (which may be the file f reads) the bytes save_model
+    writes for enrich_embeddings(load_model(src), plan), without building
+    a model. f is the checkpoint src open for binary reading at its
+    payload, and header what neural._read_header returned for it.
 
     Pass 1 reads and checks src block by block and gathers the S and U
     columns Eq. 4 reads; pass 2 copies src with the planned columns
     replaced, block by block.
     """
-    with open(src, "rb") as f:
-        vocab, d_s, d_h = neural._read_header(f)
-        cols, used = _check_plan(plan, vocab)
-        start = f.tell()
-        read = {"S": np.empty((d_s, used.size), dtype="<f4"),
-                "U": np.empty((d_h, used.size), dtype="<f4")}
+    vocab, d_s, d_h = header
+    cols, used = _check_plan(plan, vocab)
+    start = f.tell()
+    read = {"S": np.empty((d_s, used.size), dtype="<f4"),
+            "U": np.empty((d_h, used.size), dtype="<f4")}
+    for name, i, block in neural._payload_blocks(f, d_s, d_h, len(vocab)):
+        if name in read:
+            read[name][i:i + len(block)] = block[:, used]
+    report = EnrichmentReport(modified=len(cols))
+    new = {name: _eq4(plan, vocab, used, np.ascontiguousarray(X.T, dtype=np.float64),
+                      name.lower(), report).T.astype("<f4")
+           for name, X in read.items()}
+    f.seek(start)
+
+    def edited():
+        # src still holds what pass 1 read, and each written block
+        # differs from its source only in the planned columns
         for name, i, block in neural._payload_blocks(f, d_s, d_h, len(vocab)):
-            if name in read:
-                read[name][i:i + len(block)] = block[:, used]
-        report = EnrichmentReport(modified=len(cols))
-        new = {name: _eq4(plan, vocab, used, np.ascontiguousarray(X.T, dtype=np.float64),
-                          name.lower(), report).T.astype("<f4")
-               for name, X in read.items()}
-        f.seek(start)
+            if name in new:
+                out = block.copy()
+                out[:, cols] = new[name][i:i + len(block)]
+                differ = out.view(np.uint32) != block.view(np.uint32)
+                differ[:, cols] = False
+                if differ.any() or not np.array_equal(
+                        block[:, used].view(np.uint32),
+                        read[name][i:i + len(block)].view(np.uint32)):
+                    raise RuntimeError("enrichment changed parameters "
+                                       "outside the planned columns")
+                block = out
+            yield block
 
-        def edited():
-            # src still holds what pass 1 read, and each written block
-            # differs from its source only in the planned columns
-            for name, i, block in neural._payload_blocks(f, d_s, d_h, len(vocab)):
-                if name in new:
-                    out = block.copy()
-                    out[:, cols] = new[name][i:i + len(block)]
-                    differ = out.view(np.uint32) != block.view(np.uint32)
-                    differ[:, cols] = False
-                    if differ.any() or not np.array_equal(
-                            block[:, used].view(np.uint32),
-                            read[name][i:i + len(block)].view(np.uint32)):
-                        raise RuntimeError("enrichment changed parameters "
-                                           "outside the planned columns")
-                    block = out
-                yield block
-
-        neural._write_checkpoint(dst, vocab, d_s, d_h, edited())
+    neural._write_checkpoint(dst, vocab, d_s, d_h, edited())
     return report

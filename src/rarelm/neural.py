@@ -431,8 +431,9 @@ def train(m: NeuralLM, corpus_ids, cfg: TrainConfig, val_ids=None,
 def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> None:
     """Write an RLM1 checkpoint: magic, JSON header, then the float32 LE
     payload blocks in order, to a file beside path that replaces path only
-    once whole. On failure it is removed and path keeps its bytes. Plain
-    open() gives it the mode the umask gives any new file."""
+    once whole. On failure it is removed and path keeps its bytes; if it
+    cannot be opened, the OSError names path. Plain open() gives it the
+    mode the umask gives any new file."""
     header = {
         "version": CHECKPOINT_VERSION,
         "d_s": d_s,
@@ -444,7 +445,10 @@ def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> No
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
-    f = open(tmp, "wb")
+    try:
+        f = open(tmp, "wb")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     try:
         with f:
             f.write(MAGIC + struct.pack("<I", len(hbytes)) + hbytes)

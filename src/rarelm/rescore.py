@@ -46,15 +46,18 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     """log10 probability of each hypothesis under (1-mu)*P_nlm + mu*P_kn.
 
     The mix is linear in the probability domain per position. State is
-    reset for every hypothesis; OOV words map to unk. The hypotheses are
-    taken neural.GROUP_ROWS at a time in input order; each slice is
-    encoded and packed back to back once, and both models answer every
-    position of the slice as one flat array in that layout. The two
+    reset for every hypothesis; OOV words map to unk. Every hypothesis is
+    encoded once, and the hypotheses are taken neural.GROUP_ROWS at a
+    time in lexicographic order of their id lists, so that hypotheses
+    sharing a prefix, from any list, mostly fall in one slice and step
+    it once. Each slice is packed back to back, and both models answer
+    every position of the slice as one flat array in that layout. The two
     models are joined by word: one take through a map from each
     neural-vocab id to the KN id of the same word, or to KN's unk, gives
     the KN ids of every position. The mix is elementwise; each hypothesis
     sums its positions left to right, so every score has the bits of
-    sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions.
+    sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions,
+    whatever its slice. Scores come back in input order.
     """
     if interp_weight > 0.0 and kn is None:
         raise ValueError("interp_weight > 0 requires an n-gram model")
@@ -62,11 +65,13 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     if mu > 0.0:
         to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
                             count=len(nlm.vocab))
-    scores = []
+    seqs = [encode(words, nlm.vocab) for words in word_lists]
+    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    scores = np.empty(len(seqs))
     # slices, not one pass: they bound the memory of the KN join and the mix
-    for a in range(0, len(word_lists), neural.GROUP_ROWS):
-        ids, lens = pack([encode(words, nlm.vocab)
-                          for words in word_lists[a:a + neural.GROUP_ROWS]])
+    for a in range(0, len(seqs), neural.GROUP_ROWS):
+        idx = order[a:a + neural.GROUP_ROWS]
+        ids, lens = pack(map(seqs.__getitem__, idx))
         lp = position_logprobs(nlm, ids, lens)
         if mu > 0.0:
             q = kn.prob_many(np.take(to_kn, ids), lens)
@@ -75,8 +80,8 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
                             dtype=np.float64, count=lp.size)
             mix = ((1.0 - mu) * p + mu * q).tolist()
             lp = np.fromiter(map(math.log10, mix), dtype=np.float64, count=len(mix))
-        scores += left_sums(lp, lens).tolist()
-    return scores
+        scores[idx] = left_sums(lp, lens)
+    return scores.tolist()
 
 
 def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestList]:
@@ -84,8 +89,9 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
 
     Ties are broken by original rank (lower wins); each returned list has
     its chosen top hypothesis at element 0. An empty list fails before any
-    scoring. All hypotheses go through one lm_scores call in file order;
-    its slices may cut across lists.
+    scoring. All hypotheses go through one lm_scores call, which scores
+    them in prefix order, across list boundaries, and returns their
+    scores in file order.
     """
     for nb in lists:
         if not nb.hypotheses:

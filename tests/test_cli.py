@@ -140,10 +140,42 @@ def test_failed_train_lstm_keeps_output(workdir, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(neural, "train", train_then_fail_at_u)
     out = tmp_path / "lstm.rlm"
     out.write_bytes(b"an earlier output")
-    argv = ["train-lstm", "--corpus", str(workdir / "bundle" / "train.txt"),
-            "--vocab", str(workdir / "vocab.txt"), "--output", str(out),
+    assert_failure_keeps_output(tmp_path, train_lstm_argv(workdir, out), out, capsys,
+                                "no space left on device")
+
+
+def train_lstm_argv(d, output):
+    return ["train-lstm", "--corpus", str(d / "bundle" / "train.txt"),
+            "--vocab", str(d / "vocab.txt"), "--output", str(output),
             "--embed-dim", "2", "--hidden-dim", "2", "--epochs", "1", "--batch-size", "8"]
-    assert_failure_keeps_output(tmp_path, argv, out, capsys, "no space left on device")
+
+
+@pytest.mark.parametrize("argv", [train_lstm_argv, lambda d, out: enrich_argv(
+    d, d / "lstm.rlm", out)], ids=["train-lstm", "enrich"])
+def test_unwritable_output_is_named(workdir, tmp_path, capsys, monkeypatch, argv):
+    # the error names the output the user gave, not the file written first
+    monkeypatch.chdir(tmp_path)
+    assert run(argv(workdir, "nodir/x.rlm")) == 1
+    err = capsys.readouterr().err
+    assert "error: [Errno 2] No such file or directory: 'nodir/x.rlm'" in err
+    assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
+def test_enrich_reads_the_header_once(workdir, tmp_path, monkeypatch, same_path):
+    calls = []
+    read = neural._read_header
+
+    def spy(f):
+        calls.append(f.name)
+        return read(f)
+
+    monkeypatch.setattr(neural, "_read_header", spy)
+    m = tmp_path / "m.rlm"
+    shutil.copyfile(workdir / "lstm.rlm", m)
+    assert run(enrich_argv(workdir, m, m if same_path else tmp_path / "out.rlm")) == 0
+    assert calls == [str(m)]
 
 
 def test_enrich_from_nbest_requires_nbest(workdir):

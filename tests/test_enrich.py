@@ -19,6 +19,12 @@ def plan_for(counts, scope, nbest=None, **cfg):
                                   EnrichConfig(**cfg), nbest)
 
 
+def enrich_file(src, dst, plan):
+    """enrich_checkpoint of the checkpoint at path src."""
+    with open(src, "rb") as f:
+        return enrich.enrich_checkpoint(f, neural._read_header(f), dst, plan)
+
+
 def test_partition_by_threshold():
     plan = plan_for({"x": 12, "y": 3}, {"x", "y"}, threshold=10)
     assert plan.candidates == {"y": [("x", 1.0)]}
@@ -245,8 +251,7 @@ def test_enrich_checkpoint_raises_when_source_changes_between_passes(
 
     monkeypatch.setattr(neural, "_payload_blocks", second_pass_differs)
     with pytest.raises(RuntimeError, match="outside the planned columns"):
-        enrich.enrich_checkpoint(src, tmp_path / "out.rlm",
-                                 enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
+        enrich_file(src, tmp_path / "out.rlm", enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
     assert [f.name for f in tmp_path.iterdir()] == ["m.rlm"]
 
 
@@ -401,7 +406,7 @@ def assert_streamed_matches_in_memory(m, plan, d):
     neural.save_model(m, src)
     out, report = enrich.enrich_embeddings(neural.load_model(src), plan)
     neural.save_model(out, want)
-    streamed = enrich.enrich_checkpoint(src, got, plan)
+    streamed = enrich_file(src, got, plan)
     assert got.read_bytes() == want.read_bytes()
     assert streamed.modified == report.modified
     assert bits(streamed.per_word) == bits(report.per_word)

@@ -437,8 +437,9 @@ def test_checkpoint_rejects_bad_counts(tmp_path, edit):
 def enrich_to_missing_output(p):
     """enrich_checkpoint from p; asserts that it created no file."""
     try:
-        enrich.enrich_checkpoint(p, p.parent / "out.rlm",
-                                 enrich.EnrichmentPlan({"x0": [("x1", 1.0)]}))
+        with open(p, "rb") as f:
+            enrich.enrich_checkpoint(f, neural._read_header(f), p.parent / "out.rlm",
+                                     enrich.EnrichmentPlan({"x0": [("x1", 1.0)]}))
     finally:
         assert [f.name for f in p.parent.iterdir()] == [p.name]
 

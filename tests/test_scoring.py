@@ -71,10 +71,10 @@ def test_core_matches_oracle_under_heavy_sharing(m, data):
         assert all(abs(a - b) < TOL for a, b in zip(lp.tolist(), want))
 
 
-def test_each_distinct_prefix_steps_once(monkeypatch):
-    # the spy names each stepped prefix by its parent prefix's state and
-    # its input word; distinct prefixes of this model have distinct states
-    m = random_model(3, 2, 3, 0, 0.5)
+def spy_on_steps(monkeypatch, m):
+    """Patch forward_step to record, per call, the prefixes it steps. The
+    spy names each stepped prefix by its parent prefix's state and its
+    input word; distinct prefixes of these models have distinct states."""
     prefix_of = {np.zeros(m.d_h).tobytes(): ()}
     calls = []
     step = neural.forward_step
@@ -87,28 +87,72 @@ def test_each_distinct_prefix_steps_once(monkeypatch):
         return logp, nh, nc
 
     monkeypatch.setattr(neural, "forward_step", spy)
+    return calls
+
+
+def walks(calls):
+    """The recorded calls as walks of a group from position 0, whose only
+    prefix is <s>: per walk, the sorted prefixes stepped at each position."""
+    out = []
+    for stepped in calls:
+        t = len(stepped[0]) - 1
+        assert all(len(p) == t + 1 for p in stepped)
+        if t == 0:
+            out.append({})
+        out[-1].setdefault(t, []).extend(stepped)
+    return [{t: sorted(ps) for t, ps in walk.items()} for walk in out]
+
+
+def live_prefixes(group):
+    """Per position t, the sorted distinct prefixes ids[:t+1] of the
+    sequences of group that score a position after them."""
+    return {t: sorted({tuple(s[:t + 1]) for s in group if len(s) - 1 > t})
+            for t in range(max(map(len, group)) - 1)}
+
+
+def test_each_distinct_prefix_steps_once(monkeypatch):
+    m = random_model(3, 2, 3, 0, 0.5)
+    calls = spy_on_steps(monkeypatch, m)
     monkeypatch.setattr(neural, "GROUP_ROWS", 250)
     rng = np.random.default_rng(0)
     seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
             for _ in range(600)]
     neural.position_logprobs(m, *pack(seqs))
-    # chunks of GROUP_ROWS sequences in input order, each walked from
-    # position 0, whose only prefix is <s>
-    chunks = []
-    for stepped in calls:
-        t = len(stepped[0]) - 1
-        assert all(len(p) == t + 1 for p in stepped)
-        if t == 0:
-            chunks.append({})
-        chunks[-1].setdefault(t, []).extend(stepped)
-    assert len(chunks) == 3
-    for k, chunk in enumerate(chunks):
-        group = seqs[250 * k:250 * (k + 1)]
-        want = {t: sorted({tuple(s[:t + 1]) for s in group if len(s) - 1 > t})
-                for t in range(max(map(len, group)) - 1)}
-        assert {t: sorted(ps) for t, ps in chunk.items()} == want
+    # chunks of GROUP_ROWS sequences in input order
+    assert walks(calls) == [live_prefixes(seqs[a:a + 250]) for a in range(0, 600, 250)]
     # the deeper positions have more than BATCH_ROWS distinct prefixes
     assert max(map(len, calls)) == neural.BATCH_ROWS
+
+
+def test_sorted_slices_share_prefixes_across_lists(monkeypatch):
+    # two carrier phrases alternate from list to list, so every slice of 4
+    # hypotheses in file order holds both; the slices of the sorted
+    # hypotheses step each distinct live prefix of their slice once, fewer
+    # in all, and every total keeps the bits it has scored alone
+    m = random_model(3, 2, 3, 0, 0.5)
+    kn = kn_for(m.vocab)
+    carriers = [["a", "b", "c"], ["c", "b", "a"]]
+    hyps = [[carriers[u % 2] + end for end in (["a"], ["oov", "b"], ["a"])]
+            for u in range(6)]  # each list repeats a hypothesis
+    hyps[3].append([])
+    lists = [NBestList("u%d" % u, [Hypothesis(r + 1, -0.25 * r - 0.1 * u, words)
+                                   for r, words in enumerate(ws)])
+             for u, ws in enumerate(hyps)]
+    cfg = RescoreConfig(lm_weight=0.7, interp_weight=0.3, word_penalty=0.2)
+    alone = [[rescore.rescore_lists([NBestList(nb.utt_id, [h])], m, kn, cfg)[0]
+              .hypotheses[0].total_score.hex() for h in nb.hypotheses] for nb in lists]
+    monkeypatch.setattr(neural, "GROUP_ROWS", 4)
+    calls = spy_on_steps(monkeypatch, m)
+    out = rescore.rescore_lists(lists, m, kn, cfg)
+    seqs = [encode(h.words, m.vocab) for nb in lists for h in nb.hypotheses]
+    ranked = sorted(seqs)
+    assert walks(calls) == [live_prefixes(ranked[a:a + 4]) for a in range(0, len(seqs), 4)]
+    in_file_order = sum(len(ps) for a in range(0, len(seqs), 4)
+                        for ps in live_prefixes(seqs[a:a + 4]).values())
+    assert sum(map(len, calls)) < in_file_order
+    for nb, rr, want in zip(lists, out, alone):
+        assert [h.total_score.hex() for h in sorted(rr.hypotheses, key=lambda h: h.rank)] \
+            == want
 
 
 @pytest.mark.parametrize("bad", ["negative", "vocab_size"])
@@ -179,8 +223,8 @@ def test_lm_scores_map_ids_to_another_kn_vocab(m, mu, kn_words, hyps):
                                 min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 16))
 def test_rescore_lists_across_groups(m, sizes, seed):
-    # all hypotheses are scored together in file order, so one batch of
-    # steps can hold several lists and a list over BATCH_ROWS spans batches
+    # all hypotheses are scored together, so one batch of steps can hold
+    # several lists and a list over BATCH_ROWS spans batches
     rng = np.random.default_rng(seed)
     words = m.vocab.id_to_word[3:] + ["oov"]
     lists = [NBestList("u%d" % u, [
@@ -201,7 +245,8 @@ def test_rescore_lists_across_groups(m, sizes, seed):
 
 
 def test_rescore_lists_in_small_groups(monkeypatch):
-    # hypotheses go 3 at a time in file order, whatever the list boundaries
+    # hypotheses go 3 at a time in sorted order of their ids, whatever the
+    # list boundaries
     calls, seen = [], []
     score = rescore.position_logprobs
 
@@ -221,8 +266,9 @@ def test_rescore_lists_in_small_groups(monkeypatch):
         for r in range(size)]) for u, size in enumerate([1, 2, 5, 3, 1, 1, 1, 4])]
     out = rescore.rescore_lists(lists, m, None, RescoreConfig(lm_weight=0.7))
     assert calls == [3, 3, 3, 3, 3, 3]
-    assert seen == [i for nb in lists for h in nb.hypotheses
-                    for i in encode(h.words, m.vocab)]
+    assert seen == [i for ids in sorted(encode(h.words, m.vocab)
+                                        for nb in lists for h in nb.hypotheses)
+                    for i in ids]
     assert [nb.utt_id for nb in out] == [nb.utt_id for nb in lists]
     for nb, rr in zip(lists, out):
         assert sorted(h.rank for h in rr.hypotheses) == [h.rank for h in nb.hypotheses]
