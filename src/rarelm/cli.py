@@ -50,6 +50,7 @@ def cmd_train_lstm(args):
         learning_rate=args.lr, clip_norm=args.clip_norm, bptt_len=args.bptt_len,
         dropout_p=args.dropout, epochs=args.epochs, seed=args.seed,
         lr_decay=args.lr_decay, batch_size=args.batch_size)
+    neural.check_writable(args.output)
     m, history = neural.train(m, enc, cfg, val_ids=val, log=print)
     neural.save_model(m, args.output)
     print("final train_ppl %.2f val_ppl %.2f -> %s"

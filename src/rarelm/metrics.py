@@ -126,12 +126,12 @@ def left_sums(values, lens):
     return acc
 
 
-def perplexity(log10s, lens) -> float:
-    """10 ** -(mean log10 probability per scored position); each sequence
-    is summed left to right, then the sequence sums in order."""
-    if log10s.size == 0:
+def perplexity(sums, positions: int) -> float:
+    """10 ** -(mean log10 probability per scored position), from each
+    sequence's left_sums, added in order, over the positions scored."""
+    if positions == 0:
         raise ValueError("empty corpus")
-    return 10.0 ** (-sum(left_sums(log10s, lens).tolist()) / log10s.size)
+    return 10.0 ** (-sum(sums.tolist()) / positions)
 
 
 def format_wer_report(r: WerReport) -> str:

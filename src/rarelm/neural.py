@@ -14,17 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import perplexity
+from .metrics import left_sums, perplexity
 from .textcorpus import SPECIALS, Vocabulary, pack
 
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
-# rows per batched inference step, per checkpoint block read or written and
-# per parameter comparison; bounds the memory each takes at any |V|. A step
-# wider than STEP_ROWS_MAX can change bits with 2 BLAS threads, so raising
-# either must first show that scores keep their bits at the new width with
-# OPENBLAS_NUM_THREADS=1 and =2, each set in a fresh subprocess.
+# rows per batched gate step, per pass over U, per checkpoint block read or
+# written and per parameter comparison; bounds the memory each takes at any
+# |V|. A step or pass wider than STEP_ROWS_MAX can change bits with 2 BLAS
+# threads, so raising either must first show that scores keep their bits at
+# the new width with OPENBLAS_NUM_THREADS=1 and =2, each set in a fresh
+# subprocess, as test_scores_do_not_depend_on_layout_with_one_or_two_blas_threads
+# does.
 BATCH_ROWS = 64
 STEP_ROWS_MAX = 64
 GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
@@ -139,12 +141,17 @@ def _gates(z, c_prev):
     return c, h
 
 
-def forward_step(m: NeuralLM, words, h, c):
-    """One batched inference step over B rows.
+def _check_width(rows: int) -> None:
+    if rows > STEP_ROWS_MAX:
+        raise ValueError("step of %d rows is wider than STEP_ROWS_MAX=%d"
+                         % (rows, STEP_ROWS_MAX))
+
+
+def gate_step(m: NeuralLM, words, h, c):
+    """One batched LSTM step over B rows, without the output projection.
 
     words: (B,) input ids; h, c: (B, d_h) hidden and cell state. Returns
-    (natural-log softmax over V, shape (B, |V|), new h, new c). The input
-    state is never mutated.
+    the new (h, c); the input state is never mutated.
 
     A row gets the same bits in any batch of up to STEP_ROWS_MAX rows,
     and a wider step raises ValueError: BLAS takes a matmul of fewer than
@@ -155,18 +162,43 @@ def forward_step(m: NeuralLM, words, h, c):
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
     B = words.size
-    if B > STEP_ROWS_MAX:
-        raise ValueError("step of %d rows is wider than STEP_ROWS_MAX=%d"
-                         % (B, STEP_ROWS_MAX))
+    _check_width(B)
     if B < 8:
         pad = np.arange(8) % B
         words, h, c = words[pad], h[pad], c[pad]
     z = np.concatenate([m.S[:, words].T, h], axis=1) @ m.W.T + m.b
     c, h = _gates(z, c)
-    y = h @ m.U
+    return h[:B], c[:B]
+
+
+def target_logprobs(m: NeuralLM, h, rows, targets, buf=None) -> np.ndarray:
+    """Natural-log P(targets[i] | h[rows[i]]) from one pass of the B
+    hidden rows h (B, d_h) over U.
+
+    y = h @ U is written into buf, a reused float64 scratch of at least
+    max(B, 8) rows and |V| columns (allocated when None). Each row's max
+    is subtracted in place and the targets read; then the row is
+    exponentiated in place and summed. A target's value is
+    (y[t] - max) - log(sum(exp(y - max))), the two subtractions and the
+    contiguous row sum of a full log-softmax, so it has the bits of that
+    softmax's entry. As in gate_step, rows get the same bits in any pass
+    of up to STEP_ROWS_MAX rows: a wider pass raises ValueError and a
+    narrower one than 8 is padded to 8.
+    """
+    targets = np.asarray(targets)
+    if targets.size and (targets.min() < 0 or targets.max() >= m.vocab_size):
+        raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
+    B = h.shape[0]
+    _check_width(B)
+    if B < 8:
+        h = h[np.arange(8) % B]
+    if buf is None:
+        buf = np.empty((h.shape[0], m.vocab_size))
+    y = np.matmul(h, m.U, out=buf[:h.shape[0]])[:B]
     y -= y.max(axis=1, keepdims=True)
-    y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
-    return y[:B], h[:B], c[:B]
+    picked = y[rows, targets]
+    np.exp(y, out=y)
+    return picked - np.log(y.sum(axis=1))[rows]
 
 
 def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
@@ -182,9 +214,12 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     GROUP_ROWS at a time, in input order, and each group is walked as a
     prefix tree one position at a time: the distinct (parent prefix, input
     word) keys of its live rows are its distinct prefixes ids[:t+1]. They
-    step through forward_step BATCH_ROWS at a time, each from its parent
-    prefix's state, and every sequence reads its target from its own
-    prefix's row.
+    go through gate_step BATCH_ROWS at a time, each from its parent
+    prefix's state. Their hidden rows join one queue for the whole call,
+    across positions and groups, with the positions that read their
+    targets from them; target_logprobs projects the queue BATCH_ROWS rows
+    at a time into one reused buffer, so only the rows left at the end
+    make a narrower pass over U.
     """
     nv = m.vocab_size
     if ids.size and (ids.min() < 0 or ids.max() >= nv):
@@ -194,6 +229,18 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     start = np.cumsum(lens) - lens
     ostart = np.cumsum(npos) - npos
     lp = np.empty(int(npos.sum()))
+    buf = np.empty((max(BATCH_ROWS, 8), nv))
+    queue = np.empty((BATCH_ROWS, m.d_h))
+    fill = 0
+    readers = []  # per piece of the queue: (queue row, flat position, target)
+
+    def project():
+        nonlocal fill
+        rows, at, targets = map(np.concatenate, zip(*readers))
+        lp[at] = target_logprobs(m, queue[:fill], rows, targets, buf)
+        fill = 0
+        readers.clear()
+
     for a in range(0, n, GROUP_ROWS):
         rows = np.arange(a, min(a + GROUP_ROWS, n))
         slot = np.zeros(rows.size, dtype=np.int64)  # row -> its prefix's state row
@@ -206,23 +253,53 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
             parent, words = np.divmod(keys, nv)
             nh = np.empty((keys.size, m.d_h))
             nc = np.empty((keys.size, m.d_h))
-            chunk = slot // BATCH_ROWS
-            target = ids[start[rows] + t + 1]
-            for j, b in enumerate(range(0, keys.size, BATCH_ROWS)):
-                e = b + BATCH_ROWS
-                p = parent[b:e]
-                logp, nh[b:e], nc[b:e] = forward_step(m, words[b:e], h[p], c[p])
-                sel = chunk == j
-                lp[ostart[rows[sel]] + t] = logp[slot[sel] - b, target[sel]]
+            for b in range(0, keys.size, BATCH_ROWS):
+                p = parent[b:b + BATCH_ROWS]
+                nh[b:b + BATCH_ROWS], nc[b:b + BATCH_ROWS] = gate_step(
+                    m, words[b:b + BATCH_ROWS], h[p], c[p])
             h, c = nh, nc
+            at = ostart[rows] + t
+            target = ids[start[rows] + t + 1]
+            k = 0
+            while k < keys.size:
+                take = min(keys.size - k, BATCH_ROWS - fill)
+                queue[fill:fill + take] = nh[k:k + take]
+                sel = (slot >= k) & (slot < k + take)
+                readers.append((slot[sel] - k + fill, at[sel], target[sel]))
+                fill += take
+                k += take
+                if fill == BATCH_ROWS:
+                    project()
+    if fill:
+        project()
     lp /= LOG10
     return lp
 
 
+def prefix_slices(seqs):
+    """Yield (indices, ids, lens) for the id sequences seqs GROUP_ROWS at
+    a time, in lexicographic order of their ids, each slice packed back to
+    back; sequences sharing a prefix mostly fall in one slice and step it
+    once."""
+    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    for a in range(0, len(seqs), GROUP_ROWS):
+        idx = order[a:a + GROUP_ROWS]
+        yield (idx, *pack(map(seqs.__getitem__, idx)))
+
+
 def nn_perplexity(m: NeuralLM, corpus) -> float:
-    """Perplexity over framed sentences; eos counted, bos not."""
-    ids, lens = pack(corpus)
-    return perplexity(position_logprobs(m, ids, lens), lens)
+    """Perplexity over framed sentences; eos counted, bos not.
+
+    Sentences are scored in prefix_slices order; each sums its positions
+    left to right, and the sums are added in input order."""
+    seqs = list(corpus)
+    sums = np.empty(len(seqs))
+    positions = 0
+    for idx, ids, lens in prefix_slices(seqs):
+        lp = position_logprobs(m, ids, lens)
+        sums[idx] = left_sums(lp, lens)
+        positions += lp.size
+    return perplexity(sums, positions)
 
 
 def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
@@ -428,6 +505,24 @@ def train(m: NeuralLM, corpus_ids, cfg: TrainConfig, val_ids=None,
     return m, history
 
 
+def _open_beside(path):
+    """Open a new file beside path for writing; returns (file, its name).
+    If it cannot be opened, the OSError names path."""
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        return open(tmp, "wb"), tmp
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+
+
+def check_writable(path) -> None:
+    """Raise the OSError that save_model(m, path) would raise on opening
+    its file, before any work is done; leaves no file behind."""
+    f, tmp = _open_beside(path)
+    f.close()
+    os.unlink(tmp)
+
+
 def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> None:
     """Write an RLM1 checkpoint: magic, JSON header, then the float32 LE
     payload blocks in order, to a file beside path that replaces path only
@@ -444,11 +539,7 @@ def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> No
         "counts": [vocab.counts.get(w, 0) for w in vocab.id_to_word],
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
-    try:
-        f = open(tmp, "wb")
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    f, tmp = _open_beside(path)
     try:
         with f:
             f.write(MAGIC + struct.pack("<I", len(hbytes)) + hbytes)

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .metrics import perplexity
+from .metrics import left_sums, perplexity
 from .textcorpus import BOS_ID, SPECIALS, Vocabulary, pack
 
 
@@ -291,8 +291,8 @@ def kn_perplexity(m: NGramModel, corpus: Iterable[list[int]]) -> float:
     """Perplexity over framed sentences, counting eos but not bos."""
     ids, lens = pack(corpus)
     ps = m.prob_many(ids, lens).tolist()
-    return perplexity(np.fromiter(map(math.log10, ps), dtype=np.float64, count=len(ps)),
-                      lens)
+    lp = np.fromiter(map(math.log10, ps), dtype=np.float64, count=len(ps))
+    return perplexity(left_sums(lp, lens), lp.size)
 
 
 def _fmt(x: float) -> str:

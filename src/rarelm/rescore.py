@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural
 from .metrics import left_sums
-from .neural import NeuralLM, position_logprobs
-from .textcorpus import encode, pack, read_tab_pairs
+from .neural import NeuralLM, position_logprobs, prefix_slices
+from .textcorpus import encode, read_tab_pairs
 
 
 @dataclass
@@ -47,15 +46,14 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
 
     The mix is linear in the probability domain per position. State is
     reset for every hypothesis; OOV words map to unk. Every hypothesis is
-    encoded once, and the hypotheses are taken neural.GROUP_ROWS at a
-    time in lexicographic order of their id lists, so that hypotheses
-    sharing a prefix, from any list, mostly fall in one slice and step
-    it once. Each slice is packed back to back, and both models answer
-    every position of the slice as one flat array in that layout. The two
-    models are joined by word: one take through a map from each
-    neural-vocab id to the KN id of the same word, or to KN's unk, gives
-    the KN ids of every position. The mix is elementwise; each hypothesis
-    sums its positions left to right, so every score has the bits of
+    encoded once, and the hypotheses are taken in neural.prefix_slices,
+    so that hypotheses sharing a prefix, from any list, mostly fall in
+    one slice and step it once. Both models answer every position of a
+    slice as one flat array in its packed layout. The two models are
+    joined by word: one take through a map from each neural-vocab id to
+    the KN id of the same word, or to KN's unk, gives the KN ids of every
+    position. The mix is elementwise; each hypothesis sums its positions
+    left to right, so every score has the bits of
     sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions,
     whatever its slice. Scores come back in input order.
     """
@@ -66,12 +64,9 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
         to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
                             count=len(nlm.vocab))
     seqs = [encode(words, nlm.vocab) for words in word_lists]
-    order = sorted(range(len(seqs)), key=seqs.__getitem__)
     scores = np.empty(len(seqs))
     # slices, not one pass: they bound the memory of the KN join and the mix
-    for a in range(0, len(seqs), neural.GROUP_ROWS):
-        idx = order[a:a + neural.GROUP_ROWS]
-        ids, lens = pack(map(seqs.__getitem__, idx))
+    for idx, ids, lens in prefix_slices(seqs):
         lp = position_logprobs(nlm, ids, lens)
         if mu > 0.0:
             q = kn.prob_many(np.take(to_kn, ids), lens)

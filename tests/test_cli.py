@@ -162,6 +162,15 @@ def test_unwritable_output_is_named(workdir, tmp_path, capsys, monkeypatch, argv
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_lstm_checks_output_before_training(workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(train_lstm_argv(workdir, "nodir/x.rlm")) == 1
+    out, err = capsys.readouterr()
+    assert "error: [Errno 2] No such file or directory: 'nodir/x.rlm'" in err
+    assert "epoch" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
 def test_enrich_reads_the_header_once(workdir, tmp_path, monkeypatch, same_path):
     calls = []

@@ -71,9 +71,18 @@ def test_init_forget_bias():
     assert np.all(m.b[:3] == 0.0) and np.all(m.b[6:] == 0.0)
 
 
+def forward_step(m, words, h, c):
+    """gate_step, then the natural-log probability of every word from each
+    new row: (B, |V|) log-probabilities, new h, new c."""
+    h, c = neural.gate_step(m, words, h, c)
+    B, nv = h.shape[0], m.vocab_size
+    lp = neural.target_logprobs(m, h, np.repeat(np.arange(B), nv), np.tile(np.arange(nv), B))
+    return lp.reshape(B, nv), h, c
+
+
 def test_forward_step_softmax():
     m = neural.init_model(small_vocab(3), 3, 4, seed=0)
-    lp, _, _ = neural.forward_step(m, [0], zeros(m), zeros(m))
+    lp, _, _ = forward_step(m, [0], zeros(m), zeros(m))
     p = np.exp(lp[0])
     assert abs(p.sum() - 1.0) < 1e-6
     assert np.all(p > 0)
@@ -82,7 +91,7 @@ def test_forward_step_softmax():
 def test_forward_step_zero_weights_uniform():
     m = neural.init_model(small_vocab(1), 2, 2, seed=0)
     m.S[:] = 0; m.W[:] = 0; m.b[:] = 0; m.U[:] = 0
-    lp, _, _ = neural.forward_step(m, [0], zeros(m), zeros(m))
+    lp, _, _ = forward_step(m, [0], zeros(m), zeros(m))
     assert np.allclose(np.exp(lp), 0.25)
 
 
@@ -107,7 +116,7 @@ def test_forward_step_hand_scalar_lstm():
     y = np.array([0.7 * h, -0.5 * h, 0.1 * h])
     exp = np.exp(y - y.max())
     expected = exp / exp.sum()
-    lp, new_h, new_c = neural.forward_step(m, [0], h0, c0)
+    lp, new_h, new_c = forward_step(m, [0], h0, c0)
     assert np.allclose(np.exp(lp[0]), expected, atol=1e-12)
     assert abs(new_h[0, 0] - h) < 1e-12
     assert abs(new_c[0, 0] - c) < 1e-12
@@ -116,24 +125,48 @@ def test_forward_step_hand_scalar_lstm():
 def test_forward_step_out_of_range():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(IndexError):
-        neural.forward_step(m, [len(m.vocab)], zeros(m), zeros(m))
+        neural.gate_step(m, [len(m.vocab)], zeros(m), zeros(m))
+    for bad in (-1, len(m.vocab)):
+        with pytest.raises(IndexError):
+            neural.target_logprobs(m, zeros(m), [0], [bad])
 
 
 def test_forward_step_rejects_a_step_wider_than_the_cap():
-    # wider steps can change bits with 2 BLAS threads
+    # wider steps and projections can change bits with 2 BLAS threads
     m = neural.init_model(small_vocab(), 2, 3, seed=0)
     n = neural.STEP_ROWS_MAX
     h = np.zeros((n + 1, m.d_h))
-    neural.forward_step(m, np.ones(n, dtype=int), h[:n], h[:n])
+    neural.gate_step(m, np.ones(n, dtype=int), h[:n], h[:n])
+    neural.target_logprobs(m, h[:n], [0], [1])
     with pytest.raises(ValueError, match="wider than STEP_ROWS_MAX=64"):
-        neural.forward_step(m, np.ones(n + 1, dtype=int), h, h)
+        neural.gate_step(m, np.ones(n + 1, dtype=int), h, h)
+    with pytest.raises(ValueError, match="wider than STEP_ROWS_MAX=64"):
+        neural.target_logprobs(m, h, [0], [1])
 
 
 def test_forward_step_state_not_mutated():
     m = neural.init_model(small_vocab(2), 2, 3, seed=0)
     h, c = zeros(m), zeros(m)
-    neural.forward_step(m, [1], h, c)
+    neural.gate_step(m, [1], h, c)
     assert np.array_equal(h, zeros(m)) and np.array_equal(c, zeros(m))
+
+
+def test_projection_reads_only_its_targets_from_a_reused_buffer():
+    # a pass of B rows through a wider buffer gives each target the bits of
+    # the full log-softmax row, whatever the buffer held, for B of 1 to 12
+    m = neural.init_model(small_vocab(6), 3, 4, seed=2)
+    rng = np.random.default_rng(2)
+    m.U[...] = rng.normal(0.0, 2.0, m.U.shape)
+    buf = np.full((12, m.vocab_size), np.nan)
+    for B in range(1, 13):
+        h = rng.normal(size=(B, m.d_h))
+        y = (h[np.arange(max(B, 8)) % B] @ m.U)[:B]
+        y -= y.max(axis=1, keepdims=True)
+        y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
+        rows = rng.integers(B, size=20)
+        targets = rng.integers(m.vocab_size, size=20)
+        got = neural.target_logprobs(m, h, rows, targets, buf)
+        assert got.tobytes() == y[rows, targets].tobytes()
 
 
 def test_softmax_property_random_triples():
@@ -143,7 +176,7 @@ def test_softmax_property_random_triples():
                               int(rng.integers(1, 4)), int(rng.integers(1, 5)),
                               seed=int(rng.integers(1000)))
         h, c = rng.normal(size=(1, m.d_h)), rng.normal(size=(1, m.d_h))
-        lp, _, _ = neural.forward_step(m, [int(rng.integers(m.vocab_size))], h, c)
+        lp, _, _ = forward_step(m, [int(rng.integers(m.vocab_size))], h, c)
         p = np.exp(lp[0])
         assert abs(p.sum() - 1.0) < 1e-6 and np.all(p > 0)
 
@@ -164,8 +197,8 @@ def test_sentence_logprob_matches_stepwise():
     h = c = zeros(m)
     total = 0.0
     for t in range(len(ids) - 1):
-        lp, h, c = neural.forward_step(m, [ids[t]], h, c)
-        total += lp[0, ids[t + 1]] / neural.LOG10
+        h, c = neural.gate_step(m, [ids[t]], h, c)
+        total += neural.target_logprobs(m, h, [0], [ids[t + 1]])[0] / neural.LOG10
     assert abs(sum(neural.position_logprobs(m, *pack([ids])).tolist()) - total) < 1e-12
 
 

@@ -46,8 +46,8 @@ def test_mixture_direct_arithmetic():
     h = c = np.zeros((1, nlm.d_h))
     expect = 0.0
     for t in range(len(ids) - 1):
-        lp, h, c = neural.forward_step(nlm, [ids[t]], h, c)
-        p_n = math.exp(lp[0, ids[t + 1]])
+        h, c = neural.gate_step(nlm, [ids[t]], h, c)
+        p_n = math.exp(neural.target_logprobs(nlm, h, [0], [ids[t + 1]])[0])
         p_k = kn.prob(ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1]))
         expect += math.log10(0.7 * p_n + mu * p_k)
     got = rescore.lm_scores(nlm, kn, [words], mu)[0]

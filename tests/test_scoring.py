@@ -1,13 +1,18 @@
 """The batched scoring core against the per-token oracle in nn_reference."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nn_reference
-from rarelm import neural, ngram, rescore
+from rarelm import metrics, neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
 from rarelm.textcorpus import BOS_ID, EOS_ID, Vocabulary, encode, pack
 
@@ -72,22 +77,35 @@ def test_core_matches_oracle_under_heavy_sharing(m, data):
 
 
 def spy_on_steps(monkeypatch, m):
-    """Patch forward_step to record, per call, the prefixes it steps. The
+    """Patch gate_step to record, per call, the prefixes it steps. The
     spy names each stepped prefix by its parent prefix's state and its
     input word; distinct prefixes of these models have distinct states."""
     prefix_of = {np.zeros(m.d_h).tobytes(): ()}
     calls = []
-    step = neural.forward_step
+    step = neural.gate_step
 
     def spy(m, words, h, c):
-        logp, nh, nc = step(m, words, h, c)
+        nh, nc = step(m, words, h, c)
         stepped = [prefix_of[r.tobytes()] + (w,) for r, w in zip(h, words.tolist())]
         prefix_of.update(zip((r.tobytes() for r in nh), stepped))
         calls.append(stepped)
-        return logp, nh, nc
+        return nh, nc
 
-    monkeypatch.setattr(neural, "forward_step", spy)
+    monkeypatch.setattr(neural, "gate_step", spy)
     return calls
+
+
+def spy_on_passes(monkeypatch):
+    """Patch target_logprobs to record the rows of each pass over U."""
+    widths = []
+    project = neural.target_logprobs
+
+    def spy(m, h, rows, targets, buf=None):
+        widths.append(h.shape[0])
+        return project(m, h, rows, targets, buf)
+
+    monkeypatch.setattr(neural, "target_logprobs", spy)
+    return widths
 
 
 def walks(calls):
@@ -124,6 +142,27 @@ def test_each_distinct_prefix_steps_once(monkeypatch):
     assert max(map(len, calls)) == neural.BATCH_ROWS
 
 
+@pytest.mark.parametrize("batch_rows", [64, 5])
+@pytest.mark.parametrize("group_rows", [250, 2048])
+def test_projection_passes_are_full_but_the_last(monkeypatch, batch_rows, group_rows):
+    # the new prefix rows of every position and group share one queue, so
+    # one call makes ceil(P / BATCH_ROWS) passes over U for its P stepped
+    # prefixes, all but the last BATCH_ROWS wide
+    m = random_model(3, 2, 3, 0, 0.5)
+    monkeypatch.setattr(neural, "GROUP_ROWS", group_rows)
+    monkeypatch.setattr(neural, "BATCH_ROWS", batch_rows)
+    widths = spy_on_passes(monkeypatch)
+    rng = np.random.default_rng(0)
+    seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
+            for _ in range(600)]
+    neural.position_logprobs(m, *pack(seqs))
+    P = sum(len(ps) for a in range(0, 600, group_rows)
+            for ps in live_prefixes(seqs[a:a + group_rows]).values())
+    assert len(widths) == -(-P // batch_rows)
+    assert widths[:-1] == [batch_rows] * (len(widths) - 1)
+    assert sum(widths) == P and max(widths) <= neural.STEP_ROWS_MAX
+
+
 def test_sorted_slices_share_prefixes_across_lists(monkeypatch):
     # two carrier phrases alternate from list to list, so every slice of 4
     # hypotheses in file order holds both; the slices of the sorted
@@ -153,6 +192,30 @@ def test_sorted_slices_share_prefixes_across_lists(monkeypatch):
     for nb, rr, want in zip(lists, out, alone):
         assert [h.total_score.hex() for h in sorted(rr.hypotheses, key=lambda h: h.rank)] \
             == want
+
+
+def test_perplexity_scores_in_prefix_order(monkeypatch):
+    # nn_perplexity takes the sorted slices of lm_scores: fewer prefixes
+    # step than in slices of file order, and the sentence sums are added
+    # in file order, with the bits of the file-order perplexity; added in
+    # sorted order, these sums have other bits
+    m = random_model(3, 2, 3, 0, 0.5)
+    carriers = [[3, 4, 5], [5, 4, 3]]
+    seqs = [[BOS_ID] + carriers[k % 2] + [3 + k % 3] * (k % 4 + 1) + [EOS_ID]
+            for k in range(24)]
+    monkeypatch.setattr(neural, "GROUP_ROWS", 4)
+    ids, lens = pack(seqs)
+    sums = metrics.left_sums(neural.position_logprobs(m, ids, lens), lens)
+    want = metrics.perplexity(sums, ids.size - len(seqs))
+    ranked = sorted(range(len(seqs)), key=seqs.__getitem__)
+    assert metrics.perplexity(sums[ranked], ids.size - len(seqs)).hex() != want.hex()
+    calls = spy_on_steps(monkeypatch, m)
+    assert neural.nn_perplexity(m, seqs).hex() == want.hex()
+    ranked = sorted(seqs)
+    assert walks(calls) == [live_prefixes(ranked[a:a + 4]) for a in range(0, 24, 4)]
+    in_file_order = sum(len(ps) for a in range(0, 24, 4)
+                        for ps in live_prefixes(seqs[a:a + 4]).values())
+    assert sum(map(len, calls)) < in_file_order
 
 
 @pytest.mark.parametrize("bad", ["negative", "vocab_size"])
@@ -280,15 +343,15 @@ def test_rescore_lists_in_small_groups(monkeypatch):
 
 
 def test_steps_stay_within_row_cap(monkeypatch):
-    # the core steps through the module's forward_step, never wider than the cap
+    # the core steps through the module's gate_step, never wider than the cap
     widths = []
-    step = neural.forward_step
+    step = neural.gate_step
 
     def spy(m, words, h, c):
         widths.append(len(words))
         return step(m, words, h, c)
 
-    monkeypatch.setattr(neural, "forward_step", spy)
+    monkeypatch.setattr(neural, "gate_step", spy)
     m = random_model(3, 2, 3, 0, 0.5)
     lists = [NBestList("u%d" % u, [Hypothesis(r + 1, -r, ["a", "b"][:r % 3])
                                    for r in range(5)]) for u in range(40)]
@@ -299,6 +362,17 @@ def test_steps_stay_within_row_cap(monkeypatch):
     assert widths and max(widths) == neural.BATCH_ROWS
 
 
+def layout_model(nv, d_s, d_h):
+    """A model whose weights are scaled so that pre-activations and logits
+    are of order 1."""
+    m = neural.init_model(Vocabulary(["w%d" % i for i in range(nv - 3)]), d_s, d_h, 0)
+    rng = np.random.default_rng(0)
+    for arr, scale in ((m.S, 1.0), (m.W, (d_s + d_h) ** -0.5), (m.b, 1.0),
+                       (m.U, 3.0 * d_h ** -0.5)):
+        arr[...] = rng.normal(0.0, scale, arr.shape)
+    return m
+
+
 # the desk walkthrough's |V|, d_s and d_h, and a wider shape
 @pytest.mark.parametrize("nv,d_s,d_h,examples,max_hyps",
                          [(142, 32, 64, 30, 150), (5000, 300, 1000, 4, 12)],
@@ -306,13 +380,8 @@ def test_steps_stay_within_row_cap(monkeypatch):
 def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
     # every score has the bits it gets alone, whatever the hypotheses
     # scored beside it, their order, their split into lm_scores calls,
-    # GROUP_ROWS and BATCH_ROWS; weights are scaled so that pre-activations
-    # and logits are of order 1
-    m = neural.init_model(Vocabulary(["w%d" % i for i in range(nv - 3)]), d_s, d_h, 0)
-    rng = np.random.default_rng(0)
-    for arr, scale in ((m.S, 1.0), (m.W, (d_s + d_h) ** -0.5), (m.b, 1.0),
-                       (m.U, 3.0 * d_h ** -0.5)):
-        arr[...] = rng.normal(0.0, scale, arr.shape)
+    # GROUP_ROWS and BATCH_ROWS
+    m = layout_model(nv, d_s, d_h)
     words = m.vocab.id_to_word[3:13] + ["oov"]
 
     @settings(max_examples=examples, deadline=None)
@@ -342,6 +411,42 @@ def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
         assert got == alone
 
     check()
+
+
+def layout_scores():
+    """Per shape of test_scores_do_not_depend_on_layout, the hex scores of
+    40 hypotheses scored together and each alone; scored together, they
+    make passes over U of 64 rows."""
+    out = {}
+    for shape in ((142, 32, 64), (5000, 300, 1000)):
+        m = layout_model(*shape)
+        rng = np.random.default_rng(1)
+        words = m.vocab.id_to_word[3:13] + ["oov"]
+        hyps = [[words[j] for j in rng.integers(len(words), size=rng.integers(0, 6))]
+                for _ in range(40)]
+        out[str(shape)] = ([x.hex() for x in rescore.lm_scores(m, None, hyps)],
+                           [rescore.lm_scores(m, None, [h])[0].hex() for h in hyps])
+    return out
+
+
+def test_scores_do_not_depend_on_layout_with_one_or_two_blas_threads():
+    # with OPENBLAS_NUM_THREADS=1 and =2, each set before numpy loads in its
+    # own process, every score has the bits it gets alone. Across the two
+    # settings the desk scores agree; the wide ones need not, since
+    # OpenBLAS's threaded gemm cuts an inner dimension of 600 to 1300 into
+    # other blocks than one thread does
+    paths = [str(Path(__file__).parent), str(Path(neural.__file__).parents[1])]
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_scoring; "
+              "print(json.dumps(test_scoring.layout_scores()))")
+    procs = [subprocess.Popen([sys.executable, "-c", script, *paths],
+                              stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=n))
+             for n in ("1", "2")]
+    one, two = [json.loads(p.communicate()[0]) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    for scores in (one, two):
+        assert all(together == alone for together, alone in scores.values())
+    assert one["(142, 32, 64)"] == two["(142, 32, 64)"]
 
 
 def oracle_onebest(nbest, m, kn, mu):

@@ -89,7 +89,7 @@ def test_gradient_check_with_dropout_and_state():
 
 
 def test_gates_bit_identical_to_per_step_cell():
-    # forward_step's gate math gives the bits of the oracle's per-slice cell
+    # gate_step's gate math gives the bits of the oracle's per-slice cell
     for B, d_s, d_h in ((1, 1, 1), (3, 2, 5), (64, 32, 64)):
         m = random_model(3, d_s, d_h, seed=B)
         rng = np.random.default_rng(B)
