@@ -212,8 +212,8 @@ def cmd_sweep(args):
 def cmd_gen_synthetic(args):
     confusions = None
     if args.confusions:
-        confusions = {s: words.split() for _, s, words in
-                      textcorpus.read_tab_pairs(args.confusions, "street<TAB>words")}
+        confusions = {s: words.split() for _, s, words in textcorpus.read_tab_pairs(
+            args.confusions, "street<TAB>words", "street")}
     cfg = experiment.SyntheticConfig(
         n_streets=args.streets, rare_fraction=args.rare_fraction,
         n_train=args.train_sentences, n_eval=args.eval_sentences,

@@ -271,12 +271,19 @@ def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run
     """Enrich the bundle's model under enrich_cfg, rescore every list and
     score the 1-best hypotheses.
 
+    The planned S and U columns are rounded through float32, as `rarelm
+    enrich` stores them, so the model scored is the one `enrich` writes.
     When the plan is empty (extreme thresholds), the bundle's model
     object itself is scored, uncopied.
     """
     plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
                                   enrich_cfg, bundle.nbest)
-    model = enrich.enrich_embeddings(bundle.model, plan)[0] if plan else bundle.model
+    model = bundle.model
+    if plan:
+        model = enrich.enrich_embeddings(model, plan)[0]
+        cols = [model.vocab.id(w) for w in plan.candidates]
+        for X in (model.S, model.U):
+            X[:, cols] = X[:, cols].astype(np.float32)
     rescored = rescore.rescore_lists(bundle.nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = {nb.utt_id: nb.hypotheses[0].words for nb in rescored}
     return Run(metrics.corpus_wer(bundle.refs, onebest), model, plan)

@@ -12,7 +12,7 @@ from .neural import NeuralLM, position_logprobs, prefix_slices
 from .textcorpus import encode, read_tab_pairs
 
 
-@dataclass
+@dataclass(slots=True)
 class Hypothesis:
     rank: int
     am_score: float
@@ -20,7 +20,7 @@ class Hypothesis:
     total_score: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class NBestList:
     utt_id: str
     hypotheses: list[Hypothesis] = field(default_factory=list)
@@ -115,11 +115,14 @@ class NBestFormatError(ValueError):
 def read_nbest(path) -> list[NBestList]:
     """Parse `utt_id<TAB>rank<TAB>am_score<TAB>words...` lines into lists.
 
-    Utterances must be contiguous with ranks ascending from 1.
+    Utterances must be contiguous with ranks ascending from 1. Each
+    hypothesis gets its own word list, but each distinct word of the file
+    is one str object, shared by every list that holds it.
     """
     lists = []
     seen = set()
     current = None
+    same = {}.setdefault
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -149,7 +152,8 @@ def read_nbest(path) -> list[NBestList]:
             if rank != expected:
                 raise NBestFormatError(
                     "%s:%d: rank %d, expected %d" % (path, lineno, rank, expected))
-            current.hypotheses.append(Hypothesis(rank, am, text.split()))
+            toks = text.split()
+            current.hypotheses.append(Hypothesis(rank, am, list(map(same, toks, toks))))
     return lists
 
 
@@ -184,5 +188,7 @@ def write_onebest(lists, path) -> None:
 
 
 def read_onebest(path) -> dict:
-    """Read `utt_id<TAB>transcript` lines into utt -> token list."""
-    return {utt: text.split() for _, utt, text in read_tab_pairs(path, "utt<TAB>text")}
+    """Read `utt_id<TAB>transcript` lines into utt -> token list; each
+    utterance may appear once."""
+    return {utt: text.split()
+            for _, utt, text in read_tab_pairs(path, "utt<TAB>text", "utterance")}

@@ -121,9 +121,11 @@ class Vocabulary:
         return cls(words[3:], counts)
 
 
-def read_tab_pairs(path, form: str) -> Iterator[tuple[int, str, str]]:
+def read_tab_pairs(path, form: str, key: str) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, key, value) for each non-blank `key<TAB>value`
-    line; any other line fails as `path:line: expected '<form>'`."""
+    line; any other line fails as `path:line: expected '<form>'`, and a key
+    seen on an earlier line as `path:line: repeated <key> '<k>'`."""
+    seen = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -132,6 +134,9 @@ def read_tab_pairs(path, form: str) -> Iterator[tuple[int, str, str]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError("%s:%d: expected '%s'" % (path, lineno, form))
+            if parts[0] in seen:
+                raise ValueError("%s:%d: repeated %s %r" % (path, lineno, key, parts[0]))
+            seen.add(parts[0])
             yield lineno, parts[0], parts[1]
 
 
@@ -139,9 +144,7 @@ def read_word_counts(path) -> dict[str, int]:
     """word -> count from a `word<TAB>count` file, in file order; each word
     may appear once."""
     counts = {}
-    for lineno, word, count in read_tab_pairs(path, "word<TAB>count"):
-        if word in counts:
-            raise ValueError("%s:%d: repeated word %r" % (path, lineno, word))
+    for lineno, word, count in read_tab_pairs(path, "word<TAB>count", "word"):
         try:
             counts[word] = int(count)
         except ValueError:

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rarelm import __version__, cli, metrics, neural
+from rarelm import __version__, cli, metrics, neural, rescore
 
 
 def run(argv, capsys=None):
@@ -275,6 +275,28 @@ def test_sweep_command(workdir, capsys):
     assert filecmp.cmp(d / "lstm.rlm", d / "none.rlm", shallow=False)
 
 
+def test_sweep_scores_the_model_enrich_writes(workdir, monkeypatch):
+    """A sweep row scores, bit for bit, the checkpoint `rarelm enrich`
+    writes with the same options: float32 planned columns included."""
+    d = workdir
+    bundle = d / "bundle"
+    common = ["--model", str(d / "lstm.rlm"), "--scope", str(bundle / "streets.txt"),
+              "--k", "3", "--seed", "2"]
+    assert run(["enrich", "--threshold", "10", "--output", str(d / "written.rlm")]
+               + common) == 0
+    scored = []
+    rescore_lists = rescore.rescore_lists
+    monkeypatch.setattr(rescore, "rescore_lists", lambda lists, m, kn, cfg:
+                        scored.append(m) or rescore_lists(lists, m, kn, cfg))
+    assert run(["sweep", "threshold", "--values", "10", "--nbest", str(bundle / "nbest.txt"),
+                "--refs", str(bundle / "refs.txt")] + common) == 0
+    written = neural.load_model(d / "written.rlm")
+    assert not neural.same_except_columns(written, neural.load_model(d / "lstm.rlm"))
+    [model] = scored
+    assert model.vocab.id_to_word == written.vocab.id_to_word
+    assert neural.same_except_columns(model, written)
+
+
 def in_dir(d, argv):
     """argv with each file name made a path under d."""
     return [str(d / a) if a.endswith((".txt", ".rlm", ".arpa")) else a for a in argv]
@@ -368,6 +390,37 @@ def test_malformed_input_names_file_and_line(workdir, capsys, make, text, line):
     path, argv = make(workdir, text)
     assert run(argv) == 1
     assert "error: %s:%d: " % (path, line) in capsys.readouterr().err
+
+
+WER_LINES = "u1\ta b c\nu2\td e\n"
+
+
+def wer_with_refs(d, text):
+    (d / "hyps.txt").write_text(WER_LINES)
+    (d / "refs.txt").write_text(text)
+    return d / "refs.txt", ["wer", "--refs", str(d / "refs.txt"),
+                            "--hyps", str(d / "hyps.txt")]
+
+
+def wer_with_hyps(d, text):
+    (d / "refs.txt").write_text(WER_LINES)
+    (d / "hyps.txt").write_text(text)
+    return d / "hyps.txt", ["wer", "--refs", str(d / "refs.txt"),
+                            "--hyps", str(d / "hyps.txt")]
+
+
+@pytest.mark.parametrize("make,text,line,key", [
+    (wer_with_refs, WER_LINES + "u1\tx\n", 3, "utterance 'u1'"),
+    (wer_with_hyps, "u2\td e\n\nu2\td\nu1\ta b c\n", 3, "utterance 'u2'"),
+    (synthetic_with_confusions, "ang_mo\tbully plays\nang_mo\tang more\n", 2,
+     "street 'ang_mo'"),
+], ids=["refs", "hyps", "confusions"])
+def test_repeated_key_names_file_and_line(tmp_path, capsys, make, text, line, key):
+    """A repeated key fails rather than letting its last line win."""
+    path, argv = make(tmp_path, text)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: %s:%d: repeated %s" % (path, line, key)
 
 
 @pytest.mark.parametrize("flag,field", [("--epochs", "epochs"),

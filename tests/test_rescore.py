@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +275,59 @@ def test_nbest_non_contiguous_utterance(tmp_path):
     path.write_text("u1\t1\t-1\ta\nu2\t1\t-1\tb\nu1\t2\t-2\tc\n")
     with pytest.raises(rescore.NBestFormatError, match=r":3: utterance u1 is not contiguous"):
         rescore.read_nbest(path)
+
+
+@pytest.mark.parametrize("data,want", [
+    (b"u1\t1\t-1\ta b\n\nu2\t1\t-2\tc\n\n\n", [("u1", [["a", "b"]]), ("u2", [["c"]])]),
+    (b"u1\t1\t-1\ta\n \t\n", ":2: expected 4 tab-separated fields, got 2"),
+    (b"u1\t1\t-1\ta\n  \n", ":2: expected 4 tab-separated fields, got 1"),
+    (b"u1\t1\t-1\ta b\r\nu1\t2\t-2\tc\r\n", [("u1", [["a", "b"], ["c"]])]),
+    (b"u1\t1\t-1\t\n", [("u1", [[]])]),
+    (b"u1\t1\t-1\ta\nu1\t2\t-2\tb c", [("u1", [["a"], ["b", "c"]])]),
+], ids=["blank-lines", "whitespace-tab-line", "whitespace-line", "crlf", "empty-words",
+        "no-final-newline"])
+def test_nbest_reader_edge_cases(tmp_path, data, want):
+    path = tmp_path / "n.tsv"
+    path.write_bytes(data)
+    if isinstance(want, str):
+        with pytest.raises(rescore.NBestFormatError, match=re.escape(want)):
+            rescore.read_nbest(path)
+        return
+    got = rescore.read_nbest(path)
+    assert [(nb.utt_id, [h.words for h in nb.hypotheses]) for nb in got] == want
+
+
+def test_nbest_reader_holds_one_str_per_distinct_word(tmp_path):
+    path = tmp_path / "n.tsv"
+    path.write_text("u1\t1\t-1\tabc def\nu1\t2\t-2\tdef abc\nu2\t1\t-1\tabc\n")
+    (a, b), (c,) = [nb.hypotheses for nb in rescore.read_nbest(path)]
+    assert a.words == ["abc", "def"] and b.words == ["def", "abc"] and c.words == ["abc"]
+    assert a.words[0] is b.words[1] is c.words[0]
+    assert a.words[1] is b.words[0]
+    # each hypothesis still owns its list
+    assert a.words is not b.words
+
+
+def test_nbest_reader_memory_per_hypothesis(tmp_path):
+    """2,000 hypotheses of 8 words over 60 distinct words: what read_nbest
+    holds grows with the hypotheses, not with a str per token."""
+    rng = random.Random(0)
+    words = ["street%02d" % i for i in range(60)]
+    path = tmp_path / "n.tsv"
+    with open(path, "w", encoding="utf-8") as f:
+        for u in range(250):
+            for r in range(1, 9):
+                f.write("utt%04d\t%d\t%.6f\t%s\n"
+                        % (u, r, -100 * rng.random(), " ".join(rng.choices(words, k=8))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lists = rescore.read_nbest(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(len(nb.hypotheses) for nb in lists) == 2000
+    assert held / 2000 <= 400
 
 
 def test_rescore_non_finite_total_rejected():
