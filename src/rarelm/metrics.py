@@ -1,6 +1,7 @@
 """WER via Levenshtein alignment, rare-word recognition accuracy, and the
 left-to-right sums and perplexity of per-position log-probabilities."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,15 @@ def align(ref: list[str], hyp: list[str]) -> list[tuple]:
 
     Returns (tag, ref_token_or_-, hyp_token_or_-) ops. Backtrace ties are
     resolved preferring match > sub > del > ins, making output deterministic.
+
+    The common suffix of ref and hyp is matched before the DP, which fills
+    only the rest: d(Xa, Ya) = d(X, Y), and the backtrace from (Xa, Ya)
+    takes the match first, so the ops are those of the full matrix. An
+    utterance equal to its reference fills no cells.
     """
     n, m = len(ref), len(hyp)
+    while n and m and ref[n - 1] == hyp[m - 1]:
+        n, m = n - 1, m - 1
     d = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         d[i][0] = i
@@ -78,6 +86,7 @@ def align(ref: list[str], hyp: list[str]) -> list[tuple]:
             ops.append((INS, GAP, hyp[j - 1]))
             j -= 1
     ops.reverse()
+    ops.extend(zip(itertools.repeat(MATCH), ref[n:], hyp[m:]))
     return ops
 
 

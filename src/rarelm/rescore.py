@@ -9,7 +9,7 @@ import numpy as np
 
 from .metrics import left_sums
 from .neural import NeuralLM, position_logprobs, prefix_slices
-from .textcorpus import encode, read_tab_pairs
+from .textcorpus import encode_many, read_tab_pairs
 
 
 @dataclass(slots=True)
@@ -45,8 +45,8 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     """log10 probability of each hypothesis under (1-mu)*P_nlm + mu*P_kn.
 
     The mix is linear in the probability domain per position. State is
-    reset for every hypothesis; OOV words map to unk. Every hypothesis is
-    encoded once, and the hypotheses are taken in neural.prefix_slices,
+    reset for every hypothesis; OOV words map to unk. The hypotheses are
+    encoded into one packed array and taken in neural.prefix_slices,
     so that hypotheses sharing a prefix, from any list, mostly fall in
     one slice and step it once. Both models answer every position of a
     slice as one flat array in its packed layout. The two models are
@@ -63,10 +63,9 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     if mu > 0.0:
         to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
                             count=len(nlm.vocab))
-    seqs = [encode(words, nlm.vocab) for words in word_lists]
-    scores = np.empty(len(seqs))
+    scores = np.empty(len(word_lists))
     # slices, not one pass: they bound the memory of the KN join and the mix
-    for idx, ids, lens in prefix_slices(seqs):
+    for idx, ids, lens in prefix_slices(*encode_many(word_lists, nlm.vocab)):
         lp = position_logprobs(nlm, ids, lens)
         if mu > 0.0:
             q = kn.prob_many(np.take(to_kn, ids), lens)
@@ -86,7 +85,8 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
     its chosen top hypothesis at element 0. An empty list fails before any
     scoring. All hypotheses go through one lm_scores call, which scores
     them in prefix order, across list boundaries, and returns their
-    scores in file order.
+    scores in file order. The returned hypotheses share their word lists
+    with the input's.
     """
     for nb in lists:
         if not nb.hypotheses:
@@ -102,7 +102,7 @@ def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestLis
             if not math.isfinite(total):
                 raise ValueError("non-finite total score for %s rank %d"
                                  % (nb.utt_id, hyp.rank))
-            scored.append(Hypothesis(hyp.rank, hyp.am_score, list(hyp.words), total))
+            scored.append(Hypothesis(hyp.rank, hyp.am_score, hyp.words, total))
         scored.sort(key=lambda h: (-h.total_score, h.rank))
         out.append(NBestList(nb.utt_id, scored))
     return out

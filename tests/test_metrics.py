@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wer_reference
 from rarelm import metrics
 from rarelm.metrics import DEL, INS, MATCH, SUB
 
@@ -60,6 +61,36 @@ short_seqs = st.lists(st.sampled_from("abc"), max_size=6)
 def test_align_is_optimal(ref, hyp):
     ops = metrics.align(ref, hyp)
     assert sum(tag != MATCH for tag, _, _ in ops) == brute_force_distance(ref, hyp)
+
+
+@st.composite
+def suffix_pairs(draw):
+    """(ref, hyp) over a small alphabet: equal, or two heads (either may be
+    empty) ending in one shared suffix (which may be empty)."""
+    word = st.sampled_from(draw(st.sampled_from(["a", "ab", "abc"])))
+    suffix = draw(st.lists(word, max_size=5))
+    ref = draw(st.lists(word, max_size=6)) + suffix
+    if draw(st.booleans()):
+        return ref, list(ref)
+    return ref, draw(st.lists(word, max_size=6)) + suffix
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=suffix_pairs())
+def test_align_ops_equal_full_matrix_oracle(pair):
+    ref, hyp = pair
+    assert metrics.align(ref, hyp) == wer_reference.align(ref, hyp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(suffix_pairs(), max_size=6), dropped=st.sets(st.integers(0, 5)),
+       tracked=st.sets(st.sampled_from("abcx")))
+def test_corpus_scores_equal_full_matrix_oracle(pairs, dropped, tracked):
+    refs = {"u%d" % i: ref for i, (ref, _) in enumerate(pairs)}
+    hyps = {"u%d" % i: hyp for i, (_, hyp) in enumerate(pairs) if i not in dropped}
+    wer, acc = metrics.corpus_scores(refs, hyps, tracked)
+    assert (wer.substitutions, wer.insertions, wer.deletions, wer.ref_word_count,
+            acc.occurrences, acc.correct) == wer_reference.corpus_scores(refs, hyps, tracked)
 
 
 def test_corpus_wer_perfect():

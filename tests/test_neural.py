@@ -204,7 +204,7 @@ def test_sentence_logprob_matches_stepwise():
 
 def test_perplexity_empty_corpus():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty corpus"):
         neural.nn_perplexity(m, [])
     # sentences, but no position to score
     with pytest.raises(ValueError, match="empty corpus"):

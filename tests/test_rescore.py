@@ -208,6 +208,24 @@ def test_rescore_empty_list():
         rescore.rescore_lists([NBestList("u", [])], nlm, None, RescoreConfig())
 
 
+def test_nothing_to_rescore():
+    nlm, kn, _ = setup_models()
+    assert rescore.lm_scores(nlm, None, []) == []
+    assert rescore.lm_scores(nlm, kn, [], 0.3) == []
+    assert rescore.rescore_lists([], nlm, None, RescoreConfig()) == []
+
+
+def test_ranked_hypotheses_share_input_word_lists():
+    nlm, _, _ = setup_models()
+    lists = [NBestList("u1", [Hypothesis(1, -3.0, ["a", "b"]), Hypothesis(2, -0.5, ["c"])]),
+             NBestList("u2", [Hypothesis(1, -1.0, [])])]
+    out = rescore.rescore_lists(lists, nlm, None, RescoreConfig())
+    words = {(nb.utt_id, h.rank): h.words for nb in lists for h in nb.hypotheses}
+    for nb in out:
+        for h in nb.hypotheses:
+            assert h.words is words[nb.utt_id, h.rank]
+
+
 def test_rescore_empty_list_fails_before_scoring(monkeypatch):
     # with one hypothesis per slice, scoring as the lists are read would
     # score u1 and u2 before it reached the empty u3

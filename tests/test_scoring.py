@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,6 +217,31 @@ def test_perplexity_scores_in_prefix_order(monkeypatch):
     in_file_order = sum(len(ps) for a in range(0, 24, 4)
                         for ps in live_prefixes(seqs[a:a + 4]).values())
     assert sum(map(len, calls)) < in_file_order
+
+
+@st.composite
+def related_seqs(draw):
+    """Id sequences over a small alphabet, with duplicates, prefixes of one
+    another and empty sequences among them."""
+    seqs = draw(st.lists(st.lists(st.integers(0, 3), max_size=6), max_size=12))
+    for s in list(seqs):
+        seqs.insert(draw(st.integers(0, len(seqs))), s[:draw(st.integers(0, len(s)))])
+    return seqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(seqs=related_seqs(), group_rows=st.sampled_from([1, 3, 2048]))
+def test_prefix_slices_take_the_sorted_lists_order(seqs, group_rows):
+    # the lexsort order is the order of sorting the id lists, ties in
+    # input order, and each slice is the packed run of its sequences
+    want = sorted(range(len(seqs)), key=seqs.__getitem__)
+    with mock.patch.object(neural, "GROUP_ROWS", group_rows):
+        slices = list(neural.prefix_slices(*pack(seqs)))
+    assert [i for idx, _, _ in slices for i in idx.tolist()] == want
+    for idx, ids, lens in slices:
+        assert len(idx) <= group_rows
+        assert [ids.tolist(), lens.tolist()] == [a.tolist() for a in pack(
+            seqs[i] for i in idx)]
 
 
 @pytest.mark.parametrize("bad", ["negative", "vocab_size"])

@@ -1,14 +1,18 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
+import rarelm
 from rarelm import cli
 
-SRC = sorted((Path(__file__).parent.parent / "src" / "rarelm").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SRC = sorted((ROOT / "src" / "rarelm").glob("*.py"))
+BENCH_USERS = [ROOT / "bench" / "workloads.py", ROOT / "bench" / "run.py"]
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
@@ -57,3 +61,53 @@ def test_every_config_is_frozen():
               if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
               and not any(map(is_frozen_dataclass, node.decorator_list))]
     assert not thawed, "config classes that are not frozen dataclasses: %s" % thawed
+
+
+def imported_from_rarelm(tree):
+    """name -> object for every name a file binds by importing from rarelm."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "rarelm":
+                    module = importlib.import_module(a.name)
+                    bound[a.asname or "rarelm"] = module if a.asname else rarelm
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rarelm":
+            owner = importlib.import_module(node.module)
+            for a in node.names:
+                try:
+                    bound[a.asname or a.name] = getattr(owner, a.name)
+                except AttributeError:
+                    bound[a.asname or a.name] = importlib.import_module(
+                        "%s.%s" % (node.module, a.name))
+    return bound
+
+
+def dotted(node):
+    """['a', 'b', 'c'] for the expression a.b.c, or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", BENCH_USERS, ids=[p.name for p in BENCH_USERS])
+def test_bench_uses_only_what_the_package_has(path):
+    # the benchmark calls into the package by name (nbest_properties calls
+    # textcorpus.encode); a refactor that drops such a name must fail here,
+    # not in a benchmark run
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = imported_from_rarelm(tree)
+    assert bound, "%s imports nothing from rarelm" % path.name
+    missing = set()
+    for node in ast.walk(tree):
+        parts = dotted(node) if isinstance(node, ast.Attribute) else None
+        if parts and parts[0] in bound:
+            obj = bound[parts[0]]
+            for k, attr in enumerate(parts[1:], 2):
+                if not hasattr(obj, attr):
+                    missing.add("%s (line %d)" % (".".join(parts[:k]), node.lineno))
+                    break
+                obj = getattr(obj, attr)
+    assert not missing, "%s uses names rarelm lacks: %s" % (path.name, sorted(missing))

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelm import textcorpus as tc
 
@@ -91,6 +92,18 @@ def test_pack_empty_and_short_sequences():
     assert ids.dtype == lens.dtype == np.int64
     assert ids.tolist() == [5, 0, 7, 1]
     assert lens.tolist() == [0, 1, 3, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_lists=st.lists(st.lists(st.sampled_from(
+    ["a", "b", "oov", "<s>", "</s>", "<unk>", ""]), max_size=6), max_size=8))
+def test_encode_many_equals_packed_encode(word_lists):
+    # OOV words, empty sentences and the special tokens used as words
+    v = tc.build_vocab([["a", "b"]])
+    got = tc.encode_many(word_lists, v)
+    want = tc.pack([tc.encode(words, v) for words in word_lists])
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 def test_encode_decode_roundtrip():
