@@ -6,6 +6,7 @@ matrix U (d_h x |V|) applied as a pure inner product: y = U^T h, no output
 bias. Parameters live in float64; checkpoints store float32.
 """
 
+import itertools
 import json
 import math
 import os
@@ -282,24 +283,32 @@ def prefix_slices(ids, lens):
     input order, each slice packed back to back; sequences sharing a
     prefix mostly fall in one slice and step it once.
 
-    The order is one stable lexsort over the sequences padded with -1,
-    which puts a prefix before its extensions, as sorting the id lists
-    does."""
+    The order comes from one stable sort per position, from the last. The
+    sort at position t takes the sequences that have an id there, those
+    whose last id it is first, so a prefix comes before its extensions.
+    Time and memory grow with the number of ids, not with the longest
+    sequence."""
     n = lens.size
-    # the narrowest integer type that holds every id and the pad: numpy
-    # sorts 8- and 16-bit keys by radix, several times faster
-    key = np.min_scalar_type(-1 - int(np.abs(ids).max(initial=0)))
-    width = int(lens.max(initial=1))
-    padded = np.full((n, width), -1, dtype=key)
-    held = np.arange(width) < lens[:, None]
-    padded[held] = ids
-    order = np.lexsort(padded.T[::-1])
-    ids = padded[order][held[order]].astype(np.int64)
-    lens = lens[order]
-    ends = np.cumsum(lens)
+    # the narrowest integer type that holds every id: numpy sorts 8- and
+    # 16-bit keys by radix, several times faster
+    key = ids.astype(np.min_scalar_type(-1 - int(np.abs(ids).max(initial=0))))
+    starts = np.cumsum(lens) - lens
+    # the sequences of length t are by_len[cut[t]:cut[t + 1]], in input order
+    by_len = np.argsort(lens, kind="stable")
+    width = int(lens.max(initial=0))
+    cut = np.searchsorted(lens[by_len], np.arange(width + 2))
+    order = by_len[:0]
+    for t in range(width - 1, -1, -1):
+        order = np.concatenate([by_len[cut[t + 1]:cut[t + 2]], order])
+        order = order[np.argsort(key[starts[order] + t], kind="stable")]
+    order = np.concatenate([by_len[:cut[1]], order])
     for a in range(0, n, GROUP_ROWS):
-        b = min(a + GROUP_ROWS, n)
-        yield order[a:b], ids[ends[a] - lens[a]:ends[b - 1]], lens[a:b]
+        idx = order[a:a + GROUP_ROWS]
+        held = lens[idx]
+        ends = np.cumsum(held)
+        at = np.repeat(starts[idx] - (ends - held), held)
+        at += np.arange(at.size)
+        yield idx, ids[at], held
 
 
 def nn_perplexity(m: NeuralLM, corpus) -> float:
@@ -619,13 +628,14 @@ def _read_header(f) -> tuple:
     words = header["vocab"]
     if not isinstance(words, list) or len(words) != nv or words[:3] != list(SPECIALS):
         raise CheckpointError("checkpoint vocabulary is inconsistent")
-    if not all(isinstance(w, str) for w in words):
+    if not all(map(isinstance, words, itertools.repeat(str))):
         raise CheckpointError("checkpoint vocabulary holds a non-string word")
     if len(set(words)) != nv:
         raise CheckpointError("checkpoint vocabulary repeats a word")
     counts = header.get("counts", [0] * nv)
+    # type(c) is int, so a JSON true or false is no count
     if not (isinstance(counts, list) and len(counts) == nv
-            and all(type(c) is int and c >= 0 for c in counts)):
+            and set(map(type, counts)) <= {int} and min(counts) >= 0):
         raise CheckpointError("checkpoint counts must be a list of %d "
                               "non-negative integers" % nv)
     need = 4 * sum(math.prod(s) for s in _shapes(d_s, d_h, nv))

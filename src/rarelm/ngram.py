@@ -21,6 +21,7 @@ so the dicts must not change after that.
 
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -332,18 +333,21 @@ def export_arpa(m: NGramModel) -> str:
     return "\n".join(lines)
 
 
+# the most lines import_arpa parses in one pass, which bounds its
+# intermediates
+BLOCK_LINES = 256
+
+
 class ArpaParseError(ValueError):
     pass
 
 
-def import_arpa(text: str) -> NGramModel:
-    """Parse an ARPA file back into an NGramModel.
+def _read_counts(lines: list[str]) -> tuple[int, dict[int, int]]:
+    """Read the `\\data\\` header of an ARPA file split into lines.
 
-    Word ids are assigned with specials pinned to 0/1/2 and remaining words
-    in order of first appearance in the unigram section. Each log10 value
-    must give a positive, finite probability or back-off weight.
+    Returns the index of the line after its `ngram k=count` lines and
+    {k: count}. The declared orders must be 1..N, each declared once.
     """
-    lines = text.split("\n")
     i = 0
     while i < len(lines) and lines[i].strip() != "\\data\\":
         if lines[i].strip() and not lines[i].startswith("\\"):
@@ -357,80 +361,148 @@ def import_arpa(text: str) -> NGramModel:
         try:
             spec = lines[i].strip()[len("ngram"):].strip()
             k, cnt = spec.split("=")
-            declared[int(k)] = int(cnt)
+            k, cnt = int(k), int(cnt)
         except ValueError:
             raise ArpaParseError("line %d: malformed ngram count line" % (i + 1))
+        if k < 1:
+            raise ArpaParseError("line %d: ngram order %d is not positive" % (i + 1, k))
+        if k in declared:
+            raise ArpaParseError("line %d: ngram %d declared twice" % (i + 1, k))
+        declared[k] = cnt
         i += 1
     if not declared:
         raise ArpaParseError("no ngram counts declared in \\data\\ section")
     order = max(declared)
+    if order != len(declared):
+        # the declarations are the len(declared) lines before line i
+        raise ArpaParseError("line %d: ngram %d declared without ngram %d" % (
+            i - len(declared) + list(declared).index(order) + 1, order,
+            min(set(range(1, order)) - declared.keys())))
+    return i, declared
 
-    word_ids: dict[str, int] = {w: j for j, w in enumerate(SPECIALS)}
-    words_in_order: list[str] = []
 
-    def wid(w):
-        if w not in word_ids:
-            word_ids[w] = len(word_ids)
-            words_in_order.append(w)
-        return word_ids[w]
+def _markers(lines: list[str], i: int):
+    """Yield (index, stripped line) for each `\\k-grams:` or `\\end\\`
+    line from lines[i] on, then (len(lines), None)."""
+    marked = map(operator.contains, itertools.islice(lines, i, None), itertools.repeat("\\"))
+    for j in itertools.compress(range(i, len(lines)), marked):
+        line = lines[j].strip()
+        if line == "\\end\\" or line.startswith("\\") and line.endswith("-grams:"):
+            yield j, line
+    yield len(lines), None
 
+
+def _pow10(col: list[str]) -> Optional[list[float]]:
+    """[10.0 ** float(x) for x in col], by the same libm pow; None when an
+    x is no number or its power is not a positive, finite float."""
+    try:
+        p = list(map(math.pow, itertools.repeat(10.0), map(float, col)))
+    except (ValueError, OverflowError):
+        return None
+    # a nan or an inf makes the sum non-finite, and with neither, min is
+    # the least value; a sum of finite values that overflows falls through
+    # to the test of each value
+    if min(p) > 0.0 and math.isfinite(sum(p)):
+        return p
+    if all(map((0.0).__lt__, p)) and all(map(math.inf.__gt__, p)):
+        return p
+    return None
+
+
+def _read_entries(chunk: list[str], first: int, k: Optional[int], order: int,
+                  word_ids: dict[str, int], probs: dict, bows: dict) -> int:
+    """Parse the entries among `chunk`, the lines from index `first` of
+    an ARPA file in its k-grams section (k None before any section), into
+    probs[k] and bows[k], giving each new word the next id in word_ids.
+    Returns the number of entries. Each step is one pass over the chunk;
+    a failed step names the first faulty line, as a parser taking one
+    line at a time would."""
+    entries = list(filter(None, map(str.strip, chunk)))
+    if not entries:
+        return 0
+
+    def fail(n, msg, *args):
+        row = next(itertools.islice((r for r, line in enumerate(chunk) if line.strip()), n, None))
+        # a later step may fault an earlier line, which must be named first
+        _read_entries(chunk[:row], first, k, order, word_ids, probs, bows)
+        raise ArpaParseError("line %d: " % (first + row + 1) + msg % args)
+
+    def values(col, what, at):
+        v = _pow10(col)
+        if v is None:
+            n = next(t for t, x in enumerate(col) if _pow10([x]) is None)
+            fail(at[n], "bad %s %r", what, col[n])
+        return v
+
+    if k is None:
+        fail(0, "n-gram entry outside a section")
+    fields = list(map(str.split, entries, itertools.repeat("\t")))
+    nf = list(map(len, fields))
+    if not {2, 3}.issuperset(nf):
+        fail(next(t for t, n in enumerate(nf) if n not in (2, 3)),
+             "expected 2 or 3 tab-separated fields")
+    p = values(list(map(operator.itemgetter(0), fields)), "log probability", range(len(nf)))
+    grams = list(map(str.split, map(operator.itemgetter(1), fields)))
+    if set(map(len, grams)) != {k}:
+        n = next(t for t, g in enumerate(grams) if len(g) != k)
+        fail(n, "%d-gram in %d-grams section", len(grams[n]), k)
+    words = list(itertools.chain.from_iterable(grams))
+    ids = list(map(word_ids.get, words))
+    if None in ids:
+        new = list(itertools.filterfalse(word_ids.__contains__, dict.fromkeys(words)))
+        word_ids.update(zip(new, itertools.count(len(word_ids))))
+        ids = list(map(word_ids.__getitem__, words))
+    grams = list(zip(*[iter(ids)] * k))
+    probs[k].update(zip(grams, p))
+    if 3 in nf:
+        has = list(map((3).__eq__, nf))
+        if k >= order:
+            fail(has.index(True), "back-off weight on highest order")
+        at = list(itertools.compress(range(len(nf)), has))
+        col = list(map(operator.itemgetter(2), itertools.compress(fields, has)))
+        b = values(col, "back-off weight", at)
+        bows[k].update(zip(itertools.compress(grams, has), b))
+    return len(entries)
+
+
+def import_arpa(text: str) -> NGramModel:
+    """Parse an ARPA file back into an NGramModel.
+
+    Word ids are assigned with specials pinned to 0/1/2 and remaining words
+    in order of first appearance in the file. Each log10 value must give a
+    positive, finite probability or back-off weight. Sections are found
+    first; their entries are then parsed up to BLOCK_LINES lines at a time.
+    """
+    lines = text.split("\n")
+    i, declared = _read_counts(lines)
+    order = len(declared)
+    word_ids = dict(zip(SPECIALS, itertools.count()))
     probs = {k: {} for k in range(1, order + 1)}
     bows = {k: {} for k in range(1, order)}
-    k = None
     seen = Counter()
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
+    k = None
+    for j, line in _markers(lines, i):
+        for a in range(i, j, BLOCK_LINES):
+            seen[k] += _read_entries(lines[a:min(a + BLOCK_LINES, j)], a, k, order,
+                                     word_ids, probs, bows)
+        if line is None:
+            raise ArpaParseError("missing \\end\\ marker")
         if line == "\\end\\":
             break
-        if line.endswith("-grams:") and line.startswith("\\"):
-            try:
-                k = int(line[1:-len("-grams:")])
-            except ValueError:
-                raise ArpaParseError("line %d: malformed section header %r" % (i + 1, line))
-            if k not in declared:
-                raise ArpaParseError("line %d: section %d-grams not declared" % (i + 1, k))
-            i += 1
-            continue
-        if k is None:
-            raise ArpaParseError("line %d: n-gram entry outside a section" % (i + 1))
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise ArpaParseError("line %d: expected 2 or 3 tab-separated fields" % (i + 1))
         try:
-            prob = 10.0 ** float(parts[0])
-        except (ValueError, OverflowError):
-            prob = 0.0
-        if not 0.0 < prob < math.inf:
-            raise ArpaParseError("line %d: bad log probability %r" % (i + 1, parts[0]))
-        gram = tuple(wid(w) for w in parts[1].split())
-        if len(gram) != k:
-            raise ArpaParseError("line %d: %d-gram in %d-grams section" % (i + 1, len(gram), k))
-        probs[k][gram] = prob
-        if len(parts) == 3:
-            if k >= order:
-                raise ArpaParseError("line %d: back-off weight on highest order" % (i + 1))
-            try:
-                bow = 10.0 ** float(parts[2])
-            except (ValueError, OverflowError):
-                bow = 0.0
-            if not 0.0 < bow < math.inf:
-                raise ArpaParseError("line %d: bad back-off weight %r" % (i + 1, parts[2]))
-            bows[k][gram] = bow
-        seen[k] += 1
-        i += 1
-    else:
-        raise ArpaParseError("missing \\end\\ marker")
+            k = int(line[1:-len("-grams:")])
+        except ValueError:
+            raise ArpaParseError("line %d: malformed section header %r" % (j + 1, line))
+        if k not in declared:
+            raise ArpaParseError("line %d: section %d-grams not declared" % (j + 1, k))
+        i = j + 1
 
     for k2, cnt in declared.items():
         if seen[k2] != cnt:
             raise ArpaParseError(
                 "section %d-grams: declared %d entries, found %d" % (k2, cnt, seen[k2]))
 
-    vocab = Vocabulary(words_in_order)
-    m = NGramModel(order, vocab)
+    m = NGramModel(order, Vocabulary(list(word_ids)[len(SPECIALS):]))
     m.probs = probs
     m.bows = bows
     return m

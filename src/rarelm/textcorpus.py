@@ -86,14 +86,14 @@ class Vocabulary:
 
     def __init__(self, words: Iterable[str], counts: Optional[dict] = None):
         counts = counts or {}
-        self.id_to_word: list[str] = list(SPECIALS)
-        self.word_to_id: dict[str, int] = {w: i for i, w in enumerate(SPECIALS)}
-        for w in words:
-            if w in self.word_to_id:
-                continue
-            self.word_to_id[w] = len(self.id_to_word)
-            self.id_to_word.append(w)
-        self.counts: dict[str, int] = {w: int(counts.get(w, 0)) for w in self.id_to_word}
+        self.id_to_word: list[str] = [*SPECIALS, *words]
+        self.word_to_id: dict[str, int] = dict(zip(self.id_to_word, itertools.count()))
+        if len(self.word_to_id) < len(self.id_to_word):
+            # a repeated word keeps its first id
+            self.id_to_word = list(dict.fromkeys(self.id_to_word))
+            self.word_to_id = dict(zip(self.id_to_word, itertools.count()))
+        self.counts: dict[str, int] = dict(zip(self.id_to_word, map(
+            int, map(counts.get, self.id_to_word, itertools.repeat(0)))))
 
     def __len__(self):
         return len(self.id_to_word)

@@ -454,9 +454,9 @@ def set_first_count(value):
 
 @pytest.mark.parametrize("edit", [
     set_first_count(None), set_first_count(-1), set_first_count("3"),
-    set_first_count(1.5), lambda h: h.update(counts=7),
+    set_first_count(1.5), set_first_count(True), lambda h: h.update(counts=7),
     lambda h: h["counts"].pop(),
-], ids=["null", "negative", "string", "float", "not-a-list", "short"])
+], ids=["null", "negative", "string", "float", "bool", "not-a-list", "short"])
 def test_checkpoint_rejects_bad_counts(tmp_path, edit):
     p = tmp_path / "m.rlm"
     neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)

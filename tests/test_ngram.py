@@ -1,13 +1,16 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rarelm import ngram
-from rarelm.textcorpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocab, encode, pack
+from rarelm.textcorpus import (BOS_ID, EOS_ID, SPECIALS, UNK_ID, Vocabulary, build_vocab,
+                              encode, pack)
 
+from arpa_reference import ref_import_arpa
 from kn_reference import ref_prob, ref_sentence_logprob
 
 
@@ -351,3 +354,151 @@ def test_handwritten_unigram_arpa():
     assert m.order == 1
     a = m.vocab.id("a")
     assert abs(m.probs[1][(a,)] - 0.5) < 1e-9
+
+
+ONE_SECTION = ["", "\\1-grams:", "-0.5\ta", "-0.5\tb", "-0.5\tc", "", "\\end\\", ""]
+
+
+@pytest.mark.parametrize("decls, message", [
+    (["ngram 0=0"], "line 2: ngram order 0 is not positive"),
+    (["ngram -1=3"], "line 2: ngram order -1 is not positive"),
+    (["ngram 1=3", "ngram 1=4"], "line 3: ngram 1 declared twice"),
+    (["ngram 1=3", "ngram 3=1"], "line 3: ngram 3 declared without ngram 2"),
+    (["ngram 4=1", "ngram 1=3", "ngram 3=1"], "line 2: ngram 4 declared without ngram 2"),
+], ids=["zero", "negative", "repeated", "gap", "gaps"])
+def test_arpa_rejects_malformed_order_declarations(decls, message):
+    # the declared orders are 1..N, each once; an order-0 model would read
+    # its probabilities from memory no table holds
+    with pytest.raises(ngram.ArpaParseError) as e:
+        ngram.import_arpa("\n".join(["\\data\\"] + decls + ONE_SECTION))
+    assert str(e.value) == message
+
+
+def test_arpa_orders_may_be_declared_in_any_order():
+    m = ngram.import_arpa("\n".join(["\\data\\", "ngram 2=0", "ngram 1=3"] + ONE_SECTION[:-2]
+                                     + ["\\2-grams:", "\\end\\"]))
+    assert m.order == 2 and len(m.probs[1]) == 3 and m.probs[2] == {}
+
+
+def test_arpa_names_the_first_faulty_line():
+    # each step passes over a whole block, so a later step's fault on an
+    # earlier line must still be the one named: here line 5's back-off
+    # weight, not line 6's log probability or line 7's missing field
+    text = "\n".join(["\\data\\", "ngram 1=3", "", "\\1-grams:", "-0.5\ta\t-0.1", "x\tb",
+                      "-0.5", "", "\\end\\"])
+    with pytest.raises(ngram.ArpaParseError) as e:
+        ngram.import_arpa(text)
+    assert str(e.value) == "line 5: back-off weight on highest order"
+    with pytest.raises(ngram.ArpaParseError, match=str(e.value)):
+        ref_import_arpa(text)
+
+
+def _hex_tables(tables):
+    return {k: {g: v.hex() for g, v in t.items()} for k, t in tables.items()}
+
+
+def _import_outcome(import_fn, text):
+    """(words after the specials, probs, bows) by float.hex, or the message."""
+    try:
+        got = import_fn(text)
+    except ngram.ArpaParseError as e:
+        return str(e)
+    words, probs, bows = got
+    return words, _hex_tables(probs), _hex_tables(bows)
+
+
+def _new_import(text):
+    m = ngram.import_arpa(text)
+    return m.vocab.id_to_word[len(SPECIALS):], m.probs, m.bows
+
+
+def _mutate(lines, kind, draw):
+    """Give the ARPA lines one fault of the named kind, in place."""
+    entries = [i for i, l in enumerate(lines) if "\t" in l.strip()]
+    heads = [i for i, l in enumerate(lines) if l.strip().endswith("-grams:")]
+    decls = [i for i, l in enumerate(lines) if l.strip().startswith("ngram")]
+    top = [i for i in entries if i > heads[-1]]
+    with_bow = [i for i in entries if lines[i].strip().count("\t") == 2]
+    pick = lambda xs: xs[draw(st.integers(0, len(xs) - 1))]
+    if not top:
+        return False
+    if kind == "fields":
+        i = pick(entries)
+        lines[i] = draw(st.sampled_from([lines[i].replace("\t", " "),
+                                         lines[i].rstrip() + "\t-0.5\t-0.5"]))
+    elif kind == "logprob":
+        i = pick(entries)
+        fields = lines[i].strip().split("\t")
+        fields[0] = draw(st.sampled_from(["x", "nan", "inf", "400", "-400", ""]))
+        lines[i] = "\t".join(fields)
+    elif kind == "backoff":
+        if not with_bow:
+            return False
+        i = pick(with_bow)
+        fields = lines[i].strip().split("\t")
+        fields[2] = draw(st.sampled_from(["x", "nan", "-inf", "400", "-400"]))
+        lines[i] = "\t".join(fields)
+    elif kind == "length":
+        i = pick(entries)
+        fields = lines[i].strip().split("\t")
+        words = fields[1].split()
+        fields[1] = " ".join(draw(st.sampled_from([words[1:], words + ["a"]])))
+        lines[i] = "\t".join(fields)
+    elif kind == "top-backoff":
+        i = pick(top)
+        lines[i] = lines[i].rstrip() + "\t-0.25"
+    elif kind == "header":
+        i = pick(heads)
+        lines[i] = draw(st.sampled_from(["\\9-grams:", "\\0-grams:", "\\x-grams:",
+                                         "\\-grams:"]))
+    elif kind == "outside":
+        lines.insert(draw(st.integers(decls[-1] + 1, heads[0])), "-0.5\ta")
+    elif kind == "count":
+        i = pick(decls)
+        k, cnt = lines[i].strip()[len("ngram"):].split("=")
+        lines[i] = "ngram %s=%d" % (k.strip(), int(cnt) + draw(st.sampled_from([-1, 1])))
+    elif kind == "end":
+        ends = [i for i, l in enumerate(lines) if l.strip() == "\\end\\"]
+        if not ends:
+            return False
+        del lines[ends[0]]
+    return True
+
+
+FAULTS = ["fields", "logprob", "backoff", "length", "top-backoff", "header", "outside",
+          "count", "end"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
+                                min_size=1, max_size=7), min_size=1, max_size=8),
+       order=st.integers(1, 4), prune_min_count=st.sampled_from([0, 2]),
+       faults=st.lists(st.sampled_from(FAULTS), max_size=3),
+       block_lines=st.sampled_from([1, 2, 3, ngram.BLOCK_LINES]), data=st.data())
+def test_import_arpa_matches_the_per_line_oracle(corpus, order, prune_min_count, faults,
+                                                 block_lines, data):
+    # export texts with formatting noise the format allows, and with up to
+    # three faults of any kind; parsed in blocks of every size, each must
+    # give the per-line loop's words and values, or its message
+    m, _, _ = make_model(corpus, order, prune_min_count=prune_min_count)
+    lines = ngram.export_arpa(m).split("\n")
+    first = next(i for i, l in enumerate(lines) if l.startswith("\\1-grams:"))
+    for i in reversed(range(first, len(lines))):
+        if data.draw(st.integers(0, 5)) == 0:
+            lines.insert(i, data.draw(st.sampled_from(["", " ", "\t", " \r"])))
+    for i in range(len(lines)):
+        if data.draw(st.integers(0, 5)) == 0:
+            lines[i] = data.draw(st.sampled_from([" ", "\t", ""])) + lines[i] + " "
+        if "\t" in lines[i] and data.draw(st.integers(0, 5)) == 0:
+            fields = lines[i].split("\t")
+            fields[1] = fields[1].replace(" ", "  ")
+            lines[i] = "\t".join(fields)
+    for kind in faults:
+        assume(_mutate(lines, kind, data.draw))
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    want = _import_outcome(ref_import_arpa, text)
+    with mock.patch.object(ngram, "BLOCK_LINES", block_lines):
+        got = _import_outcome(_new_import, text)
+    assert got == want
+    if len(faults) <= 1:  # two faults may cancel out
+        assert isinstance(want, str) == bool(faults)

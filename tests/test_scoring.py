@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -232,8 +233,8 @@ def related_seqs(draw):
 @settings(max_examples=300, deadline=None)
 @given(seqs=related_seqs(), group_rows=st.sampled_from([1, 3, 2048]))
 def test_prefix_slices_take_the_sorted_lists_order(seqs, group_rows):
-    # the lexsort order is the order of sorting the id lists, ties in
-    # input order, and each slice is the packed run of its sequences
+    # the order is the order of sorting the id lists, ties in input
+    # order, and each slice is the packed run of its sequences
     want = sorted(range(len(seqs)), key=seqs.__getitem__)
     with mock.patch.object(neural, "GROUP_ROWS", group_rows):
         slices = list(neural.prefix_slices(*pack(seqs)))
@@ -242,6 +243,23 @@ def test_prefix_slices_take_the_sorted_lists_order(seqs, group_rows):
         assert len(idx) <= group_rows
         assert [ids.tolist(), lens.tolist()] == [a.tolist() for a in pack(
             seqs[i] for i in idx)]
+
+
+def test_prefix_slices_memory_grows_with_ids():
+    # one long sentence among short ones must not pad the rest to its length
+    rng = np.random.default_rng(0)
+    short = [rng.integers(0, 142, size=12).tolist() for _ in range(5000)]
+
+    def peak(seqs):
+        ids, lens = pack(seqs)
+        tracemalloc.start()
+        try:
+            list(neural.prefix_slices(ids, lens))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(short + [rng.integers(0, 142, size=402).tolist()]) < 2 * peak(short)
 
 
 @pytest.mark.parametrize("bad", ["negative", "vocab_size"])

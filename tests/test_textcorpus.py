@@ -129,6 +129,36 @@ def test_word_counts():
     assert tc.word_counts([["boon_lay", "boon_lay"]]) == {"boon_lay": 2}
 
 
+def loop_vocabulary(words, counts=None):
+    """(id_to_word, word_to_id, counts) as the per-word loop Vocabulary
+    used to build them."""
+    counts = counts or {}
+    id_to_word = list(tc.SPECIALS)
+    word_to_id = {w: i for i, w in enumerate(tc.SPECIALS)}
+    for w in words:
+        if w in word_to_id:
+            continue
+        word_to_id[w] = len(id_to_word)
+        id_to_word.append(w)
+    return id_to_word, word_to_id, {w: int(counts.get(w, 0)) for w in id_to_word}
+
+
+VOCAB_WORDS = st.sampled_from(["a", "b", "ab", "", " "] + list(tc.SPECIALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(VOCAB_WORDS, max_size=12),
+       counts=st.none() | st.dictionaries(VOCAB_WORDS, st.integers(0, 9) | st.booleans()))
+def test_vocabulary_equals_the_per_word_loop(words, counts):
+    # repeats and specials keep their first id; words are read once
+    v = tc.Vocabulary(iter(words), counts)
+    id_to_word, word_to_id, want_counts = loop_vocabulary(words, counts)
+    assert v.id_to_word == id_to_word
+    assert list(v.word_to_id.items()) == list(word_to_id.items())
+    assert list(v.counts.items()) == list(want_counts.items())
+    assert set(map(type, v.counts.values())) <= {int}
+
+
 def test_vocab_counts_match_word_counts():
     corpus = [["a", "b", "a"], ["c", "a"]]
     counts = tc.word_counts(corpus)
