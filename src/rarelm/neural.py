@@ -30,7 +30,7 @@ LOG10 = math.log(10.0)
 # does.
 BATCH_ROWS = 64
 STEP_ROWS_MAX = 64
-GROUP_ROWS = 2048  # sequences per prefix tree; bounds the state kept per position
+GROUP_ROWS = 2048  # sequences per prefix_slices slice; bounds the scoring state
 
 
 @dataclass(frozen=True)
@@ -142,60 +142,54 @@ def _gates(z, c_prev):
     return c, h
 
 
-def _check_width(rows: int) -> None:
-    if rows > STEP_ROWS_MAX:
+def _matmul_rows(a, b, out=None):
+    """a @ b for the B rows of a, into out (of at least max(B, 8) rows)
+    when given. A row gets the same bits in any product of up to
+    STEP_ROWS_MAX rows, and a wider one raises ValueError: BLAS takes a
+    matmul of fewer than 8 rows down other kernels (gemv for one row), so
+    fewer rows are repeated up to 8 and the first B returned."""
+    B = a.shape[0]
+    if B > STEP_ROWS_MAX:
         raise ValueError("step of %d rows is wider than STEP_ROWS_MAX=%d"
-                         % (rows, STEP_ROWS_MAX))
+                         % (B, STEP_ROWS_MAX))
+    if B < 8:
+        a = a[np.arange(8) % B]
+    return np.matmul(a, b, out=None if out is None else out[:a.shape[0]])[:B]
 
 
 def gate_step(m: NeuralLM, words, h, c):
     """One batched LSTM step over B rows, without the output projection.
 
     words: (B,) input ids; h, c: (B, d_h) hidden and cell state. Returns
-    the new (h, c); the input state is never mutated.
-
-    A row gets the same bits in any batch of up to STEP_ROWS_MAX rows,
-    and a wider step raises ValueError: BLAS takes a matmul of fewer than
-    8 rows down other kernels (gemv for one row), so a narrower step
-    repeats its rows up to 8 and returns the first B.
+    the new (h, c); the input state is never mutated. The gate matmul
+    takes _matmul_rows, so a row has the same bits in any step of up to
+    STEP_ROWS_MAX rows, and a wider step raises ValueError.
     """
     words = np.asarray(words)
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
-    B = words.size
-    _check_width(B)
-    if B < 8:
-        pad = np.arange(8) % B
-        words, h, c = words[pad], h[pad], c[pad]
-    z = np.concatenate([m.S[:, words].T, h], axis=1) @ m.W.T + m.b
+    z = _matmul_rows(np.concatenate([m.S[:, words].T, h], axis=1), m.W.T) + m.b
     c, h = _gates(z, c)
-    return h[:B], c[:B]
+    return h, c
 
 
 def target_logprobs(m: NeuralLM, h, rows, targets, buf=None) -> np.ndarray:
     """Natural-log P(targets[i] | h[rows[i]]) from one pass of the B
     hidden rows h (B, d_h) over U.
 
-    y = h @ U is written into buf, a reused float64 scratch of at least
-    max(B, 8) rows and |V| columns (allocated when None). Each row's max
-    is subtracted in place and the targets read; then the row is
+    y = h @ U comes from _matmul_rows, into buf when given, a reused
+    float64 scratch of at least max(B, 8) rows and |V| columns, so a pass
+    wider than STEP_ROWS_MAX rows raises ValueError. Each row's max is
+    subtracted in place and the targets read; then the row is
     exponentiated in place and summed. A target's value is
     (y[t] - max) - log(sum(exp(y - max))), the two subtractions and the
     contiguous row sum of a full log-softmax, so it has the bits of that
-    softmax's entry. As in gate_step, rows get the same bits in any pass
-    of up to STEP_ROWS_MAX rows: a wider pass raises ValueError and a
-    narrower one than 8 is padded to 8.
+    softmax's entry.
     """
     targets = np.asarray(targets)
     if targets.size and (targets.min() < 0 or targets.max() >= m.vocab_size):
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
-    B = h.shape[0]
-    _check_width(B)
-    if B < 8:
-        h = h[np.arange(8) % B]
-    if buf is None:
-        buf = np.empty((h.shape[0], m.vocab_size))
-    y = np.matmul(h, m.U, out=buf[:h.shape[0]])[:B]
+    y = _matmul_rows(h, m.U, buf)
     y -= y.max(axis=1, keepdims=True)
     picked = y[rows, targets]
     np.exp(y, out=y)
@@ -211,21 +205,19 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     order: sequence i contributes its max(lens[i] - 1, 0) positions, as in
     `NGramModel.prob_many`.
 
-    Each distinct prefix goes through the LSTM once. Sequences are taken
-    GROUP_ROWS at a time, in input order, and each group is walked as a
-    prefix tree one position at a time: the distinct (parent prefix, input
-    word) keys of its live rows are its distinct prefixes ids[:t+1]. They
-    go through gate_step BATCH_ROWS at a time, each from its parent
-    prefix's state. Their hidden rows join one queue for the whole call,
-    across positions and groups, with the positions that read their
-    targets from them; target_logprobs projects the queue BATCH_ROWS rows
-    at a time into one reused buffer, so only the rows left at the end
-    make a narrower pass over U.
+    Each distinct prefix goes through the LSTM once. The sequences are
+    walked as one prefix tree, one position at a time: the distinct
+    (parent prefix, input word) keys of the live rows are the distinct
+    prefixes ids[:t+1]. They go through gate_step BATCH_ROWS at a time,
+    each from its parent prefix's state. Their hidden rows join one queue
+    with the positions that read their targets from them; target_logprobs
+    projects it BATCH_ROWS rows at a time into one reused buffer, so only
+    the last pass over U is narrower. Callers bound the state kept per
+    position by passing the slices of prefix_slices.
     """
     nv = m.vocab_size
     if ids.size and (ids.min() < 0 or ids.max() >= nv):
         raise IndexError("word id out of range for |V|=%d" % nv)
-    n = lens.size
     npos = np.maximum(lens - 1, 0)
     start = np.cumsum(lens) - lens
     ostart = np.cumsum(npos) - npos
@@ -242,35 +234,34 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
         fill = 0
         readers.clear()
 
-    for a in range(0, n, GROUP_ROWS):
-        rows = np.arange(a, min(a + GROUP_ROWS, n))
-        slot = np.zeros(rows.size, dtype=np.int64)  # row -> its prefix's state row
-        h = c = np.zeros((1, m.d_h))
-        for t in range(int(npos[rows].max())):
-            live = npos[rows] > t
-            rows = rows[live]
-            keys, slot = np.unique(slot[live] * nv + ids[start[rows] + t],
-                                   return_inverse=True)
-            parent, words = np.divmod(keys, nv)
-            nh = np.empty((keys.size, m.d_h))
-            nc = np.empty((keys.size, m.d_h))
-            for b in range(0, keys.size, BATCH_ROWS):
-                p = parent[b:b + BATCH_ROWS]
-                nh[b:b + BATCH_ROWS], nc[b:b + BATCH_ROWS] = gate_step(
-                    m, words[b:b + BATCH_ROWS], h[p], c[p])
-            h, c = nh, nc
-            at = ostart[rows] + t
-            target = ids[start[rows] + t + 1]
-            k = 0
-            while k < keys.size:
-                take = min(keys.size - k, BATCH_ROWS - fill)
-                queue[fill:fill + take] = nh[k:k + take]
-                sel = (slot >= k) & (slot < k + take)
-                readers.append((slot[sel] - k + fill, at[sel], target[sel]))
-                fill += take
-                k += take
-                if fill == BATCH_ROWS:
-                    project()
+    rows = np.arange(lens.size)
+    slot = np.zeros(rows.size, dtype=np.int64)  # row -> its prefix's state row
+    h = c = np.zeros((1, m.d_h))
+    for t in range(int(npos.max(initial=0))):
+        live = npos[rows] > t
+        rows = rows[live]
+        keys, slot = np.unique(slot[live] * nv + ids[start[rows] + t],
+                               return_inverse=True)
+        parent, words = np.divmod(keys, nv)
+        nh = np.empty((keys.size, m.d_h))
+        nc = np.empty((keys.size, m.d_h))
+        for b in range(0, keys.size, BATCH_ROWS):
+            p = parent[b:b + BATCH_ROWS]
+            nh[b:b + BATCH_ROWS], nc[b:b + BATCH_ROWS] = gate_step(
+                m, words[b:b + BATCH_ROWS], h[p], c[p])
+        h, c = nh, nc
+        at = ostart[rows] + t
+        target = ids[start[rows] + t + 1]
+        k = 0
+        while k < keys.size:
+            take = min(keys.size - k, BATCH_ROWS - fill)
+            queue[fill:fill + take] = nh[k:k + take]
+            sel = (slot >= k) & (slot < k + take)
+            readers.append((slot[sel] - k + fill, at[sel], target[sel]))
+            fill += take
+            k += take
+            if fill == BATCH_ROWS:
+                project()
     if fill:
         project()
     lp /= LOG10
@@ -281,7 +272,8 @@ def prefix_slices(ids, lens):
     """Yield (indices, ids, lens) for the packed id sequences (ids, lens)
     GROUP_ROWS at a time, in lexicographic order of their ids, ties in
     input order, each slice packed back to back; sequences sharing a
-    prefix mostly fall in one slice and step it once.
+    prefix mostly fall in one slice and step it once. A slice bounds the
+    state position_logprobs keeps per position.
 
     The order comes from one stable sort per position, from the last. The
     sort at position t takes the sequences that have an id there, those
@@ -630,19 +622,21 @@ def _read_header(f) -> tuple:
         raise CheckpointError("checkpoint vocabulary is inconsistent")
     if not all(map(isinstance, words, itertools.repeat(str))):
         raise CheckpointError("checkpoint vocabulary holds a non-string word")
-    if len(set(words)) != nv:
-        raise CheckpointError("checkpoint vocabulary repeats a word")
     counts = header.get("counts", [0] * nv)
     # type(c) is int, so a JSON true or false is no count
-    if not (isinstance(counts, list) and len(counts) == nv
-            and set(map(type, counts)) <= {int} and min(counts) >= 0):
+    counted = (isinstance(counts, list) and len(counts) == nv
+               and set(map(type, counts)) <= {int} and min(counts) >= 0)
+    vocab = Vocabulary(words[3:], dict(zip(words, counts)) if counted else None)
+    if len(vocab) != nv:
+        raise CheckpointError("checkpoint vocabulary repeats a word")
+    if not counted:
         raise CheckpointError("checkpoint counts must be a list of %d "
                               "non-negative integers" % nv)
     need = 4 * sum(math.prod(s) for s in _shapes(d_s, d_h, nv))
     if payload_bytes != need:
         raise CheckpointError("payload length %d does not match header dims "
                               "(expected %d)" % (payload_bytes, need))
-    return Vocabulary(words[3:], dict(zip(words, counts))), d_s, d_h
+    return vocab, d_s, d_h
 
 
 def _payload_blocks(f, d_s: int, d_h: int, nv: int):

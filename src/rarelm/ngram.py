@@ -453,7 +453,11 @@ def _read_entries(chunk: list[str], first: int, k: Optional[int], order: int,
         word_ids.update(zip(new, itertools.count(len(word_ids))))
         ids = list(map(word_ids.__getitem__, words))
     grams = list(zip(*[iter(ids)] * k))
-    probs[k].update(zip(grams, p))
+    # the tables change last, so that fail re-parses earlier lines as they were
+    fresh = dict(zip(grams, p))
+    if len(fresh) < len(grams) or not probs[k].keys().isdisjoint(fresh.keys()):
+        n = next(t for t, g in enumerate(grams) if g in probs[k] or grams.index(g) < t)
+        fail(n, "repeated n-gram %r", " ".join(words[n * k:n * k + k]))
     if 3 in nf:
         has = list(map((3).__eq__, nf))
         if k >= order:
@@ -462,6 +466,7 @@ def _read_entries(chunk: list[str], first: int, k: Optional[int], order: int,
         col = list(map(operator.itemgetter(2), itertools.compress(fields, has)))
         b = values(col, "back-off weight", at)
         bows[k].update(zip(itertools.compress(grams, has), b))
+    probs[k].update(fresh)
     return len(entries)
 
 

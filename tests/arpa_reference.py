@@ -61,6 +61,9 @@ def ref_import_arpa(text: str):
         gram = tuple(wid(w) for w in parts[1].split())
         if len(gram) != k:
             raise ArpaParseError("line %d: %d-gram in %d-grams section" % (i + 1, len(gram), k))
+        if gram in probs[k]:
+            raise ArpaParseError("line %d: repeated n-gram %r"
+                                 % (i + 1, " ".join(parts[1].split())))
         probs[k][gram] = prob
         if len(parts) == 3:
             if k >= order:

@@ -393,6 +393,24 @@ def test_arpa_names_the_first_faulty_line():
         ref_import_arpa(text)
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["ngram 1=3", "", "\\1-grams:", "-0.5\ta", "-0.3\ta", "-0.5\tb"],
+     "line 6: repeated n-gram 'a'"),
+    (["ngram 1=2", "ngram 2=3", "", "\\1-grams:", "-0.5\ta\t-0.1", "-0.5\tb\t-0.1", "",
+      "\\2-grams:", "-0.2\ta b", "-0.4\tb a", "-0.6\ta  b"],
+     "line 12: repeated n-gram 'a b'"),
+], ids=["unigram", "bigram"])
+def test_arpa_rejects_a_repeated_ngram(lines, message):
+    # the later entry would replace the earlier one and both would count
+    # toward the declared total
+    text = "\n".join(["\\data\\"] + lines + ["", "\\end\\"])
+    with pytest.raises(ngram.ArpaParseError) as e:
+        ngram.import_arpa(text)
+    assert str(e.value) == message
+    with pytest.raises(ngram.ArpaParseError, match=message):
+        ref_import_arpa(text)
+
+
 def _hex_tables(tables):
     return {k: {g: v.hex() for g, v in t.items()} for k, t in tables.items()}
 
@@ -457,6 +475,14 @@ def _mutate(lines, kind, draw):
         i = pick(decls)
         k, cnt = lines[i].strip()[len("ngram"):].split("=")
         lines[i] = "ngram %s=%d" % (k.strip(), int(cnt) + draw(st.sampled_from([-1, 1])))
+    elif kind == "repeat":
+        # a copy of an entry, with another value, later in its section
+        i = pick(entries)
+        ends = [j for j, l in enumerate(lines) if l.strip() == "\\end\\"]
+        stop = min([j for j in heads + ends if j > i] + [len(lines)])
+        fields = lines[i].strip().split("\t")
+        fields[0] = "-0.125"
+        lines.insert(draw(st.integers(i + 1, stop)), "\t".join(fields))
     elif kind == "end":
         ends = [i for i, l in enumerate(lines) if l.strip() == "\\end\\"]
         if not ends:
@@ -466,7 +492,7 @@ def _mutate(lines, kind, draw):
 
 
 FAULTS = ["fields", "logprob", "backoff", "length", "top-backoff", "header", "outside",
-          "count", "end"]
+          "count", "end", "repeat"]
 
 
 @settings(max_examples=200, deadline=None)

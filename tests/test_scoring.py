@@ -133,23 +133,42 @@ def live_prefixes(group):
 def test_each_distinct_prefix_steps_once(monkeypatch):
     m = random_model(3, 2, 3, 0, 0.5)
     calls = spy_on_steps(monkeypatch, m)
-    monkeypatch.setattr(neural, "GROUP_ROWS", 250)
     rng = np.random.default_rng(0)
     seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
             for _ in range(600)]
     neural.position_logprobs(m, *pack(seqs))
-    # chunks of GROUP_ROWS sequences in input order
-    assert walks(calls) == [live_prefixes(seqs[a:a + 250]) for a in range(0, 600, 250)]
+    # one walk over the whole call
+    assert walks(calls) == [live_prefixes(seqs)]
     # the deeper positions have more than BATCH_ROWS distinct prefixes
     assert max(map(len, calls)) == neural.BATCH_ROWS
+
+
+def test_position_logprobs_walks_its_whole_input_as_one_tree(monkeypatch):
+    # GROUP_ROWS cuts only prefix_slices: a direct call walks all of its
+    # sequences, here more than GROUP_ROWS, as one tree, so a prefix shared
+    # across a GROUP_ROWS cut still steps once, and every value keeps its bits
+    m = random_model(3, 2, 3, 0, 0.5)
+    carriers = [[3, 4, 5], [5, 4, 3]]
+    seqs = [[BOS_ID] + carriers[k % 2] + [3 + k % 3] * (k % 4 + 1) + [EOS_ID]
+            for k in range(24)]
+    want = neural.position_logprobs(m, *pack(seqs))
+    monkeypatch.setattr(neural, "GROUP_ROWS", 4)
+    calls = spy_on_steps(monkeypatch, m)
+    got = neural.position_logprobs(m, *pack(seqs))
+    assert walks(calls) == [live_prefixes(seqs)]
+    in_groups = sum(len(ps) for a in range(0, 24, 4)
+                    for ps in live_prefixes(seqs[a:a + 4]).values())
+    assert sum(map(len, calls)) < in_groups
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch_rows", [64, 5])
 @pytest.mark.parametrize("group_rows", [250, 2048])
 def test_projection_passes_are_full_but_the_last(monkeypatch, batch_rows, group_rows):
-    # the new prefix rows of every position and group share one queue, so
-    # one call makes ceil(P / BATCH_ROWS) passes over U for its P stepped
-    # prefixes, all but the last BATCH_ROWS wide
+    # the new prefix rows of every position share one queue, so one call
+    # makes ceil(P / BATCH_ROWS) passes over U for the P distinct live
+    # prefixes of the whole call, all but the last BATCH_ROWS wide,
+    # whatever GROUP_ROWS is
     m = random_model(3, 2, 3, 0, 0.5)
     monkeypatch.setattr(neural, "GROUP_ROWS", group_rows)
     monkeypatch.setattr(neural, "BATCH_ROWS", batch_rows)
@@ -158,8 +177,7 @@ def test_projection_passes_are_full_but_the_last(monkeypatch, batch_rows, group_
     seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
             for _ in range(600)]
     neural.position_logprobs(m, *pack(seqs))
-    P = sum(len(ps) for a in range(0, 600, group_rows)
-            for ps in live_prefixes(seqs[a:a + group_rows]).values())
+    P = sum(len(ps) for ps in live_prefixes(seqs).values())
     assert len(widths) == -(-P // batch_rows)
     assert widths[:-1] == [batch_rows] * (len(widths) - 1)
     assert sum(widths) == P and max(widths) <= neural.STEP_ROWS_MAX

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rarelm
-from rarelm import cli
+from rarelm import cli, neural
 
 ROOT = Path(__file__).parent.parent
 SRC = sorted((ROOT / "src" / "rarelm").glob("*.py"))
@@ -111,3 +111,25 @@ def test_bench_uses_only_what_the_package_has(path):
                     break
                 obj = getattr(obj, attr)
     assert not missing, "%s uses names rarelm lacks: %s" % (path.name, sorted(missing))
+
+
+def matmuls(fn):
+    """The lines of fn's source that multiply matrices other than through
+    neural._matmul_rows: an @ or @=, or a call of a matmul or dot."""
+    tree = ast.parse(inspect.getsource(fn))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("matmul", "dot")]
+
+
+@pytest.mark.parametrize("fn", [neural.gate_step, neural.target_logprobs],
+                         ids=lambda fn: fn.__name__)
+def test_scoring_matmuls_take_the_row_helper(fn):
+    # the STEP_ROWS_MAX cap and the 8-row padding that keep a score's bits
+    # whatever it is scored beside live in _matmul_rows alone; a matmul
+    # written out in a scoring step would bypass them
+    lines = matmuls(fn)
+    assert not lines, "%s multiplies outside _matmul_rows at line(s) %s" % (
+        fn.__name__, lines)
+    assert "_matmul_rows(" in inspect.getsource(fn)
