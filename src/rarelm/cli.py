@@ -141,12 +141,12 @@ def cmd_enrich(args):
 def cmd_rescore(args):
     cfg, kn = _rescore_settings(args)
     m = neural.load_model(args.model)
-    lists = rescore.read_nbest(args.nbest)
-    rescored = rescore.rescore_lists(lists, m, kn, cfg)
-    rescore.write_rescored(rescored, args.output)
+    nbest = rescore.read_nbest(args.nbest)
+    order, totals = rescore.rescore_lists(nbest, m, kn, cfg)
+    rescore.write_rescored(nbest, order, totals, args.output)
     if args.onebest:
-        rescore.write_onebest(rescored, args.onebest)
-    print("rescored %d utterances -> %s" % (len(rescored), args.output))
+        rescore.write_onebest(nbest, order, args.onebest)
+    print("rescored %d utterances -> %s" % (len(nbest), args.output))
 
 
 def cmd_ppl(args):

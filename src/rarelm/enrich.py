@@ -11,7 +11,6 @@ bit-identical.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -99,20 +98,20 @@ def select_candidates(frequent: set, rare: set, cfg: EnrichConfig,
 
 
 def plan_enrichment(counts: dict, scope, vocab: Vocabulary, cfg: EnrichConfig,
-                    nbest: Optional[list] = None) -> EnrichmentPlan:
+                    nbest=None) -> EnrichmentPlan:
     """The enrichment plan of one configuration.
 
     The in-vocabulary scope words split at cfg.threshold into frequent
     (count >= threshold; a missing count is 0) and rare words. In
-    fromNbest mode (nbest is needed then) only the rare words some
-    hypothesis mentions stay rare. The plan is empty when no word is
-    rare or none is frequent.
+    fromNbest mode (nbest, a rescore.NBest, is needed then) only the
+    rare words some hypothesis mentions stay rare. The plan is empty
+    when no word is rare or none is frequent.
     """
     words = set(scope) & vocab.word_to_id.keys()
     frequent = {w for w in words if counts.get(w, 0) >= cfg.threshold}
     rare = words - frequent
     if cfg.mode == "fromNbest":
-        rare &= {w for nb in nbest for hyp in nb.hypotheses for w in hyp.words}
+        rare.intersection_update(nbest.words)
     if not (rare and frequent):
         return EnrichmentPlan({})
     return select_candidates(frequent, rare, cfg, counts)

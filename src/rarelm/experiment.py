@@ -19,7 +19,7 @@ import numpy as np
 from . import enrich, metrics, rescore
 from .enrich import EnrichConfig, EnrichmentPlan
 from .neural import NeuralLM, same_except_columns
-from .rescore import Hypothesis, NBestList, RescoreConfig
+from .rescore import NBest, RescoreConfig
 
 STREET_HEADS = [
     "ang", "bukit", "boon", "tam", "sem", "pasir", "jur", "choa", "ser",
@@ -97,7 +97,7 @@ class SyntheticConfig:
 class SyntheticBundle:
     train: list            # token lists
     refs: dict             # utt -> token list
-    nbest: list            # list[NBestList]
+    nbest: NBest
     streets: list          # lexicon, underscored
     street_counts: dict    # street -> configured training count
     confusions: dict       # street -> confusion token list
@@ -215,11 +215,10 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
             hyps.append((base - 1.2 - 0.3 * j + float(rng.normal(0.0, AM_NOISE)),
                          noisy))
         hyps.sort(key=lambda x: -x[0])
-        nb = NBestList(utt, [Hypothesis(r + 1, am, words)
-                             for r, (am, words) in enumerate(hyps)])
-        nbest.append(nb)
+        nbest.append((utt, [(r + 1, am, words) for r, (am, words) in enumerate(hyps)]))
 
-    return SyntheticBundle(train, refs, nbest, streets, street_counts, confusions)
+    return SyntheticBundle(train, refs, NBest.from_lists(nbest), streets, street_counts,
+                           confusions)
 
 
 def write_bundle(bundle: SyntheticBundle, outdir) -> dict:
@@ -255,7 +254,7 @@ class ExperimentBundle:
     scope: set
     model: NeuralLM
     kn: object
-    nbest: list
+    nbest: NBest
     refs: dict
     enrich_cfg: EnrichConfig = field(default_factory=EnrichConfig)
     rescore_cfg: RescoreConfig = field(default_factory=RescoreConfig)
@@ -284,19 +283,28 @@ def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run
         cols = [model.vocab.id(w) for w in plan.candidates]
         for X in (model.S, model.U):
             X[:, cols] = X[:, cols].astype(np.float32)
-    rescored = rescore.rescore_lists(bundle.nbest, model, bundle.kn, bundle.rescore_cfg)
-    onebest = {nb.utt_id: nb.hypotheses[0].words for nb in rescored}
+    nbest = bundle.nbest
+    order, _ = rescore.rescore_lists(nbest, model, bundle.kn, bundle.rescore_cfg)
+    onebest = dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
     return Run(metrics.corpus_wer(bundle.refs, onebest), model, plan)
 
 
 def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
     """WER per value of one enrichment setting (key "threshold" or "k"),
-    every other setting taken from bundle.enrich_cfg. Raises if the input
-    model was mutated."""
+    every other setting taken from bundle.enrich_cfg. A value whose plan
+    equals an earlier value's takes that value's WER, since it scores
+    the same model. Raises if the input model was mutated."""
     snapshot = bundle.model.copy()
     rows = []
+    done = []  # (plan, wer) of each distinct plan scored
     for v in values:
-        wer = run_configuration(bundle, replace(bundle.enrich_cfg, **{key: v})).wer
+        cfg = replace(bundle.enrich_cfg, **{key: v})
+        plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
+                                      cfg, bundle.nbest)
+        wer = next((w for p, w in done if p == plan), None)
+        if wer is None:
+            wer = run_configuration(bundle, cfg).wer
+            done.append((plan, wer))
         rows.append({key: v, "wer": wer.wer, "errors": wer.errors})
     if not same_except_columns(bundle.model, snapshot):
         raise RuntimeError("sweep modified the input model")

@@ -210,7 +210,8 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     (parent prefix, input word) keys of the live rows are the distinct
     prefixes ids[:t+1]. They go through gate_step BATCH_ROWS at a time,
     each from its parent prefix's state. Their hidden rows join one queue
-    with the positions that read their targets from them; target_logprobs
+    with the positions that read their targets from them, found by one
+    stable sort of the live rows by prefix per position; target_logprobs
     projects it BATCH_ROWS rows at a time into one reused buffer, so only
     the last pass over U is narrower. Callers bound the state kept per
     position by passing the slices of prefix_slices.
@@ -252,11 +253,14 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
         h, c = nh, nc
         at = ostart[rows] + t
         target = ids[start[rows] + t + 1]
+        # the rows reading state row k are by[cut[k]:cut[k + 1]]
+        by = np.argsort(slot, kind="stable")
+        cut = np.searchsorted(slot[by], np.arange(keys.size + 1))
         k = 0
         while k < keys.size:
             take = min(keys.size - k, BATCH_ROWS - fill)
             queue[fill:fill + take] = nh[k:k + take]
-            sel = (slot >= k) & (slot < k + take)
+            sel = by[cut[k]:cut[k + take]]
             readers.append((slot[sel] - k + fill, at[sel], target[sel]))
             fill += take
             k += take

@@ -3,27 +3,88 @@ with a Kneser-Ney n-gram model in the probability domain."""
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .metrics import left_sums
 from .neural import NeuralLM, position_logprobs, prefix_slices
+from .ngram import BLOCK_LINES
 from .textcorpus import encode_many, read_tab_pairs
 
 
-@dataclass(slots=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
+    """A view of one hypothesis of an NBest."""
     rank: int
     am_score: float
-    words: list[str]
-    total_score: float = 0.0
+    words: list
 
 
-@dataclass(slots=True)
-class NBestList:
+class NBestList(NamedTuple):
+    """A view of one list of an NBest."""
     utt_id: str
-    hypotheses: list[Hypothesis] = field(default_factory=list)
+    hypotheses: list
+
+
+class NBest:
+    """N-best lists held as columns, with no object per hypothesis.
+
+    List i holds hypotheses offsets[i]:offsets[i + 1], in file order.
+    Hypothesis j has rank ranks[j], acoustic score am[j] and lens[j]
+    words; the words of every hypothesis lie back to back in the one
+    flat list `words`. Iterating yields an NBestList view of each list,
+    built on demand.
+    """
+    __slots__ = ("utt_ids", "offsets", "ranks", "am", "words", "lens")
+
+    def __init__(self, utt_ids, offsets, ranks, am, words, lens):
+        self.utt_ids = utt_ids   # list[str], one per list
+        self.offsets = offsets   # int64, one more than the lists
+        self.ranks = ranks       # int64, one per hypothesis
+        self.am = am             # float64, one per hypothesis
+        self.words = words       # list[str], every hypothesis's words
+        self.lens = lens         # int64, words per hypothesis
+
+    @classmethod
+    def from_lists(cls, lists) -> "NBest":
+        """The columns of (utt_id, hypotheses) pairs, each hypothesis a
+        (rank, am_score, words, ...) sequence, as NBestList and Hypothesis
+        views are."""
+        utt_ids, sizes, ranks, am, words, lens = [], [0], [], [], [], []
+        for utt, hyps in lists:
+            utt_ids.append(utt)
+            sizes.append(len(hyps))
+            for h in hyps:
+                ranks.append(h[0])
+                am.append(h[1])
+                words += h[2]
+                lens.append(len(h[2]))
+        return cls(utt_ids, np.cumsum(sizes, dtype=np.int64),
+                   np.array(ranks, dtype=np.int64), np.array(am, dtype=np.float64),
+                   words, np.array(lens, dtype=np.int64))
+
+    def __len__(self):
+        return len(self.utt_ids)
+
+    def __iter__(self) -> Iterator[NBestList]:
+        hyps = map(Hypothesis, self.ranks.tolist(), self.am.tolist(), self.word_lists())
+        for utt, n in zip(self.utt_ids, np.diff(self.offsets).tolist()):
+            yield NBestList(utt, list(itertools.islice(hyps, n)))
+
+    def word_lists(self, idx=slice(None)) -> Iterator[list]:
+        """The word list of each hypothesis of `idx`, all in file order by
+        default: a slice of `words` each."""
+        ends = np.cumsum(self.lens)
+        starts = ends - self.lens
+        return map(self.words.__getitem__,
+                   map(slice, starts[idx].tolist(), ends[idx].tolist()))
+
+    def best(self, order) -> np.ndarray:
+        """The hypothesis each list puts first in `order`, as
+        rescore_lists ranks."""
+        return order[self.offsets[:-1]]
 
 
 @dataclass(frozen=True)
@@ -41,17 +102,19 @@ class RescoreConfig:
             raise ValueError("word_penalty must be finite")
 
 
-def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list[float]:
+def lm_scores(nlm: NeuralLM, kn, words, lens, interp_weight: float = 0.0) -> np.ndarray:
     """log10 probability of each hypothesis under (1-mu)*P_nlm + mu*P_kn.
 
-    The mix is linear in the probability domain per position. State is
-    reset for every hypothesis; OOV words map to unk. The hypotheses are
-    encoded into one packed array and taken in neural.prefix_slices,
-    so that hypotheses sharing a prefix, from any list, mostly fall in
-    one slice and step it once. Both models answer every position of a
-    slice as one flat array in its packed layout. The two models are
-    joined by word: one take through a map from each neural-vocab id to
-    the KN id of the same word, or to KN's unk, gives the KN ids of every
+    The hypotheses' words lie back to back in `words`, lens[i] of them
+    for hypothesis i, as NBest holds them. The mix is linear in the
+    probability domain per position. State is reset for every
+    hypothesis; OOV words map to unk. The words are encoded into one
+    packed array in one pass and taken in neural.prefix_slices, so that
+    hypotheses sharing a prefix, from any list, mostly fall in one slice
+    and step it once. Both models answer every position of a slice as
+    one flat array in its packed layout. The two models are joined by
+    word: one take through a map from each neural-vocab id to the KN id
+    of the same word, or to KN's unk, gives the KN ids of every
     position. The mix is elementwise; each hypothesis sums its positions
     left to right, so every score has the bits of
     sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions,
@@ -63,128 +126,196 @@ def lm_scores(nlm: NeuralLM, kn, word_lists, interp_weight: float = 0.0) -> list
     if mu > 0.0:
         to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
                             count=len(nlm.vocab))
-    scores = np.empty(len(word_lists))
+    scores = np.empty(len(lens))
     # slices, not one pass: they bound the memory of the KN join and the mix
-    for idx, ids, lens in prefix_slices(*encode_many(word_lists, nlm.vocab)):
-        lp = position_logprobs(nlm, ids, lens)
+    for idx, ids, held in prefix_slices(*encode_many(words, lens, nlm.vocab)):
+        lp = position_logprobs(nlm, ids, held)
         if mu > 0.0:
-            q = kn.prob_many(np.take(to_kn, ids), lens)
+            q = kn.prob_many(np.take(to_kn, ids), held)
             # numpy's power and log10 can differ from math's in the last bit
             p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp.tolist()),
                             dtype=np.float64, count=lp.size)
             mix = ((1.0 - mu) * p + mu * q).tolist()
             lp = np.fromiter(map(math.log10, mix), dtype=np.float64, count=len(mix))
-        scores[idx] = left_sums(lp, lens)
-    return scores.tolist()
+        scores[idx] = left_sums(lp, held)
+    return scores
 
 
-def rescore_lists(lists, nlm: NeuralLM, kn, cfg: RescoreConfig) -> list[NBestList]:
-    """Re-rank n-best lists by am + lambda*lm_log10prob + gamma*|words|.
+def rescore_lists(nbest: NBest, nlm: NeuralLM, kn,
+                  cfg: RescoreConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rank n-best lists by am + lambda*lm_log10prob + gamma*|words|.
 
-    Ties are broken by original rank (lower wins); each returned list has
-    its chosen top hypothesis at element 0. An empty list fails before any
-    scoring. All hypotheses go through one lm_scores call, which scores
-    them in prefix order, across list boundaries, and returns their
-    scores in file order. The returned hypotheses share their word lists
-    with the input's.
+    Returns (order, totals). totals holds each hypothesis's total score,
+    in file order. order holds the hypotheses list by list, each list
+    best first, ties broken by rank (lower wins): one stable lexsort over
+    (list, -total, rank). An empty list fails before any scoring. All
+    hypotheses go through one lm_scores call, which scores them in
+    prefix order, across list boundaries. Ranking copies no words.
     """
-    for nb in lists:
-        if not nb.hypotheses:
-            raise ValueError("empty n-best list for %s" % nb.utt_id)
-    lms = iter(lm_scores(nlm, kn, [h.words for nb in lists for h in nb.hypotheses],
-                         cfg.interp_weight))
-    out = []
-    for nb in lists:
-        scored = []
-        for hyp in nb.hypotheses:
-            total = hyp.am_score + cfg.lm_weight * next(lms) \
-                + cfg.word_penalty * len(hyp.words)
-            if not math.isfinite(total):
-                raise ValueError("non-finite total score for %s rank %d"
-                                 % (nb.utt_id, hyp.rank))
-            scored.append(Hypothesis(hyp.rank, hyp.am_score, hyp.words, total))
-        scored.sort(key=lambda h: (-h.total_score, h.rank))
-        out.append(NBestList(nb.utt_id, scored))
-    return out
+    sizes = np.diff(nbest.offsets)
+    if not sizes.all():
+        raise ValueError("empty n-best list for %s" % nbest.utt_ids[int(sizes.argmin())])
+    lm = lm_scores(nlm, kn, nbest.words, nbest.lens, cfg.interp_weight)
+    # the operations of am + lambda * lm + gamma * n on Python floats, in order
+    totals = nbest.am + cfg.lm_weight * lm + cfg.word_penalty * nbest.lens
+    finite = np.isfinite(totals)
+    if not finite.all():
+        j = int(finite.argmin())
+        utt = nbest.utt_ids[int(np.searchsorted(nbest.offsets, j, side="right")) - 1]
+        raise ValueError("non-finite total score for %s rank %d" % (utt, nbest.ranks[j]))
+    lists = np.repeat(np.arange(sizes.size), sizes)
+    return np.lexsort((nbest.ranks, -totals, lists)), totals
 
 
 class NBestFormatError(ValueError):
     pass
 
 
-def read_nbest(path) -> list[NBestList]:
-    """Parse `utt_id<TAB>rank<TAB>am_score<TAB>words...` lines into lists.
+class _Reader:
+    """The columns read_nbest fills, and the state it carries from one
+    block of lines to the next."""
 
-    Utterances must be contiguous with ranks ascending from 1. Each
-    hypothesis gets its own word list, but each distinct word of the file
-    is one str object, shared by every list that holds it.
+    def __init__(self, path):
+        self.path = path
+        self.utt_ids = []
+        self.seen = set()
+        self.sizes = []         # hypotheses per list
+        self.am = []            # one float64 array per block
+        self.lens = []          # one int64 array per block
+        self.words = []
+        self.same = {}.setdefault
+
+    def read(self, block: list[str], first: int) -> None:
+        """Parse `block`, the lines of the file from index `first`. Each
+        step is one pass over the block; a failed step names the first
+        faulty line, as a reader taking one line at a time would."""
+        lines = list(filter(None, map(str.rstrip, block, itertools.repeat("\n"))))
+        if not lines:
+            return
+
+        def fail(n, msg, *args):
+            row = next(itertools.islice(
+                (r for r, line in enumerate(block) if line.rstrip("\n")), n, None))
+            # a later step may fault an earlier line, which must be named first
+            self.read(block[:row], first)
+            raise NBestFormatError("%s:%d: " % (self.path, first + row + 1) + msg % args)
+
+        fields = list(map(str.split, lines, itertools.repeat("\t")))
+        nf = list(map(len, fields))
+        if nf.count(4) != len(nf):
+            n = next(t for t, k in enumerate(nf) if k != 4)
+            fail(n, "expected 4 tab-separated fields, got %d", nf[n])
+        utts, rank_s, am_s, texts = zip(*fields)
+        try:
+            ranks = list(map(int, rank_s))
+            am = np.fromiter(map(float, am_s), dtype=np.float64, count=len(lines))
+        except ValueError:
+            fail(next(t for t in range(len(lines)) if not _numbers(rank_s[t], am_s[t])),
+                 "bad rank or score")
+        finite = np.isfinite(am)
+        if not finite.all():
+            fail(int(finite.argmin()), "non-finite am_score")
+        # the lists of the block start at `starts`; the first may go on
+        # with the file's last list
+        starts = [0, *itertools.compress(itertools.count(1), map(operator.ne, utts[1:],
+                                                                   utts[:-1]))]
+        cont = bool(self.utt_ids) and utts[0] == self.utt_ids[-1]
+        new = {}  # the utterances the block opens, in order
+        for t in starts[cont:]:
+            if utts[t] in self.seen or utts[t] in new:
+                fail(t, "utterance %s is not contiguous", utts[t])
+            new[utts[t]] = t
+        runs = np.diff(starts + [len(lines)])
+        expected = np.arange(1, len(lines) + 1) - np.repeat(starts, runs)
+        if cont:
+            expected[:runs[0]] += self.sizes[-1]
+        expected = expected.tolist()
+        if ranks != expected:
+            n = list(map(operator.ne, ranks, expected)).index(True)
+            fail(n, "rank %d, expected %d", ranks[n], expected[n])
+        toks = list(map(str.split, texts))
+        flat = list(itertools.chain.from_iterable(toks))
+        # the columns change last, so that fail re-reads earlier lines as they were
+        self.words += map(self.same, flat, flat)
+        self.lens.append(np.fromiter(map(len, toks), dtype=np.int64, count=len(toks)))
+        self.am.append(am)
+        if cont:
+            self.sizes[-1] += int(runs[0])
+        self.sizes += runs[cont:].tolist()
+        self.utt_ids += new
+        self.seen.update(new)
+
+    def columns(self) -> NBest:
+        sizes = np.array(self.sizes, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        return NBest(self.utt_ids, offsets,
+                     np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], sizes),
+                     np.concatenate([np.empty(0), *self.am]), self.words,
+                     np.concatenate([np.empty(0, dtype=np.int64), *self.lens]))
+
+
+def _numbers(rank_s: str, am_s: str) -> bool:
+    """Whether rank_s reads as an int and am_s as a float."""
+    try:
+        int(rank_s)
+        float(am_s)
+    except ValueError:
+        return False
+    return True
+
+
+def read_nbest(path) -> NBest:
+    """Parse `utt_id<TAB>rank<TAB>am_score<TAB>words...` lines into columns.
+
+    Utterances must be contiguous with ranks ascending from 1. The lines
+    are read BLOCK_LINES at a time, each block column by column. Each
+    distinct word of the file is one str object, shared by every
+    hypothesis that holds it.
     """
-    lists = []
-    seen = set()
-    current = None
-    same = {}.setdefault
+    reader = _Reader(path)
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise NBestFormatError(
-                    "%s:%d: expected 4 tab-separated fields, got %d"
-                    % (path, lineno, len(parts)))
-            utt, rank_s, am_s, text = parts
-            try:
-                rank = int(rank_s)
-                am = float(am_s)
-            except ValueError:
-                raise NBestFormatError("%s:%d: bad rank or score" % (path, lineno))
-            if not math.isfinite(am):
-                raise NBestFormatError("%s:%d: non-finite am_score" % (path, lineno))
-            if current is None or current.utt_id != utt:
-                if utt in seen:
-                    raise NBestFormatError(
-                        "%s:%d: utterance %s is not contiguous" % (path, lineno, utt))
-                seen.add(utt)
-                current = NBestList(utt)
-                lists.append(current)
-            expected = len(current.hypotheses) + 1
-            if rank != expected:
-                raise NBestFormatError(
-                    "%s:%d: rank %d, expected %d" % (path, lineno, rank, expected))
-            toks = text.split()
-            current.hypotheses.append(Hypothesis(rank, am, list(map(same, toks, toks))))
-    return lists
+        for first in itertools.count(0, BLOCK_LINES):
+            block = list(itertools.islice(f, BLOCK_LINES))
+            if not block:
+                break
+            reader.read(block, first)
+    return reader.columns()
 
 
-def _fmt(x: float) -> str:
-    return "%.10g" % x
-
-
-def write_nbest(lists, path) -> None:
+def write_nbest(nbest: NBest, path) -> None:
     """Write lists back in the 4-field input format."""
+    lines = map("%s\t%d\t%.10g\t%s\n".__mod__,
+                zip(_utt_column(nbest), nbest.ranks.tolist(), nbest.am.tolist(),
+                    map(" ".join, nbest.word_lists())))
     with open(path, "w", encoding="utf-8") as f:
-        for nb in lists:
-            for h in nb.hypotheses:
-                f.write("%s\t%d\t%s\t%s\n"
-                        % (nb.utt_id, h.rank, _fmt(h.am_score), " ".join(h.words)))
+        f.writelines(lines)
 
 
-def write_rescored(lists, path) -> None:
-    """Write rescored lists with the extra total_score column."""
+def write_rescored(nbest: NBest, order, totals, path) -> None:
+    """Write the lists in the ranking (order, totals) of rescore_lists,
+    each hypothesis numbered by its place in its list, with the extra
+    total_score column."""
+    sizes = np.diff(nbest.offsets)
+    places = np.arange(1, order.size + 1) - np.repeat(nbest.offsets[:-1], sizes)
+    lines = map("%s\t%d\t%.10g\t%.10g\t%s\n".__mod__,
+                zip(_utt_column(nbest), places.tolist(), nbest.am[order].tolist(),
+                    totals[order].tolist(), map(" ".join, nbest.word_lists(order))))
     with open(path, "w", encoding="utf-8") as f:
-        for nb in lists:
-            for pos, h in enumerate(nb.hypotheses, 1):
-                f.write("%s\t%d\t%s\t%s\t%s\n"
-                        % (nb.utt_id, pos, _fmt(h.am_score), _fmt(h.total_score),
-                           " ".join(h.words)))
+        f.writelines(lines)
 
 
-def write_onebest(lists, path) -> None:
-    """Write the chosen transcript per utterance: `utt_id<TAB>words`."""
+def write_onebest(nbest: NBest, order, path) -> None:
+    """Write the transcript each list puts first in `order`: `utt_id<TAB>words`."""
+    lines = map("%s\t%s\n".__mod__,
+                zip(nbest.utt_ids, map(" ".join, nbest.word_lists(nbest.best(order)))))
     with open(path, "w", encoding="utf-8") as f:
-        for nb in lists:
-            f.write("%s\t%s\n" % (nb.utt_id, " ".join(nb.hypotheses[0].words)))
+        f.writelines(lines)
+
+
+def _utt_column(nbest: NBest) -> Iterator[str]:
+    """The utterance id of each hypothesis, in file order."""
+    return itertools.chain.from_iterable(
+        map(itertools.repeat, nbest.utt_ids, np.diff(nbest.offsets).tolist()))
 
 
 def read_onebest(path) -> dict:

@@ -184,20 +184,19 @@ def encode(tokens: list[str], vocab: Vocabulary) -> list[int]:
     return [BOS_ID, *map(vocab.word_to_id.get, tokens, itertools.repeat(UNK_ID)), EOS_ID]
 
 
-def encode_many(word_lists, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """pack([encode(words, vocab) for words in word_lists]), in one pass
-    over the words and with no id list per sentence."""
-    lens = np.fromiter(map(len, word_lists), dtype=np.int64, count=len(word_lists)) + 2
+def encode_many(words, lens, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """pack([encode(s, vocab) for s in sentences]) for sentences laid back
+    to back: `words` holds them all, lens[i] words for sentence i. One
+    pass over the words, with no id list per sentence."""
+    lens = np.asarray(lens, dtype=np.int64) + 2
     last = np.cumsum(lens) - 1
     ids = np.empty(int(lens.sum()), dtype=np.int64)
     word = np.ones(ids.size, dtype=bool)
     word[last - lens + 1] = word[last] = False
     ids[last - lens + 1] = BOS_ID
     ids[last] = EOS_ID
-    ids[word] = np.fromiter(
-        map(vocab.word_to_id.get, itertools.chain.from_iterable(word_lists),
-            itertools.repeat(UNK_ID)),
-        dtype=np.int64, count=ids.size - 2 * lens.size)
+    ids[word] = np.fromiter(map(vocab.word_to_id.get, words, itertools.repeat(UNK_ID)),
+                            dtype=np.int64, count=ids.size - 2 * lens.size)
     return ids, lens
 
 

@@ -14,6 +14,7 @@ from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
 from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
 
 from kn_reference import ref_prob
+from nbest_reference import lm_scores_of, rescored
 from test_metrics import brute_force_distance
 
 
@@ -160,12 +161,12 @@ def test_criterion_5_rescoring_boundaries():
     hyps = [Hypothesis(1, -2.0, ["a", "b"]), Hypothesis(2, -1.2, ["c", "d", "a"]),
             Hypothesis(3, -3.0, ["b"])]
     nb = NBestList("u", hyps)
-    out0 = rescore.rescore_lists([nb], nlm, kn, RescoreConfig(lm_weight=0.0))[0]
+    out0 = rescored([nb], nlm, kn, RescoreConfig(lm_weight=0.0))[0]
     am_best = min(hyps, key=lambda h: (-h.am_score, h.rank))
     ok = out0.hypotheses[0].rank == am_best.rank
     for h in hyps:
-        mu0 = rescore.lm_scores(nlm, kn, [h.words], 0.0)[0]
-        mu1 = rescore.lm_scores(nlm, kn, [h.words], 1.0)[0]
+        mu0 = lm_scores_of(nlm, kn, [h.words], 0.0)[0]
+        mu1 = lm_scores_of(nlm, kn, [h.words], 1.0)[0]
         ok = ok and mu0 == sum(neural.position_logprobs(
             nlm, *pack([encode(h.words, vocab)])).tolist())
         ok = ok and mu1 == sum(map(math.log10, kn.prob_many(
@@ -193,8 +194,9 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
     ppl_enr = neural.nn_perplexity(enriched, refs_enc)
 
     def onebest(model):
-        return {nb.utt_id: nb.hypotheses[0].words for nb in rescore.rescore_lists(
-            bundle.nbest, model, bundle.kn, bundle.rescore_cfg)}
+        nbest = bundle.nbest
+        order, _ = rescore.rescore_lists(nbest, model, bundle.kn, bundle.rescore_cfg)
+        return dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
 
     tracked = set(pipe["rare_streets"])
     acc_base = metrics.corpus_scores(pipe["data"].refs, onebest(base), tracked)[1]

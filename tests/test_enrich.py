@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import enrich_reference
 from rarelm import enrich, neural
 from rarelm.enrich import EnrichConfig
-from rarelm.rescore import Hypothesis, NBestList
+from rarelm.rescore import Hypothesis, NBest, NBestList
 from rarelm.textcorpus import Vocabulary
 
 
@@ -14,9 +14,11 @@ def model_with(words, d_s=3, d_h=4, seed=0):
 
 
 def plan_for(counts, scope, nbest=None, **cfg):
-    """plan_enrichment over a vocabulary holding every scope word."""
+    """plan_enrichment over a vocabulary holding every scope word, and the
+    columns of the NBestList records `nbest`, if given."""
     return enrich.plan_enrichment(counts, scope, Vocabulary(sorted(scope)),
-                                  EnrichConfig(**cfg), nbest)
+                                  EnrichConfig(**cfg),
+                                  None if nbest is None else NBest.from_lists(nbest))
 
 
 def enrich_file(src, dst, plan):

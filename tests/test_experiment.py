@@ -76,6 +76,25 @@ def test_single_threshold_equals_manual_pipeline(synthetic_pipeline):
     assert rows[0]["wer"] == wer.wer
 
 
+def test_sweep_scores_each_distinct_plan_once(synthetic_pipeline, monkeypatch):
+    # equal plans score the same model, so a row whose plan an earlier row
+    # had takes that row's WER; every row equals its own run
+    bundle = synthetic_pipeline["bundle"]
+    values = [0, 2, 10, 50, 10]
+    runs = [experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=v))
+            for v in values]
+    firsts = [v for j, (v, run) in enumerate(zip(values, runs))
+              if all(run.plan != r.plan for r in runs[:j])]
+    calls = []
+    run_configuration = experiment.run_configuration
+    monkeypatch.setattr(experiment, "run_configuration", lambda b, cfg:
+                        calls.append(cfg.threshold) or run_configuration(b, cfg))
+    rows = experiment.sweep(bundle, "threshold", values)
+    assert calls == firsts and len(calls) < len(values)
+    assert rows == [{"threshold": v, "wer": run.wer.wer, "errors": run.wer.errors}
+                    for v, run in zip(values, runs)]
+
+
 def test_sweep_does_not_mutate_model(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     S0 = bundle.model.S.copy()

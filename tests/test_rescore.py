@@ -1,15 +1,23 @@
+import gc
 import itertools
 import math
+import os
 import random
 import re
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelm import neural, ngram, rescore
-from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
+from rarelm.rescore import Hypothesis, NBest, NBestList, RescoreConfig
 from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
+
+import nbest_reference
+from nbest_reference import lm_scores_of, ranked, rescored
 
 
 def setup_models():
@@ -26,7 +34,7 @@ def setup_models():
 def test_mu_zero_equals_neural():
     nlm, kn, vocab = setup_models()
     words = ["a", "b", "c"]
-    got = rescore.lm_scores(nlm, kn, [words], 0.0)[0]
+    got = lm_scores_of(nlm, kn, [words], 0.0)[0]
     want = sum(neural.position_logprobs(nlm, *pack([encode(words, vocab)])).tolist())
     assert abs(got - want) < 1e-12
 
@@ -34,7 +42,7 @@ def test_mu_zero_equals_neural():
 def test_mu_one_equals_kn():
     nlm, kn, vocab = setup_models()
     words = ["a", "b"]
-    got = rescore.lm_scores(nlm, kn, [words], 1.0)[0]
+    got = lm_scores_of(nlm, kn, [words], 1.0)[0]
     want = sum(map(math.log10, kn.prob_many(*pack([encode(words, vocab)]))))
     assert abs(got - want) < 1e-12
 
@@ -52,7 +60,7 @@ def test_mixture_direct_arithmetic():
         p_n = math.exp(neural.target_logprobs(nlm, h, [0], [ids[t + 1]])[0])
         p_k = kn.prob(ids[t + 1], tuple(ids[max(0, t - kn.order + 2):t + 1]))
         expect += math.log10(0.7 * p_n + mu * p_k)
-    got = rescore.lm_scores(nlm, kn, [words], mu)[0]
+    got = lm_scores_of(nlm, kn, [words], mu)[0]
     assert abs(got - expect) < 1e-12
 
 
@@ -71,7 +79,7 @@ def test_lm_scores_bits_of_scalar_formula(mu, kn_words):
     kn = ngram.train_kn([encode(s, kvocab) for s in corpus], 3, kvocab)
     lists = [[rng.choice(["a", "b", "c", "d", "oov"]) for _ in range(rng.randint(0, 7))]
              for _ in range(60)]
-    got = rescore.lm_scores(nlm, kn, lists, mu)
+    got = lm_scores_of(nlm, kn, lists, mu)
     seqs = [encode(ws, vocab) for ws in lists]
     flat, lens = pack(seqs)
     lps = np.split(neural.position_logprobs(nlm, flat, lens), np.cumsum(lens - 1)[:-1])
@@ -98,21 +106,21 @@ def test_rescoring_makes_no_scalar_kn_query(monkeypatch):
         raise AssertionError("NGramModel.prob called")
 
     monkeypatch.setattr(ngram.NGramModel, "prob", spy)
-    rescore.rescore_lists(lists, nlm, kn, RescoreConfig(interp_weight=0.3))
+    rescored(lists, nlm, kn, RescoreConfig(interp_weight=0.3))
     ngram.kn_perplexity(kn, [encode(["a", "b", "oov"], vocab)])
 
 
 def test_mu_without_kn_rejected():
     nlm, _, _ = setup_models()
     with pytest.raises(ValueError):
-        rescore.lm_scores(nlm, None, [["a"]], 0.3)
+        lm_scores_of(nlm, None, [["a"]], 0.3)
 
 
 def test_scoring_stateless_across_hypotheses():
     nlm, kn, _ = setup_models()
-    first = rescore.lm_scores(nlm, kn, [["a", "b", "c"]], 0.3)[0]
-    rescore.lm_scores(nlm, kn, [["d", "d", "d"]], 0.3)
-    again = rescore.lm_scores(nlm, kn, [["a", "b", "c"]], 0.3)[0]
+    first = lm_scores_of(nlm, kn, [["a", "b", "c"]], 0.3)[0]
+    lm_scores_of(nlm, kn, [["d", "d", "d"]], 0.3)
+    again = lm_scores_of(nlm, kn, [["a", "b", "c"]], 0.3)[0]
     assert first == again
 
 
@@ -121,7 +129,7 @@ def test_rescore_lambda_zero_returns_acoustic_best():
     nb = NBestList("u", [Hypothesis(1, -5.0, ["a"]),
                          Hypothesis(2, -3.0, ["b"]),
                          Hypothesis(3, -4.0, ["c"])])
-    out = rescore.rescore_lists([nb], nlm, None, RescoreConfig(lm_weight=0.0))[0]
+    out = rescored([nb], nlm, None, RescoreConfig(lm_weight=0.0))[0]
     assert out.hypotheses[0].rank == 2
 
 
@@ -129,7 +137,7 @@ def test_rescore_lambda_zero_tie_breaks_by_rank():
     nlm, _, _ = setup_models()
     nb = NBestList("u", [Hypothesis(1, -3.0, ["a"]),
                          Hypothesis(2, -3.0, ["b"])])
-    out = rescore.rescore_lists([nb], nlm, None, RescoreConfig(lm_weight=0.0))[0]
+    out = rescored([nb], nlm, None, RescoreConfig(lm_weight=0.0))[0]
     assert out.hypotheses[0].rank == 1
 
 
@@ -138,9 +146,9 @@ def test_rescore_huge_lambda_lm_dominates():
     nb = NBestList("u", [Hypothesis(1, 100.0, ["a", "a", "a", "a", "a"]),
                          Hypothesis(2, -100.0, ["a"])])
     cfg = RescoreConfig(lm_weight=1e9)
-    out = rescore.rescore_lists([nb], nlm, None, cfg)[0]
-    lm1 = rescore.lm_scores(nlm, None, [["a", "a", "a", "a", "a"]], 0.0)[0]
-    lm2 = rescore.lm_scores(nlm, None, [["a"]], 0.0)[0]
+    out = rescored([nb], nlm, None, cfg)[0]
+    lm1 = lm_scores_of(nlm, None, [["a", "a", "a", "a", "a"]], 0.0)[0]
+    lm2 = lm_scores_of(nlm, None, [["a"]], 0.0)[0]
     best = 1 if lm1 > lm2 else 2
     assert out.hypotheses[0].rank == best
 
@@ -151,10 +159,10 @@ def test_rescore_matches_bruteforce_enumeration():
             Hypothesis(2, -1.5, ["c"]),
             Hypothesis(3, -2.5, ["a", "d", "b"])]
     cfg = RescoreConfig(lm_weight=0.8, interp_weight=0.3, word_penalty=-0.1)
-    out = rescore.rescore_lists([NBestList("u", hyps)], nlm, kn, cfg)[0]
+    out = rescored([NBestList("u", hyps)], nlm, kn, cfg)[0]
     totals = {}
     for h in hyps:
-        lm = rescore.lm_scores(nlm, kn, [h.words], 0.3)[0]
+        lm = lm_scores_of(nlm, kn, [h.words], 0.3)[0]
         totals[h.rank] = h.am_score + 0.8 * lm + -0.1 * len(h.words)
     want = sorted(hyps, key=lambda h: (-totals[h.rank], h.rank))
     assert [h.rank for h in out.hypotheses] == [h.rank for h in want]
@@ -166,9 +174,9 @@ def test_rescore_permutation_invariance():
             Hypothesis(2, -1.5, ["c"]),
             Hypothesis(3, -2.5, ["d"])]
     cfg = RescoreConfig(lm_weight=1.0)
-    base = rescore.rescore_lists([NBestList("u", hyps)], nlm, None, cfg)[0]
+    base = rescored([NBestList("u", hyps)], nlm, None, cfg)[0]
     for perm in itertools.permutations(hyps):
-        out = rescore.rescore_lists([NBestList("u", list(perm))], nlm, None, cfg)[0]
+        out = rescored([NBestList("u", list(perm))], nlm, None, cfg)[0]
         assert [h.rank for h in out.hypotheses] == [h.rank for h in base.hypotheses]
 
 
@@ -176,12 +184,12 @@ def test_rescore_monotone_in_lm_weight():
     nlm, _, _ = setup_models()
     hyps = [Hypothesis(1, -1.0, ["a", "b", "c"]),
             Hypothesis(2, -1.2, ["a"])]
-    lms = {h.rank: rescore.lm_scores(nlm, None, [h.words], 0.0)[0]
+    lms = {h.rank: lm_scores_of(nlm, None, [h.words], 0.0)[0]
            for h in hyps}
     hi_lm = max(lms, key=lms.get)
     prev_pos = None
     for lam in (0.0, 0.5, 1.0, 2.0, 5.0):
-        out = rescore.rescore_lists([NBestList("u", hyps)], nlm, None,
+        out = rescored([NBestList("u", hyps)], nlm, None,
                                     RescoreConfig(lm_weight=lam))[0]
         pos = [h.rank for h in out.hypotheses].index(hi_lm)
         if prev_pos is not None:
@@ -205,25 +213,33 @@ def test_rescore_config_rejects(settings, message):
 def test_rescore_empty_list():
     nlm, _, _ = setup_models()
     with pytest.raises(ValueError):
-        rescore.rescore_lists([NBestList("u", [])], nlm, None, RescoreConfig())
+        rescored([NBestList("u", [])], nlm, None, RescoreConfig())
 
 
 def test_nothing_to_rescore():
     nlm, kn, _ = setup_models()
-    assert rescore.lm_scores(nlm, None, []) == []
-    assert rescore.lm_scores(nlm, kn, [], 0.3) == []
-    assert rescore.rescore_lists([], nlm, None, RescoreConfig()) == []
+    assert rescore.lm_scores(nlm, None, [], []).size == 0
+    assert rescore.lm_scores(nlm, kn, [], [], 0.3).size == 0
+    order, totals = rescore.rescore_lists(NBest.from_lists([]), nlm, None, RescoreConfig())
+    assert order.size == totals.size == 0
 
 
 def test_ranked_hypotheses_share_input_word_lists():
+    # ranking copies no words: it gives an order of the input's hypotheses
+    # and their totals, and the input's flat word list stays as it was
     nlm, _, _ = setup_models()
-    lists = [NBestList("u1", [Hypothesis(1, -3.0, ["a", "b"]), Hypothesis(2, -0.5, ["c"])]),
-             NBestList("u2", [Hypothesis(1, -1.0, [])])]
-    out = rescore.rescore_lists(lists, nlm, None, RescoreConfig())
-    words = {(nb.utt_id, h.rank): h.words for nb in lists for h in nb.hypotheses}
-    for nb in out:
-        for h in nb.hypotheses:
-            assert h.words is words[nb.utt_id, h.rank]
+    nbest = NBest.from_lists([
+        NBestList("u1", [Hypothesis(1, -3.0, ["a", "b"]), Hypothesis(2, -0.5, ["c"])]),
+        NBestList("u2", [Hypothesis(1, -1.0, [])])])
+    words = nbest.words
+    held = list(words)
+    order, totals = rescore.rescore_lists(nbest, nlm, None, RescoreConfig())
+    assert nbest.words is words and words == held
+    assert order.dtype == np.int64 and totals.dtype == np.float64
+    assert order.tolist() == [1, 0, 2]
+    out = ranked(nbest, order, totals)
+    assert [[h.words for h in nb.hypotheses] for nb in out] == [[["c"], ["a", "b"]], [[]]]
+    assert out[0].hypotheses[1].words[0] is words[0]
 
 
 def test_rescore_empty_list_fails_before_scoring(monkeypatch):
@@ -240,7 +256,7 @@ def test_rescore_empty_list_fails_before_scoring(monkeypatch):
              NBestList("u2", [Hypothesis(1, -2.0, ["c"])]),
              NBestList("u3", [])]
     with pytest.raises(ValueError, match="empty n-best list for u3"):
-        rescore.rescore_lists(lists, nlm, None, RescoreConfig())
+        rescored(lists, nlm, None, RescoreConfig())
 
 
 def test_nbest_file_roundtrip(tmp_path):
@@ -248,7 +264,7 @@ def test_nbest_file_roundtrip(tmp_path):
                               Hypothesis(2, -2.25, ["a"])]),
              NBestList("u2", [Hypothesis(1, -0.5, ["c"])])]
     path = tmp_path / "nbest.tsv"
-    rescore.write_nbest(lists, path)
+    rescore.write_nbest(NBest.from_lists(lists), path)
     first = path.read_bytes()
     again = rescore.read_nbest(path)
     rescore.write_nbest(again, path)
@@ -282,10 +298,12 @@ def test_nbest_non_contiguous_ranks(tmp_path):
 
 
 def test_onebest_write_read(tmp_path):
-    lists = [NBestList("u1", [Hypothesis(1, -1.0, ["a", "b"])])]
+    nbest = NBest.from_lists([NBestList("u1", [Hypothesis(1, -1.0, ["c"]),
+                                               Hypothesis(2, -2.0, ["a", "b"])]),
+                              NBestList("u2", [Hypothesis(1, -1.0, [])])])
     path = tmp_path / "1best.tsv"
-    rescore.write_onebest(lists, path)
-    assert rescore.read_onebest(path) == {"u1": ["a", "b"]}
+    rescore.write_onebest(nbest, np.array([1, 0, 2]), path)
+    assert rescore.read_onebest(path) == {"u1": ["a", "b"], "u2": []}
 
 
 def test_nbest_non_contiguous_utterance(tmp_path):
@@ -318,39 +336,150 @@ def test_nbest_reader_edge_cases(tmp_path, data, want):
 def test_nbest_reader_holds_one_str_per_distinct_word(tmp_path):
     path = tmp_path / "n.tsv"
     path.write_text("u1\t1\t-1\tabc def\nu1\t2\t-2\tdef abc\nu2\t1\t-1\tabc\n")
-    (a, b), (c,) = [nb.hypotheses for nb in rescore.read_nbest(path)]
+    nbest = rescore.read_nbest(path)
+    (a, b), (c,) = [nb.hypotheses for nb in nbest]
     assert a.words == ["abc", "def"] and b.words == ["def", "abc"] and c.words == ["abc"]
     assert a.words[0] is b.words[1] is c.words[0]
     assert a.words[1] is b.words[0]
-    # each hypothesis still owns its list
-    assert a.words is not b.words
+    # the hypotheses hold their words back to back in one flat list
+    assert nbest.words == ["abc", "def", "def", "abc", "abc"]
+    assert nbest.lens.tolist() == [2, 2, 1]
+    assert nbest.words[0] is nbest.words[3] is nbest.words[4] is a.words[0]
+    assert nbest.words[1] is nbest.words[2] is a.words[1]
 
 
-def test_nbest_reader_memory_per_hypothesis(tmp_path):
-    """2,000 hypotheses of 8 words over 60 distinct words: what read_nbest
-    holds grows with the hypotheses, not with a str per token."""
+def write_2000_hypotheses(path):
+    """250 lists of 8 hypotheses of 8 words over 60 distinct words."""
     rng = random.Random(0)
     words = ["street%02d" % i for i in range(60)]
-    path = tmp_path / "n.tsv"
     with open(path, "w", encoding="utf-8") as f:
         for u in range(250):
             for r in range(1, 9):
                 f.write("utt%04d\t%d\t%.6f\t%s\n"
                         % (u, r, -100 * rng.random(), " ".join(rng.choices(words, k=8))))
+
+
+def test_nbest_reader_memory_per_hypothesis(tmp_path):
+    """What read_nbest holds grows with the hypotheses, not with a str per
+    token: the columns measure about 107 B per 8-word hypothesis."""
+    path = tmp_path / "n.tsv"
+    write_2000_hypotheses(path)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        lists = rescore.read_nbest(path)
+        nbest = rescore.read_nbest(path)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sum(len(nb.hypotheses) for nb in lists) == 2000
-    assert held / 2000 <= 400
+    assert nbest.am.size == 2000
+    assert held / 2000 <= 160
+
+
+def test_nbest_reader_adds_no_object_per_hypothesis(tmp_path):
+    # the cyclic GC walks every tracked object it holds; columns hold a
+    # handful, where a record per hypothesis held thousands
+    path = tmp_path / "n.tsv"
+    write_2000_hypotheses(path)
+    before = len(gc.get_objects())
+    nbest = rescore.read_nbest(path)
+    assert len(gc.get_objects()) - before < 50
+    assert nbest.am.size == 2000
 
 
 def test_rescore_non_finite_total_rejected():
     nlm, _, _ = setup_models()
     nlm.U[:] = float("nan")
     with pytest.raises(ValueError, match="non-finite total score for u rank 1"):
-        rescore.rescore_lists([NBestList("u", [Hypothesis(1, -1.0, ["a"])])], nlm, None,
-                              RescoreConfig())
+        rescored([NBestList("u", [Hypothesis(1, -1.0, ["a"])])], nlm, None, RescoreConfig())
+
+
+TOKENS = ["a", "b", "c", "d", "oov"]
+
+
+@st.composite
+def nbest_files(draw):
+    """The bytes of an n-best file: valid lists, then a few edits that may
+    fault a line or add an edge case the reader must pass over."""
+    lines = []
+    for u in range(draw(st.integers(0, 4))):
+        for r in range(1, draw(st.integers(1, 4)) + 1):
+            am = draw(st.one_of(st.sampled_from([0.0, -0.0, -1.5]),
+                                st.floats(-50, 50, allow_nan=False)))
+            text = draw(st.sampled_from([" ", "  ", "\x0c"])).join(
+                draw(st.lists(st.sampled_from(TOKENS), max_size=4)))
+            lines.append("u%d\t%d\t%r\t%s" % (u, r, am, text))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["fields", "rank", "am", "utt", "drop", "blank",
+                                     "copy", "text"]))
+        if kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "  ", " \t", "\t"])))
+            continue
+        if i == len(lines):
+            continue
+        parts = lines[i].split("\t")
+        if kind == "drop":
+            del lines[i]
+            continue
+        if kind == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            continue
+        if kind == "fields":
+            parts = parts[:-1] if draw(st.booleans()) else parts + ["x"]
+        elif kind == "rank" and len(parts) > 1:
+            parts[1] = draw(st.sampled_from(["0", "2", "99", "x", "", "1.5", " 1", "+1"]))
+        elif kind == "am" and len(parts) > 2:
+            parts[2] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "x", "",
+                                             "0x1p3", " -2.5 ", "1_0"]))
+        elif kind == "utt":
+            parts[0] = "u%d" % draw(st.integers(0, 4))
+        elif kind == "text" and len(parts) > 3:
+            parts[3] = draw(st.sampled_from(["", " ", " a ", "b\x0bc"]))
+        lines[i] = "\t".join(parts)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final newline
+    return text.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def models():
+    nlm, kn, _ = setup_models()
+    return nlm, kn
+
+
+def lists_by_hex(lists):
+    """The lists of records with each float as its hex."""
+    return [(nb.utt_id, [tuple(x.hex() if isinstance(x, float) else x for x in h)
+                         for h in nb.hypotheses]) for nb in lists]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=nbest_files(), block=st.sampled_from([1, 2, 3, 5, rescore.BLOCK_LINES]))
+def test_nbest_reader_and_ranking_match_oracle(models, data, block):
+    # any block size gives the per-line reader's lists, or its exact
+    # message for the same line; the lists then rank as the per-list sort
+    # ranks them, with the same total bits
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "n.tsv")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            want = nbest_reference.ref_read_nbest(path)
+        except rescore.NBestFormatError as e:
+            with mock.patch.object(rescore, "BLOCK_LINES", block), \
+                    pytest.raises(rescore.NBestFormatError) as got:
+                rescore.read_nbest(path)
+            assert str(got.value) == str(e)
+            return
+        with mock.patch.object(rescore, "BLOCK_LINES", block):
+            nbest = rescore.read_nbest(path)
+    assert lists_by_hex(nbest) == lists_by_hex(want)
+    nlm, kn = models
+    for mu in (0.0, 0.3):
+        cfg = RescoreConfig(lm_weight=0.8, interp_weight=mu, word_penalty=-0.1)
+        lms = rescore.lm_scores(nlm, kn, nbest.words, nbest.lens, mu).tolist()
+        got = ranked(nbest, *rescore.rescore_lists(nbest, nlm, kn, cfg))
+        assert lists_by_hex(got) == lists_by_hex(nbest_reference.ref_rank(want, lms, cfg))

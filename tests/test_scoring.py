@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nn_reference
+from nbest_reference import lm_scores_of, rescored
 from rarelm import metrics, neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
 from rarelm.textcorpus import BOS_ID, EOS_ID, Vocabulary, encode, pack
@@ -198,11 +199,11 @@ def test_sorted_slices_share_prefixes_across_lists(monkeypatch):
                                    for r, words in enumerate(ws)])
              for u, ws in enumerate(hyps)]
     cfg = RescoreConfig(lm_weight=0.7, interp_weight=0.3, word_penalty=0.2)
-    alone = [[rescore.rescore_lists([NBestList(nb.utt_id, [h])], m, kn, cfg)[0]
+    alone = [[rescored([NBestList(nb.utt_id, [h])], m, kn, cfg)[0]
               .hypotheses[0].total_score.hex() for h in nb.hypotheses] for nb in lists]
     monkeypatch.setattr(neural, "GROUP_ROWS", 4)
     calls = spy_on_steps(monkeypatch, m)
-    out = rescore.rescore_lists(lists, m, kn, cfg)
+    out = rescored(lists, m, kn, cfg)
     seqs = [encode(h.words, m.vocab) for nb in lists for h in nb.hypotheses]
     ranked = sorted(seqs)
     assert walks(calls) == [live_prefixes(ranked[a:a + 4]) for a in range(0, len(seqs), 4)]
@@ -321,7 +322,7 @@ def kn_for(vocab):
                      min_size=1, max_size=20))
 def test_lm_scores_match_oracle_with_oov_and_kn(m, mu, hyps):
     kn = kn_for(m.vocab)
-    got = rescore.lm_scores(m, kn, hyps, mu)
+    got = lm_scores_of(m, kn, hyps, mu)
     for words, lm in zip(hyps, got):
         want = nn_reference.mixed_logprob(m, kn, encode(words, m.vocab), mu)
         assert abs(lm - want) < TOL
@@ -336,7 +337,7 @@ def test_lm_scores_map_ids_to_another_kn_vocab(m, mu, kn_words, hyps):
     # KN has its own, smaller vocabulary in its own order; words it lacks
     # are its unk
     kn = kn_for(Vocabulary(kn_words))
-    got = rescore.lm_scores(m, kn, hyps, mu)
+    got = lm_scores_of(m, kn, hyps, mu)
     for words, lm in zip(hyps, got):
         ids = encode(words, m.vocab)
         kn_ids = [kn.vocab.id(m.vocab.word(i)) for i in ids]
@@ -357,7 +358,7 @@ def test_rescore_lists_across_groups(m, sizes, seed):
                    [words[j] for j in rng.integers(len(words), size=rng.integers(0, 6))])
         for r in range(size)]) for u, size in enumerate(sizes)]
     cfg = RescoreConfig(lm_weight=0.7, word_penalty=0.2)
-    out = rescore.rescore_lists(lists, m, None, cfg)
+    out = rescored(lists, m, None, cfg)
     assert [nb.utt_id for nb in out] == [nb.utt_id for nb in lists]
     for nb, rr in zip(lists, out):
         assert sorted(h.rank for h in rr.hypotheses) == [h.rank for h in nb.hypotheses]
@@ -389,7 +390,7 @@ def test_rescore_lists_in_small_groups(monkeypatch):
         Hypothesis(r + 1, float(-r - rng.random()),
                    [words[j] for j in rng.integers(len(words), size=rng.integers(0, 6))])
         for r in range(size)]) for u, size in enumerate([1, 2, 5, 3, 1, 1, 1, 4])]
-    out = rescore.rescore_lists(lists, m, None, RescoreConfig(lm_weight=0.7))
+    out = rescored(lists, m, None, RescoreConfig(lm_weight=0.7))
     assert calls == [3, 3, 3, 3, 3, 3]
     assert seen == [i for ids in sorted(encode(h.words, m.vocab)
                                         for nb in lists for h in nb.hypotheses)
@@ -417,7 +418,7 @@ def test_steps_stay_within_row_cap(monkeypatch):
     m = random_model(3, 2, 3, 0, 0.5)
     lists = [NBestList("u%d" % u, [Hypothesis(r + 1, -r, ["a", "b"][:r % 3])
                                    for r in range(5)]) for u in range(40)]
-    rescore.rescore_lists(lists, m, None, RescoreConfig())
+    rescored(lists, m, None, RescoreConfig())
     # 192 distinct sentences: four words each over unk, a, b and c
     neural.nn_perplexity(m, [[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
                              + [EOS_ID] for k in range(3 * neural.BATCH_ROWS)])
@@ -456,7 +457,7 @@ def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
             stem = data.draw(st.sampled_from(stems))
             hyps.append(stem[:data.draw(st.integers(0, len(stem)))]
                         + data.draw(st.lists(st.sampled_from(words), max_size=2)))
-        alone = [rescore.lm_scores(m, None, [h])[0].hex() for h in hyps]
+        alone = [lm_scores_of(m, None, [h])[0].hex() for h in hyps]
         order = data.draw(st.permutations(range(len(hyps))))
         cuts = sorted(data.draw(st.sets(st.integers(1, len(hyps)), max_size=4))
                       - {len(hyps)})
@@ -467,7 +468,7 @@ def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
             # rows gets other bits than a narrower one
             mp.setattr(neural, "BATCH_ROWS", data.draw(st.integers(1, 64)))
             for part in np.split(np.array(order), cuts):
-                scores = rescore.lm_scores(m, None, [hyps[i] for i in part])
+                scores = lm_scores_of(m, None, [hyps[i] for i in part])
                 for i, score in zip(part, scores):
                     got[i] = score.hex()
         assert got == alone
@@ -486,8 +487,8 @@ def layout_scores():
         words = m.vocab.id_to_word[3:13] + ["oov"]
         hyps = [[words[j] for j in rng.integers(len(words), size=rng.integers(0, 6))]
                 for _ in range(40)]
-        out[str(shape)] = ([x.hex() for x in rescore.lm_scores(m, None, hyps)],
-                           [rescore.lm_scores(m, None, [h])[0].hex() for h in hyps])
+        out[str(shape)] = ([x.hex() for x in lm_scores_of(m, None, hyps)],
+                           [lm_scores_of(m, None, [h])[0].hex() for h in hyps])
     return out
 
 
@@ -526,8 +527,8 @@ def test_synthetic_bundle_onebest_matches_oracle(synthetic_pipeline):
     m, vocab, nbest = pipe["model"], pipe["vocab"], pipe["data"].nbest
     kn = ngram.train_kn([encode(s, vocab) for s in pipe["data"].train], 4, vocab)
     for mu in (0.0, 0.3):
-        out = rescore.rescore_lists(nbest, m, kn, RescoreConfig(interp_weight=mu))
-        got = {nb.utt_id: nb.hypotheses[0].words for nb in out}
+        order, _ = rescore.rescore_lists(nbest, m, kn, RescoreConfig(interp_weight=mu))
+        got = dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
         assert got == oracle_onebest(nbest, m, kn, mu)
 
 
@@ -538,7 +539,7 @@ def test_kn_joined_by_word_not_id(synthetic_pipeline, tmp_path):
     paths = []
     for v in (vocab, Vocabulary(vocab.id_to_word[:2:-1], vocab.counts)):
         kn = ngram.train_kn([encode(s, v) for s in data.train], 4, v)
-        out = rescore.rescore_lists(data.nbest, m, kn, RescoreConfig(interp_weight=0.3))
+        ranking = rescore.rescore_lists(data.nbest, m, kn, RescoreConfig(interp_weight=0.3))
         paths.append(tmp_path / ("rescored%d.tsv" % len(paths)))
-        rescore.write_rescored(out, paths[-1])
+        rescore.write_rescored(data.nbest, *ranking, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -2,13 +2,15 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import rarelm
-from rarelm import cli, neural
+from rarelm import cli, neural, rescore, textcorpus
 
 ROOT = Path(__file__).parent.parent
 SRC = sorted((ROOT / "src" / "rarelm").glob("*.py"))
@@ -111,6 +113,36 @@ def test_bench_uses_only_what_the_package_has(path):
                     break
                 obj = getattr(obj, attr)
     assert not missing, "%s uses names rarelm lacks: %s" % (path.name, sorted(missing))
+
+
+def bench_module(name, monkeypatch):
+    """The module bench/<name>.py, imported without writing under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_reads_what_read_nbest_returns(tmp_path, monkeypatch):
+    # the benchmark iterates read_nbest's result as lists of hypotheses with
+    # words; a change to what the reader returns must fail here, not in a
+    # benchmark run
+    workloads = bench_module("workloads", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    path = tmp_path / "n.tsv"
+    path.write_text("u1\t1\t-1\ta b\nu1\t2\t-2\ta c oov\nu2\t1\t-1\tb\n")
+    nbest = rescore.read_nbest(path)
+    assert tracing._nbest_lines((path,), nbest) == 3
+    m = neural.init_model(textcorpus.Vocabulary(["a", "b", "c"]), 2, 3)
+    props = workloads.nbest_properties(m, nbest)
+    assert props["input.hypotheses"] == 3
+    assert props["input.scored_positions"] == 9
+    # u1's second hypothesis shares the prefixes <s> and <s> a with its first
+    assert props["rescore.shared_prefix_ratio"] == 2 / 9
+    assert props["input.nbest_oov_rate"] == 1 / 6
+    assert props["input.mean_hyp_words"] == 2.0
 
 
 def matmuls(fn):

@@ -100,7 +100,8 @@ def test_pack_empty_and_short_sequences():
 def test_encode_many_equals_packed_encode(word_lists):
     # OOV words, empty sentences and the special tokens used as words
     v = tc.build_vocab([["a", "b"]])
-    got = tc.encode_many(word_lists, v)
+    got = tc.encode_many([w for words in word_lists for w in words],
+                         [len(words) for words in word_lists], v)
     want = tc.pack([tc.encode(words, v) for words in word_lists])
     assert got[0].dtype == got[1].dtype == np.int64
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
