@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__, enrich, experiment, metrics, neural, ngram, rescore, textcorpus
 from .rescore import RescoreConfig
@@ -38,6 +39,10 @@ def cmd_build_vocab(args):
 
 
 def cmd_train_lstm(args):
+    cfg = neural.TrainConfig(
+        learning_rate=args.lr, clip_norm=args.clip_norm, bptt_len=args.bptt_len,
+        dropout_p=args.dropout, epochs=args.epochs, seed=args.seed,
+        lr_decay=args.lr_decay, batch_size=args.batch_size)
     vocab = textcorpus.Vocabulary.from_file(args.vocab)
     sentences = _load_corpus(args.corpus, args.phrases)
     enc = [textcorpus.encode(s, vocab) for s in sentences]
@@ -46,10 +51,6 @@ def cmd_train_lstm(args):
         val = [textcorpus.encode(s, vocab)
                for s in _load_corpus(args.val_corpus, args.phrases)]
     m = neural.init_model(vocab, args.embed_dim, args.hidden_dim, args.seed)
-    cfg = neural.TrainConfig(
-        learning_rate=args.lr, clip_norm=args.clip_norm, bptt_len=args.bptt_len,
-        dropout_p=args.dropout, epochs=args.epochs, seed=args.seed,
-        lr_decay=args.lr_decay, batch_size=args.batch_size)
     neural.check_writable(args.output)
     m, history = neural.train(m, enc, cfg, val_ids=val, log=print)
     neural.save_model(m, args.output)
@@ -193,6 +194,9 @@ def cmd_sweep(args):
     """Each row is the enrich + rescore + wer run with the same options."""
     values = _sweep_values(args.values)
     enrich_cfg = _enrich_settings(args)
+    key = "threshold" if args.what == "threshold" else "k"
+    for v in values:  # a bad value fails here, before any file is read
+        replace(enrich_cfg, **{key: v})
     rescore_cfg, kn = _rescore_settings(args)
     m = neural.load_model(args.model)
     counts, scope = _enrich_words(args, m.vocab)
@@ -200,7 +204,6 @@ def cmd_sweep(args):
         counts=counts, scope=scope, model=m, kn=kn,
         refs=rescore.read_onebest(args.refs), nbest=rescore.read_nbest(args.nbest),
         enrich_cfg=enrich_cfg, rescore_cfg=rescore_cfg)
-    key = "threshold" if args.what == "threshold" else "k"
     rows = experiment.sweep(bundle, key, values)
     out = experiment.format_sweep(rows, key)
     sys.stdout.write(out)

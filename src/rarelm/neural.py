@@ -21,14 +21,14 @@ from .textcorpus import SPECIALS, Vocabulary, pack
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
-# rows per batched gate step, per pass over U, per checkpoint block read or
-# written and per parameter comparison; bounds the memory each takes at any
-# |V|. A step or pass wider than STEP_ROWS_MAX can change bits with 2 BLAS
-# threads, so raising either must first show that scores keep their bits at
-# the new width with OPENBLAS_NUM_THREADS=1 and =2, each set in a fresh
-# subprocess, as test_scores_do_not_depend_on_layout_with_one_or_two_blas_threads
-# does.
+# rows per checkpoint block read or written and per parameter comparison;
+# bounds the memory each takes at any |V|
 BATCH_ROWS = 64
+# rows per gate step and per pass over U, the widest _matmul_rows takes. A
+# wider step or pass can change bits with 2 BLAS threads, so raising it must
+# first show that scores keep their bits at the new width with
+# OPENBLAS_NUM_THREADS=1 and =2, each set in a fresh subprocess, as
+# test_scores_do_not_depend_on_layout_with_one_or_two_blas_threads does.
 STEP_ROWS_MAX = 64
 GROUP_ROWS = 2048  # sequences per prefix_slices slice; bounds the scoring state
 
@@ -205,16 +205,17 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     order: sequence i contributes its max(lens[i] - 1, 0) positions, as in
     `NGramModel.prob_many`.
 
-    Each distinct prefix goes through the LSTM once. The sequences are
-    walked as one prefix tree, one position at a time: the distinct
-    (parent prefix, input word) keys of the live rows are the distinct
-    prefixes ids[:t+1]. They go through gate_step BATCH_ROWS at a time,
-    each from its parent prefix's state. Their hidden rows join one queue
-    with the positions that read their targets from them, found by one
-    stable sort of the live rows by prefix per position; target_logprobs
-    projects it BATCH_ROWS rows at a time into one reused buffer, so only
-    the last pass over U is narrower. Callers bound the state kept per
-    position by passing the slices of prefix_slices.
+    The sequences are walked as one prefix tree, one position at a time:
+    each run of adjacent live rows that share a parent prefix and an input
+    word is one prefix ids[:t+1]. In prefix order, as prefix_slices yields
+    them, each distinct prefix goes through the LSTM once; in another
+    order, equal prefixes that are not adjacent step apart, with the same
+    values. The runs go through gate_step STEP_ROWS_MAX at a time, each
+    from its parent prefix's state. Their hidden rows join one queue with
+    the rows of their runs, which read their targets from them;
+    target_logprobs projects it STEP_ROWS_MAX rows at a time into one
+    reused buffer, so only the last pass over U is narrower. Callers bound
+    the state kept per position by passing the slices of prefix_slices.
     """
     nv = m.vocab_size
     if ids.size and (ids.min() < 0 or ids.max() >= nv):
@@ -223,8 +224,8 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     start = np.cumsum(lens) - lens
     ostart = np.cumsum(npos) - npos
     lp = np.empty(int(npos.sum()))
-    buf = np.empty((max(BATCH_ROWS, 8), nv))
-    queue = np.empty((BATCH_ROWS, m.d_h))
+    buf = np.empty((max(STEP_ROWS_MAX, 8), nv))
+    queue = np.empty((STEP_ROWS_MAX, m.d_h))
     fill = 0
     readers = []  # per piece of the queue: (queue row, flat position, target)
 
@@ -241,30 +242,29 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     for t in range(int(npos.max(initial=0))):
         live = npos[rows] > t
         rows = rows[live]
-        keys, slot = np.unique(slot[live] * nv + ids[start[rows] + t],
-                               return_inverse=True)
-        parent, words = np.divmod(keys, nv)
-        nh = np.empty((keys.size, m.d_h))
-        nc = np.empty((keys.size, m.d_h))
-        for b in range(0, keys.size, BATCH_ROWS):
-            p = parent[b:b + BATCH_ROWS]
-            nh[b:b + BATCH_ROWS], nc[b:b + BATCH_ROWS] = gate_step(
-                m, words[b:b + BATCH_ROWS], h[p], c[p])
+        parent, words = slot[live], ids[start[rows] + t]
+        # a run of adjacent rows with one parent and one word is one
+        # prefix; run k holds the rows cut[k]:cut[k + 1]
+        new = (np.diff(parent, prepend=-1) | np.diff(words, prepend=-1)) != 0
+        cut = np.append(np.flatnonzero(new), rows.size)
+        slot = np.cumsum(new) - 1
+        parent, words = parent[new], words[new]
+        nh, nc = np.empty((2, words.size, m.d_h))
+        for b in range(0, words.size, STEP_ROWS_MAX):
+            p = parent[b:b + STEP_ROWS_MAX]
+            nh[b:b + STEP_ROWS_MAX], nc[b:b + STEP_ROWS_MAX] = gate_step(
+                m, words[b:b + STEP_ROWS_MAX], h[p], c[p])
         h, c = nh, nc
-        at = ostart[rows] + t
-        target = ids[start[rows] + t + 1]
-        # the rows reading state row k are by[cut[k]:cut[k + 1]]
-        by = np.argsort(slot, kind="stable")
-        cut = np.searchsorted(slot[by], np.arange(keys.size + 1))
+        at, target = ostart[rows] + t, ids[start[rows] + t + 1]
         k = 0
-        while k < keys.size:
-            take = min(keys.size - k, BATCH_ROWS - fill)
+        while k < words.size:
+            take = min(words.size - k, STEP_ROWS_MAX - fill)
             queue[fill:fill + take] = nh[k:k + take]
-            sel = by[cut[k]:cut[k + take]]
+            sel = slice(cut[k], cut[k + take])
             readers.append((slot[sel] - k + fill, at[sel], target[sel]))
             fill += take
             k += take
-            if fill == BATCH_ROWS:
+            if fill == STEP_ROWS_MAX:
                 project()
     if fill:
         project()
@@ -275,9 +275,10 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
 def prefix_slices(ids, lens):
     """Yield (indices, ids, lens) for the packed id sequences (ids, lens)
     GROUP_ROWS at a time, in lexicographic order of their ids, ties in
-    input order, each slice packed back to back; sequences sharing a
-    prefix mostly fall in one slice and step it once. A slice bounds the
-    state position_logprobs keeps per position.
+    input order, each slice packed back to back. Sequences sharing a
+    prefix are adjacent, so they mostly fall in one slice, where
+    position_logprobs steps the prefix once as one run of rows. A slice
+    bounds the state position_logprobs keeps per position.
 
     The order comes from one stable sort per position, from the last. The
     sort at position t takes the sequences that have an id there, those

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .metrics import left_sums, perplexity
-from .textcorpus import BOS_ID, SPECIALS, Vocabulary, pack
+from .textcorpus import BLOCK_LINES, BOS_ID, SPECIALS, Vocabulary, pack
 
 
 @dataclass
@@ -331,11 +331,6 @@ def export_arpa(m: NGramModel) -> str:
     lines.append("\\end\\")
     lines.append("")
     return "\n".join(lines)
-
-
-# the most lines import_arpa parses in one pass, which bounds its
-# intermediates
-BLOCK_LINES = 256
 
 
 class ArpaParseError(ValueError):

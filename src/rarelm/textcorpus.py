@@ -15,6 +15,9 @@ EOS_ID = 1
 UNK_ID = 2
 
 SPECIALS = (BOS, EOS, UNK)
+# the most lines a block reader (import_arpa, read_nbest) parses in one
+# pass, which bounds its intermediates
+BLOCK_LINES = 256
 
 
 def tokenize(line: str) -> list[str]:

@@ -456,9 +456,19 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
     (["sweep", "threshold", "--values", "10,,20", "--model", "missing.rlm",
       "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
       "--refs", "bundle/refs.txt"], "--values: '' is not an integer"),
+    (["sweep", "candidates", "--values", "0", "--model", "missing.rlm",
+      "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
+      "--refs", "bundle/refs.txt"], "k must be >= 1"),
+    (["sweep", "threshold", "--values", "-1", "--model", "missing.rlm",
+      "--scope", "bundle/streets.txt", "--nbest", "bundle/nbest.txt",
+      "--refs", "bundle/refs.txt"], "threshold must be >= 0"),
+    (["train-lstm", "--corpus", "bundle/train.txt", "--vocab", "missing.txt",
+      "--epochs", "0"], "epochs must be >= 1"),
 ], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram",
         "enrich-k-missing-model", "sweep-k-missing-model",
-        "enrich-fromNbest-missing-model", "sweep-values-missing-model"])
+        "enrich-fromNbest-missing-model", "sweep-values-missing-model",
+        "sweep-candidates-missing-model", "sweep-threshold-missing-model",
+        "train-lstm-epochs-missing-vocab"])
 def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
     d = workdir
     assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1

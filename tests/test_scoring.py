@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nn_reference
 from nbest_reference import lm_scores_of, rescored
@@ -48,7 +48,7 @@ models = st.builds(random_model, st.integers(1, 5), st.integers(1, 4),
 def test_core_matches_oracle(m, data):
     # ragged lengths from empty and one-token sentences up, and batches
     # past the row cap
-    n = data.draw(st.integers(1, 2 * neural.BATCH_ROWS + 5))
+    n = data.draw(st.integers(1, 2 * neural.STEP_ROWS_MAX + 5))
     word = st.integers(2, m.vocab_size - 1)  # unk and real words
     seqs = [[BOS_ID] + data.draw(st.lists(word, max_size=9)) + [EOS_ID]
             for _ in range(n)]
@@ -68,7 +68,8 @@ def test_core_matches_oracle_under_heavy_sharing(m, data):
     word = st.integers(2, min(m.vocab_size - 1, 4))
     stems = data.draw(st.lists(st.lists(word, max_size=8), min_size=1, max_size=4))
     seqs = []
-    for _ in range(data.draw(st.integers(2 * neural.BATCH_ROWS + 1, 3 * neural.BATCH_ROWS))):
+    for _ in range(data.draw(st.integers(2 * neural.STEP_ROWS_MAX + 1,
+                                         3 * neural.STEP_ROWS_MAX))):
         stem = data.draw(st.sampled_from(stems))
         cut = data.draw(st.integers(0, len(stem)))
         seqs.append([BOS_ID] + stem[:cut] + data.draw(st.sampled_from([[EOS_ID], []])))
@@ -132,26 +133,28 @@ def live_prefixes(group):
 
 
 def test_each_distinct_prefix_steps_once(monkeypatch):
+    # in prefix order, as prefix_slices yields them
     m = random_model(3, 2, 3, 0, 0.5)
     calls = spy_on_steps(monkeypatch, m)
     rng = np.random.default_rng(0)
-    seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
-            for _ in range(600)]
+    seqs = sorted([BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
+                  for _ in range(600))
     neural.position_logprobs(m, *pack(seqs))
     # one walk over the whole call
     assert walks(calls) == [live_prefixes(seqs)]
-    # the deeper positions have more than BATCH_ROWS distinct prefixes
-    assert max(map(len, calls)) == neural.BATCH_ROWS
+    # the deeper positions have more than STEP_ROWS_MAX distinct prefixes
+    assert max(map(len, calls)) == neural.STEP_ROWS_MAX
 
 
 def test_position_logprobs_walks_its_whole_input_as_one_tree(monkeypatch):
     # GROUP_ROWS cuts only prefix_slices: a direct call walks all of its
-    # sequences, here more than GROUP_ROWS, as one tree, so a prefix shared
-    # across a GROUP_ROWS cut still steps once, and every value keeps its bits
+    # sequences, here more than GROUP_ROWS in prefix order, as one tree, so
+    # a prefix shared across a GROUP_ROWS cut still steps once, and every
+    # value keeps its bits
     m = random_model(3, 2, 3, 0, 0.5)
     carriers = [[3, 4, 5], [5, 4, 3]]
-    seqs = [[BOS_ID] + carriers[k % 2] + [3 + k % 3] * (k % 4 + 1) + [EOS_ID]
-            for k in range(24)]
+    seqs = sorted([BOS_ID] + carriers[k % 2] + [3 + k % 3] * (k % 4 + 1) + [EOS_ID]
+                  for k in range(24))
     want = neural.position_logprobs(m, *pack(seqs))
     monkeypatch.setattr(neural, "GROUP_ROWS", 4)
     calls = spy_on_steps(monkeypatch, m)
@@ -163,25 +166,45 @@ def test_position_logprobs_walks_its_whole_input_as_one_tree(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("batch_rows", [64, 5])
+@pytest.mark.parametrize("step_rows", [64, 5])
 @pytest.mark.parametrize("group_rows", [250, 2048])
-def test_projection_passes_are_full_but_the_last(monkeypatch, batch_rows, group_rows):
+def test_projection_passes_are_full_but_the_last(monkeypatch, step_rows, group_rows):
     # the new prefix rows of every position share one queue, so one call
-    # makes ceil(P / BATCH_ROWS) passes over U for the P distinct live
-    # prefixes of the whole call, all but the last BATCH_ROWS wide,
-    # whatever GROUP_ROWS is
+    # in prefix order makes ceil(P / STEP_ROWS_MAX) passes over U for the
+    # P distinct live prefixes of the whole call, all but the last
+    # STEP_ROWS_MAX wide, whatever GROUP_ROWS is
     m = random_model(3, 2, 3, 0, 0.5)
     monkeypatch.setattr(neural, "GROUP_ROWS", group_rows)
-    monkeypatch.setattr(neural, "BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(neural, "STEP_ROWS_MAX", step_rows)
     widths = spy_on_passes(monkeypatch)
     rng = np.random.default_rng(0)
-    seqs = [[BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
-            for _ in range(600)]
+    seqs = sorted([BOS_ID] + rng.integers(2, 6, size=rng.integers(0, 6)).tolist() + [EOS_ID]
+                  for _ in range(600))
     neural.position_logprobs(m, *pack(seqs))
     P = sum(len(ps) for ps in live_prefixes(seqs).values())
-    assert len(widths) == -(-P // batch_rows)
-    assert widths[:-1] == [batch_rows] * (len(widths) - 1)
+    assert len(widths) == -(-P // step_rows)
+    assert widths[:-1] == [step_rows] * (len(widths) - 1)
     assert sum(widths) == P and max(widths) <= neural.STEP_ROWS_MAX
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=models, data=st.data())
+def test_any_order_gives_each_sequence_the_same_bits(m, data):
+    # equal prefixes that are not adjacent step apart, with the bits they
+    # get when prefix order makes them one run
+    seqs = [[BOS_ID] + [2 + i % (m.vocab_size - 2) for i in s] + [EOS_ID]
+            for s in data.draw(related_seqs())]
+    assume(seqs)
+    ranked = sorted(range(len(seqs)), key=seqs.__getitem__)
+    order = data.draw(st.permutations(range(len(seqs))))
+    in_prefix_order, moved = [seqs[i] for i in ranked], [seqs[i] for i in order]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neural, "STEP_ROWS_MAX", data.draw(st.integers(1, 64)))
+        want = per_sequence(neural.position_logprobs(m, *pack(in_prefix_order)),
+                            in_prefix_order)
+        got = per_sequence(neural.position_logprobs(m, *pack(moved)), moved)
+    bits = dict(zip(ranked, (lp.tobytes() for lp in want)))
+    assert [lp.tobytes() for lp in got] == [bits[i] for i in order]
 
 
 def test_sorted_slices_share_prefixes_across_lists(monkeypatch):
@@ -345,12 +368,12 @@ def test_lm_scores_map_ids_to_another_kn_vocab(m, mu, kn_words, hyps):
 
 
 @settings(max_examples=15, deadline=None)
-@given(m=models, sizes=st.lists(st.integers(1, neural.BATCH_ROWS + 10),
+@given(m=models, sizes=st.lists(st.integers(1, neural.STEP_ROWS_MAX + 10),
                                 min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 16))
 def test_rescore_lists_across_groups(m, sizes, seed):
     # all hypotheses are scored together, so one batch of steps can hold
-    # several lists and a list over BATCH_ROWS spans batches
+    # several lists and a list over STEP_ROWS_MAX spans batches
     rng = np.random.default_rng(seed)
     words = m.vocab.id_to_word[3:] + ["oov"]
     lists = [NBestList("u%d" % u, [
@@ -421,8 +444,8 @@ def test_steps_stay_within_row_cap(monkeypatch):
     rescored(lists, m, None, RescoreConfig())
     # 192 distinct sentences: four words each over unk, a, b and c
     neural.nn_perplexity(m, [[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
-                             + [EOS_ID] for k in range(3 * neural.BATCH_ROWS)])
-    assert widths and max(widths) == neural.BATCH_ROWS
+                             + [EOS_ID] for k in range(3 * neural.STEP_ROWS_MAX)])
+    assert widths and max(widths) == neural.STEP_ROWS_MAX
 
 
 def layout_model(nv, d_s, d_h):
@@ -443,7 +466,7 @@ def layout_model(nv, d_s, d_h):
 def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
     # every score has the bits it gets alone, whatever the hypotheses
     # scored beside it, their order, their split into lm_scores calls,
-    # GROUP_ROWS and BATCH_ROWS
+    # GROUP_ROWS and STEP_ROWS_MAX
     m = layout_model(nv, d_s, d_h)
     words = m.vocab.id_to_word[3:13] + ["oov"]
 
@@ -466,7 +489,7 @@ def test_scores_do_not_depend_on_layout(nv, d_s, d_h, examples, max_hyps):
             mp.setattr(neural, "GROUP_ROWS", data.draw(st.integers(1, len(hyps))))
             # at most 64: with two BLAS threads, a desk step of 111 to 142
             # rows gets other bits than a narrower one
-            mp.setattr(neural, "BATCH_ROWS", data.draw(st.integers(1, 64)))
+            mp.setattr(neural, "STEP_ROWS_MAX", data.draw(st.integers(1, 64)))
             for part in np.split(np.array(order), cuts):
                 scores = lm_scores_of(m, None, [hyps[i] for i in part])
                 for i, score in zip(part, scores):

@@ -165,3 +165,18 @@ def test_scoring_matmuls_take_the_row_helper(fn):
     assert not lines, "%s multiplies outside _matmul_rows at line(s) %s" % (
         fn.__name__, lines)
     assert "_matmul_rows(" in inspect.getsource(fn)
+
+
+def test_prefix_walk_sorts_nothing_and_steps_the_row_helper_width():
+    # prefix_slices is the one orderer: position_logprobs takes each prefix
+    # as a run of adjacent rows of its ordered input, and steps and projects
+    # at most the STEP_ROWS_MAX rows _matmul_rows takes; BATCH_ROWS sizes
+    # checkpoint blocks and comparisons only
+    tree = ast.parse(inspect.getsource(neural.position_logprobs))
+    sorts = sorted({getattr(node.func, "attr", getattr(node.func, "id", None))
+                    for node in ast.walk(tree) if isinstance(node, ast.Call)}
+                   & {"unique", "argsort", "sort", "lexsort", "searchsorted"})
+    assert not sorts, "position_logprobs calls %s" % sorts
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "BATCH_ROWS" not in names
