@@ -43,6 +43,8 @@ def cmd_train_lstm(args):
         learning_rate=args.lr, clip_norm=args.clip_norm, bptt_len=args.bptt_len,
         dropout_p=args.dropout, epochs=args.epochs, seed=args.seed,
         lr_decay=args.lr_decay, batch_size=args.batch_size)
+    neural.check_sizes(args.embed_dim, args.hidden_dim)
+    neural.check_writable(args.output)
     vocab = textcorpus.Vocabulary.from_file(args.vocab)
     sentences = _load_corpus(args.corpus, args.phrases)
     enc = [textcorpus.encode(s, vocab) for s in sentences]
@@ -51,7 +53,6 @@ def cmd_train_lstm(args):
         val = [textcorpus.encode(s, vocab)
                for s in _load_corpus(args.val_corpus, args.phrases)]
     m = neural.init_model(vocab, args.embed_dim, args.hidden_dim, args.seed)
-    neural.check_writable(args.output)
     m, history = neural.train(m, enc, cfg, val_ids=val, log=print)
     neural.save_model(m, args.output)
     print("final train_ppl %.2f val_ppl %.2f -> %s"

@@ -108,11 +108,16 @@ def same_except_columns(a: NeuralLM, b: NeuralLM, cols=()) -> bool:
     return True
 
 
+def check_sizes(d_s: int, d_h: int) -> None:
+    """Raise the ValueError init_model raises for these sizes."""
+    if d_s < 1 or d_h < 1:
+        raise ValueError("embedding and hidden sizes must be >= 1")
+
+
 def init_model(vocab: Vocabulary, d_s: int = 32, d_h: int = 64,
                seed: int = 0) -> NeuralLM:
     """Seeded uniform(-0.05, 0.05) init; forget-gate bias slice set to 1."""
-    if d_s < 1 or d_h < 1:
-        raise ValueError("embedding and hidden sizes must be >= 1")
+    check_sizes(d_s, d_h)
     rng = np.random.default_rng(seed)
     nv = len(vocab)
     S = rng.uniform(-0.05, 0.05, (d_s, nv))

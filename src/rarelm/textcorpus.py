@@ -145,7 +145,7 @@ def read_tab_pairs(path, form: str, key: str) -> Iterator[tuple[int, str, str]]:
 
 def read_word_counts(path) -> dict[str, int]:
     """word -> count from a `word<TAB>count` file, in file order; each word
-    may appear once."""
+    may appear once, with a non-negative count."""
     counts = {}
     for lineno, word, count in read_tab_pairs(path, "word<TAB>count", "word"):
         try:
@@ -153,6 +153,8 @@ def read_word_counts(path) -> dict[str, int]:
         except ValueError:
             raise ValueError("%s:%d: count %r is not an integer"
                              % (path, lineno, count))
+        if counts[word] < 0:
+            raise ValueError("%s:%d: count %d is negative" % (path, lineno, counts[word]))
     return counts
 
 

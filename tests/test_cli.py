@@ -162,9 +162,11 @@ def test_unwritable_output_is_named(workdir, tmp_path, capsys, monkeypatch, argv
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_lstm_checks_output_before_training(workdir, tmp_path, capsys, monkeypatch):
+def test_train_lstm_checks_output_before_training(tmp_path, capsys, monkeypatch):
+    # and before reading: neither the vocabulary nor the corpus exists
     monkeypatch.chdir(tmp_path)
-    assert run(train_lstm_argv(workdir, "nodir/x.rlm")) == 1
+    assert run(["train-lstm", "--corpus", "missing.txt", "--vocab", "missing.txt",
+                "--output", "nodir/x.rlm"]) == 1
     out, err = capsys.readouterr()
     assert "error: [Errno 2] No such file or directory: 'nodir/x.rlm'" in err
     assert "epoch" not in out
@@ -173,18 +175,25 @@ def test_train_lstm_checks_output_before_training(workdir, tmp_path, capsys, mon
 
 @pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
 def test_enrich_reads_the_header_once(workdir, tmp_path, monkeypatch, same_path):
-    calls = []
-    read = neural._read_header
+    # and the payload once: Eq. 4 takes each block of S or U as it is copied
+    calls, passes = [], []
+    read, blocks = neural._read_header, neural._payload_blocks
 
     def spy(f):
         calls.append(f.name)
         return read(f)
 
+    def spy_blocks(f, *dims):
+        passes.append(f.name)
+        return blocks(f, *dims)
+
     monkeypatch.setattr(neural, "_read_header", spy)
+    monkeypatch.setattr(neural, "_payload_blocks", spy_blocks)
     m = tmp_path / "m.rlm"
     shutil.copyfile(workdir / "lstm.rlm", m)
     assert run(enrich_argv(workdir, m, m if same_path else tmp_path / "out.rlm")) == 0
     assert calls == [str(m)]
+    assert passes == [str(m)]
 
 
 def test_enrich_from_nbest_requires_nbest(workdir):
@@ -392,6 +401,27 @@ def test_malformed_input_names_file_and_line(workdir, capsys, make, text, line):
     assert "error: %s:%d: " % (path, line) in capsys.readouterr().err
 
 
+def lstm_with_vocab(d, text):
+    path = d / "bad_vocab.txt"
+    path.write_text(text)
+    return path, ["train-lstm", "--corpus", str(d / "bundle" / "train.txt"),
+                  "--vocab", str(path), "--output", str(d / "bad.rlm"),
+                  "--embed-dim", "2", "--hidden-dim", "2", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("make,text", [
+    (lstm_with_vocab, "<s>\t0\n</s>\t5\n<unk>\t0\nat\t-4\n"),
+    (enrich_with_counts, "a\t3\nat\t-4\n"),
+], ids=["train-lstm-vocab", "enrich-counts"])
+def test_negative_count_writes_no_checkpoint(workdir, capsys, make, text):
+    # a checkpoint with a negative count is one load_model rejects
+    path, argv = make(workdir, text)
+    assert run(argv) == 1
+    assert "error: %s:%d: count -4 is negative" % (path, text.count("\n")) in \
+        capsys.readouterr().err
+    assert not (workdir / "bad.rlm").exists()
+
+
 WER_LINES = "u1\ta b c\nu2\td e\n"
 
 
@@ -464,11 +494,13 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
       "--refs", "bundle/refs.txt"], "threshold must be >= 0"),
     (["train-lstm", "--corpus", "bundle/train.txt", "--vocab", "missing.txt",
       "--epochs", "0"], "epochs must be >= 1"),
+    (["train-lstm", "--corpus", "bundle/train.txt", "--vocab", "missing.txt",
+      "--embed-dim", "0"], "embedding and hidden sizes must be >= 1"),
 ], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram",
         "enrich-k-missing-model", "sweep-k-missing-model",
         "enrich-fromNbest-missing-model", "sweep-values-missing-model",
         "sweep-candidates-missing-model", "sweep-threshold-missing-model",
-        "train-lstm-epochs-missing-vocab"])
+        "train-lstm-epochs-missing-vocab", "train-lstm-embed-dim-missing-vocab"])
 def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
     d = workdir
     assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1

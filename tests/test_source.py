@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rarelm
-from rarelm import cli, neural, rescore, textcorpus
+from rarelm import cli, enrich, neural, rescore, textcorpus
 
 ROOT = Path(__file__).parent.parent
 SRC = sorted((ROOT / "src" / "rarelm").glob("*.py"))
@@ -180,3 +180,28 @@ def test_prefix_walk_sorts_nothing_and_steps_the_row_helper_width():
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "BATCH_ROWS" not in names
+
+
+def is_eq4_divide(node):
+    """Whether node divides by a sum with the constant 1, as Eq. 4 divides
+    by |C_r| + 1."""
+    op = node.op if isinstance(node, (ast.BinOp, ast.AugAssign)) else None
+    divisor = node.right if isinstance(node, ast.BinOp) else getattr(node, "value", None)
+    return (isinstance(op, ast.Div) and isinstance(divisor, ast.BinOp)
+            and isinstance(divisor.op, ast.Add)
+            and any(isinstance(v, ast.Constant) and v.value == 1
+                    for v in (divisor.left, divisor.right)))
+
+
+def test_eq4_has_one_core():
+    # the in-memory and the streamed enrichment both take Eq. 4 from
+    # _eq4_rows, so the criterion-1 gate on enrich_embeddings covers the
+    # bits enrich writes; no other function holds the divide
+    for fn in (enrich.enrich_embeddings, enrich.enrich_checkpoint):
+        called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_eq4_rows" in called, "%s does not call _eq4_rows" % fn.__name__
+    tree = ast.parse(inspect.getsource(enrich))
+    dividers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and any(map(is_eq4_divide, ast.walk(node)))}
+    assert dividers == {"_eq4_rows"}

@@ -168,6 +168,14 @@ def test_vocab_counts_match_word_counts():
         assert v.counts[w] == counts[w]
 
 
+def test_read_word_counts_rejects_a_negative_count(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("a\t0\nb\t-4\n")
+    with pytest.raises(ValueError) as e:
+        tc.read_word_counts(path)
+    assert str(e.value) == "%s:2: count -4 is negative" % path
+
+
 def test_vocab_file_roundtrip(tmp_path):
     v = tc.build_vocab([["a", "b", "a"]])
     path = tmp_path / "vocab.txt"
