@@ -11,6 +11,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__, enrich, experiment, metrics, neural, ngram, rescore, textcorpus
 from .rescore import RescoreConfig
 
@@ -24,16 +26,22 @@ def _stamp(args):
 
 
 def _load_corpus(path, phrases_path=None):
-    sentences = list(textcorpus.read_corpus(path))
-    if phrases_path:
-        phrases = textcorpus.PhraseList.from_file(phrases_path)
-        sentences = [textcorpus.join_phrases(s, phrases) for s in sentences]
-    return sentences
+    """The (phrase-joined) words of a corpus's lines laid back to back, one
+    str per distinct word, and the int64 number of words of each line."""
+    phrases = textcorpus.PhraseList.from_file(phrases_path) if phrases_path else None
+    words, lens, same = [], [], {}.setdefault
+    for sent in textcorpus.read_corpus(path):
+        if phrases is not None:
+            sent = textcorpus.join_phrases(sent, phrases)
+        words += map(same, sent, sent)
+        lens.append(len(sent))
+    return words, np.array(lens, dtype=np.int64)
 
 
 def cmd_build_vocab(args):
-    sentences = _load_corpus(args.corpus, args.phrases)
-    vocab = textcorpus.build_vocab(sentences, args.min_count, args.max_size)
+    textcorpus.check_vocab_limits(args.min_count, args.max_size)
+    words, _ = _load_corpus(args.corpus, args.phrases)
+    vocab = textcorpus.build_vocab(words, args.min_count, args.max_size)
     vocab.to_file(args.output)
     print("vocabulary: %d words -> %s" % (len(vocab), args.output))
 
@@ -46,24 +54,22 @@ def cmd_train_lstm(args):
     neural.check_sizes(args.embed_dim, args.hidden_dim)
     neural.check_writable(args.output)
     vocab = textcorpus.Vocabulary.from_file(args.vocab)
-    sentences = _load_corpus(args.corpus, args.phrases)
-    enc = [textcorpus.encode(s, vocab) for s in sentences]
+    corpus = textcorpus.encode_many(*_load_corpus(args.corpus, args.phrases), vocab)
     val = None
     if args.val_corpus:
-        val = [textcorpus.encode(s, vocab)
-               for s in _load_corpus(args.val_corpus, args.phrases)]
+        val = textcorpus.encode_many(*_load_corpus(args.val_corpus, args.phrases), vocab)
     m = neural.init_model(vocab, args.embed_dim, args.hidden_dim, args.seed)
-    m, history = neural.train(m, enc, cfg, val_ids=val, log=print)
+    m, history = neural.train(m, corpus, cfg, val=val, log=print)
     neural.save_model(m, args.output)
     print("final train_ppl %.2f val_ppl %.2f -> %s"
           % (history[-1]["train_ppl"], history[-1]["val_ppl"], args.output))
 
 
 def cmd_train_ngram(args):
+    ngram.check_settings(args.order, args.prune_min_count)
     vocab = textcorpus.Vocabulary.from_file(args.vocab)
-    sentences = _load_corpus(args.corpus, args.phrases)
-    enc = [textcorpus.encode(s, vocab) for s in sentences]
-    m = ngram.train_kn(enc, args.order, vocab, prune_min_count=args.prune_min_count)
+    ids, lens = textcorpus.encode_many(*_load_corpus(args.corpus, args.phrases), vocab)
+    m = ngram.train_kn(ids, lens, args.order, vocab, prune_min_count=args.prune_min_count)
     for w in m.warnings:
         print("warning: %s" % w, file=sys.stderr)
     with open(args.output, "w", encoding="utf-8") as f:
@@ -152,15 +158,13 @@ def cmd_rescore(args):
 
 
 def cmd_ppl(args):
-    sentences = _load_corpus(args.corpus, args.phrases)
+    words, lens = _load_corpus(args.corpus, args.phrases)
     if args.model:
         m = neural.load_model(args.model)
-        enc = [textcorpus.encode(s, m.vocab) for s in sentences]
-        total = neural.nn_perplexity(m, enc)
+        total = neural.nn_perplexity(m, *textcorpus.encode_many(words, lens, m.vocab))
     else:
         kn = _load_arpa(args.ngram)
-        enc = [textcorpus.encode(s, kn.vocab) for s in sentences]
-        total = ngram.kn_perplexity(kn, enc)
+        total = ngram.kn_perplexity(kn, *textcorpus.encode_many(words, lens, kn.vocab))
     print("perplexity\t%.4f" % total)
 
 

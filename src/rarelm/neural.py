@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import left_sums, perplexity
-from .textcorpus import SPECIALS, Vocabulary, pack
+from .textcorpus import SPECIALS, Vocabulary
 
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
@@ -206,7 +206,7 @@ def position_logprobs(m: NeuralLM, ids, lens) -> np.ndarray:
     bos/eos-framed id sequence; state is reset per sequence.
 
     `ids` holds the sequences back to back and `lens` their lengths, as
-    `textcorpus.pack` lays them out. Returns one flat array in input
+    `textcorpus.encode_many` lays them out. Returns one flat array in input
     order: sequence i contributes its max(lens[i] - 1, 0) positions, as in
     `NGramModel.prob_many`.
 
@@ -313,12 +313,12 @@ def prefix_slices(ids, lens):
         yield idx, ids[at], held
 
 
-def nn_perplexity(m: NeuralLM, corpus) -> float:
-    """Perplexity over framed sentences; eos counted, bos not.
+def nn_perplexity(m: NeuralLM, ids, lens) -> float:
+    """Perplexity over the framed sentences (ids, lens) laid back to back;
+    eos counted, bos not.
 
     Sentences are scored in prefix_slices order; each sums its positions
     left to right, and the sums are added in input order."""
-    ids, lens = pack(corpus)
     sums = np.empty(lens.size)
     positions = 0
     for idx, ids_s, lens_s in prefix_slices(ids, lens):
@@ -456,9 +456,8 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def _batch_stream(corpus_ids, batch_size):
-    """Concatenate framed sentences and fold the stream into batch rows."""
-    stream, _ = pack(corpus_ids)
+def _batch_stream(stream, batch_size):
+    """Fold the stream of framed sentences into batch rows."""
     nbatch = (len(stream) - 1) // batch_size
     if nbatch < 1:
         raise ValueError("corpus too small for batch_size=%d" % batch_size)
@@ -467,25 +466,24 @@ def _batch_stream(corpus_ids, batch_size):
     return inputs, targets
 
 
-def train(m: NeuralLM, corpus_ids, cfg: TrainConfig, val_ids=None,
+def train(m: NeuralLM, corpus, cfg: TrainConfig, val=None,
           log=None) -> tuple[NeuralLM, list[dict]]:
     """Train a copy of the model; returns (trained model, per-epoch log).
 
-    corpus_ids: list of bos/eos-framed id sequences. Validation perplexity
-    defaults to the epoch's training-stream perplexity when val_ids is
-    None; the learning rate is multiplied by lr_decay whenever it fails to
-    improve. Deterministic given cfg.seed.
+    corpus: the (ids, lens) of bos/eos-framed id sequences laid back to
+    back, as textcorpus.encode_many gives them; val likewise, or None.
+    Validation perplexity defaults to the epoch's training-stream
+    perplexity when val is None; the learning rate is multiplied by
+    lr_decay whenever it fails to improve. Deterministic given cfg.seed.
     """
-    corpus_ids = list(corpus_ids)
-    if not corpus_ids:
+    stream, lens = corpus
+    if not lens.size:
         raise ValueError("empty corpus")
-    if val_ids is not None:
-        val_ids = list(val_ids)
-        if not val_ids:
-            raise ValueError("empty validation corpus")
+    if val is not None and not val[1].size:
+        raise ValueError("empty validation corpus")
     m = m.copy()
     rng = np.random.default_rng(cfg.seed)
-    inputs, targets = _batch_stream(corpus_ids, cfg.batch_size)
+    inputs, targets = _batch_stream(stream, cfg.batch_size)
     B, N = inputs.shape
     lr = cfg.learning_rate
     best_val = float("inf")
@@ -508,15 +506,17 @@ def train(m: NeuralLM, corpus_ids, cfg: TrainConfig, val_ids=None,
             for g in grads.values():
                 g /= ntok
             clip_gradients(grads, cfg.clip_norm)
-            m.S -= lr * grads["S"]
-            m.W -= lr * grads["W"]
-            m.b -= lr * grads["b"]
-            m.U -= lr * grads["U"]
+            for g in grads.values():
+                g *= lr  # the bits of lr * g, without a copy
+            m.S -= grads["S"]
+            m.W -= grads["W"]
+            m.b -= grads["b"]
+            m.U -= grads["U"]
             total_loss += loss
             total_tokens += ntok
         train_ppl = math.exp(total_loss / total_tokens)
-        if val_ids is not None:
-            val_ppl = nn_perplexity(m, val_ids)
+        if val is not None:
+            val_ppl = nn_perplexity(m, *val)
         else:
             val_ppl = train_ppl
         history.append({"epoch": epoch, "lr": lr,

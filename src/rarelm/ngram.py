@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .metrics import left_sums, perplexity
-from .textcorpus import BLOCK_LINES, BOS_ID, SPECIALS, Vocabulary, pack
+from .textcorpus import BLOCK_LINES, BOS_ID, SPECIALS, Vocabulary, block_fail
 
 
 @dataclass
@@ -202,22 +202,18 @@ def _build_tables(m: NGramModel):
     return base, keys, has, prob, bow
 
 
-def _window_counts(sentences: list[list[int]], order: int) -> dict[int, Counter]:
-    """Counts of every length-k window (k=1..order) of each framed sentence."""
+def modified_counts(ids, lens, order: int) -> dict[int, Counter]:
+    """KN count modification over the framed sequences (ids, lens), each
+    windowed as a tuple of Python ints: raw counts at the top order,
+    continuation counts below it."""
     wc = {k: Counter() for k in range(1, order + 1)}
-    for sent in sentences:
-        t = tuple(sent)
-        n = len(t)
+    flat = iter(ids.tolist())
+    for n in lens.tolist():
+        t = tuple(itertools.islice(flat, n))
         for k in range(1, order + 1):
             ck = wc[k]
             for i in range(n - k + 1):
                 ck[t[i:i + k]] += 1
-    return wc
-
-
-def modified_counts(sentences: list[list[int]], order: int) -> dict[int, Counter]:
-    """KN count modification: continuation counts below the top order."""
-    wc = _window_counts(sentences, order)
     mod = {order: wc[order]}
     for k in range(order - 1, 0, -1):
         mk = Counter(gram[1:] for gram in wc[k + 1])
@@ -232,21 +228,27 @@ def modified_counts(sentences: list[list[int]], order: int) -> dict[int, Counter
     return mod
 
 
-def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
+def check_settings(order: int, prune_min_count: int) -> None:
+    """Raise the ValueError train_kn raises for these settings."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if prune_min_count < 0:
+        raise ValueError("prune_min_count must be >= 0")
+
+
+def train_kn(ids, lens, order: int, vocab: Vocabulary,
              prune_min_count: int = 0) -> NGramModel:
-    """Train an interpolated modified-KN model on bos/eos-framed id sequences.
+    """Train an interpolated modified-KN model on bos/eos-framed id
+    sequences, laid back to back in `ids` with lengths `lens`.
 
     Discounts are estimated per order from counts-of-counts.
     prune_min_count > 0 drops n-grams of order >= 2 whose modified count
     falls below the cutoff (off by default).
     """
-    sentences = [list(s) for s in corpus]
-    if not sentences:
+    check_settings(order, prune_min_count)
+    if not lens.size:
         raise ValueError("empty corpus")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-    mod = modified_counts(sentences, order)
+    mod = modified_counts(ids, lens, order)
     if prune_min_count > 0:
         for k in range(2, order + 1):
             mod[k] = Counter({g: c for g, c in mod[k].items()
@@ -288,9 +290,9 @@ def train_kn(corpus: Iterable[list[int]], order: int, vocab: Vocabulary,
     return m
 
 
-def kn_perplexity(m: NGramModel, corpus: Iterable[list[int]]) -> float:
-    """Perplexity over framed sentences, counting eos but not bos."""
-    ids, lens = pack(corpus)
+def kn_perplexity(m: NGramModel, ids, lens) -> float:
+    """Perplexity over the framed sentences (ids, lens) laid back to back,
+    counting eos but not bos."""
     ps = m.prob_many(ids, lens).tolist()
     lp = np.fromiter(map(math.log10, ps), dtype=np.float64, count=len(ps))
     return perplexity(left_sums(lp, lens), lp.size)
@@ -416,11 +418,10 @@ def _read_entries(chunk: list[str], first: int, k: Optional[int], order: int,
     if not entries:
         return 0
 
-    def fail(n, msg, *args):
-        row = next(itertools.islice((r for r, line in enumerate(chunk) if line.strip()), n, None))
-        # a later step may fault an earlier line, which must be named first
-        _read_entries(chunk[:row], first, k, order, word_ids, probs, bows)
-        raise ArpaParseError("line %d: " % (first + row + 1) + msg % args)
+    fail = block_fail(lambda line, text: ArpaParseError("line %d: %s" % (line, text)),
+                      chunk, first, str.strip,
+                      lambda lines, at: _read_entries(lines, at, k, order, word_ids,
+                                                      probs, bows))
 
     def values(col, what, at):
         v = _pow10(col)

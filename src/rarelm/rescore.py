@@ -11,7 +11,7 @@ import numpy as np
 
 from .metrics import left_sums
 from .neural import NeuralLM, position_logprobs, prefix_slices
-from .textcorpus import BLOCK_LINES, encode_many, read_tab_pairs
+from .textcorpus import BLOCK_LINES, block_fail, encode_many, read_tab_pairs
 
 
 class Hypothesis(NamedTuple):
@@ -194,13 +194,9 @@ class _Reader:
         if not lines:
             return
 
-        def fail(n, msg, *args):
-            row = next(itertools.islice(
-                (r for r, line in enumerate(block) if line.rstrip("\n")), n, None))
-            # a later step may fault an earlier line, which must be named first
-            self.read(block[:row], first)
-            raise NBestFormatError("%s:%d: " % (self.path, first + row + 1) + msg % args)
-
+        fail = block_fail(lambda line, text: NBestFormatError(
+            "%s:%d: %s" % (self.path, line, text)), block, first,
+            lambda line: line.rstrip("\n"), self.read)
         fields = list(map(str.split, lines, itertools.repeat("\t")))
         nf = list(map(len, fields))
         if nf.count(4) != len(nf):

@@ -1,5 +1,5 @@
-"""Corpus ingestion: tokenization, multiword-name joining, vocabulary building
-and packing id sequences back to back."""
+"""Corpus ingestion: tokenization, multiword-name joining, vocabulary building,
+encoding sentences back to back, and the first-fault rule of the block readers."""
 
 import itertools
 from collections import Counter
@@ -32,31 +32,19 @@ class PhraseList:
     """
 
     def __init__(self, phrases: Iterable[Iterable[str]] = ()):
-        seen = set()
-        self.phrases: list[tuple[str, ...]] = []
-        for p in phrases:
-            t = tuple(p)
-            if len(t) < 2:
-                raise ValueError("phrase must have at least 2 tokens: %r" % (t,))
-            if t not in seen:
-                seen.add(t)
-                self.phrases.append(t)
-        # first token -> phrases sorted longest-first, for greedy matching
+        self.phrases: list[tuple[str, ...]] = list(dict.fromkeys(map(tuple, phrases)))
+        short = [t for t in self.phrases if len(t) < 2]
+        if short:
+            raise ValueError("phrase must have at least 2 tokens: %r" % (short[0],))
+        # first token -> its phrases longest-first, for greedy matching
         self._by_head: dict[str, list[tuple[str, ...]]] = {}
-        for t in self.phrases:
+        for t in sorted(self.phrases, key=len, reverse=True):
             self._by_head.setdefault(t[0], []).append(t)
-        for head in self._by_head:
-            self._by_head[head].sort(key=len, reverse=True)
 
     @classmethod
     def from_file(cls, path) -> "PhraseList":
-        phrases = []
         with open(path, encoding="utf-8") as f:
-            for line in f:
-                toks = tokenize(line)
-                if toks:
-                    phrases.append(toks)
-        return cls(phrases)
+            return cls(filter(None, map(tokenize, f)))
 
 
 def join_phrases(tokens: list[str], phrases: PhraseList) -> list[str]:
@@ -64,23 +52,15 @@ def join_phrases(tokens: list[str], phrases: PhraseList) -> list[str]:
 
     Matches do not overlap; a single pass over the sentence.
     """
-    out = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        cands = phrases._by_head.get(tokens[i])
-        matched = None
-        if cands:
-            for cand in cands:  # longest first
-                if tuple(tokens[i:i + len(cand)]) == cand:
-                    matched = cand
-                    break
-        if matched is not None:
-            out.append("_".join(matched))
-            i += len(matched)
-        else:
-            out.append(tokens[i])
-            i += 1
+    out, i = [], 0
+    while i < len(tokens):
+        match = (tokens[i],)
+        for cand in phrases._by_head.get(tokens[i], ()):  # longest first
+            if tuple(tokens[i:i + len(cand)]) == cand:
+                match = cand
+                break
+        out.append("_".join(match))
+        i += len(match)
     return out
 
 
@@ -158,29 +138,30 @@ def read_word_counts(path) -> dict[str, int]:
     return counts
 
 
-def word_counts(corpus: Iterable[list[str]]) -> Counter:
-    """Exact token counts over a sentence stream."""
-    counts = Counter()
-    for sent in corpus:
-        counts.update(sent)
-    return counts
+def check_vocab_limits(min_count: int, max_size: Optional[int]) -> None:
+    """Raise the ValueError build_vocab raises for these limits."""
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    if max_size is not None and max_size <= len(SPECIALS):
+        raise ValueError("max_size must be > %d, the number of special tokens" % len(SPECIALS))
 
 
-def build_vocab(corpus: Iterable[list[str]], min_count: int = 1,
+def build_vocab(words: Iterable[str], min_count: int = 1,
                 max_size: Optional[int] = None) -> Vocabulary:
-    """Build a vocabulary from a (phrase-joined) sentence stream.
+    """Build a vocabulary from the (phrase-joined) words of a corpus.
 
     Words with count >= min_count are kept, truncated to max_size by
     descending count with lexicographic tie-break. min_count defaults to 1
     so rare words stay in the vocabulary.
     """
-    counts = word_counts(corpus)
+    check_vocab_limits(min_count, max_size)
+    counts = Counter(words)
     if not counts:
         raise ValueError("empty corpus")
     kept = [w for w, c in counts.items() if c >= min_count]
     kept.sort(key=lambda w: (-counts[w], w))
     if max_size is not None:
-        kept = kept[:max(0, max_size - len(SPECIALS))]
+        kept = kept[:max_size - len(SPECIALS)]
     return Vocabulary(kept, counts)
 
 
@@ -192,7 +173,8 @@ def encode(tokens: list[str], vocab: Vocabulary) -> list[int]:
 def encode_many(words, lens, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """pack([encode(s, vocab) for s in sentences]) for sentences laid back
     to back: `words` holds them all, lens[i] words for sentence i. One
-    pass over the words, with no id list per sentence."""
+    pass over the words, with no id list per sentence; the words' ids are
+    read as the narrowest integer type that holds every id."""
     lens = np.asarray(lens, dtype=np.int64) + 2
     last = np.cumsum(lens) - 1
     ids = np.empty(int(lens.sum()), dtype=np.int64)
@@ -201,7 +183,8 @@ def encode_many(words, lens, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]
     ids[last - lens + 1] = BOS_ID
     ids[last] = EOS_ID
     ids[word] = np.fromiter(map(vocab.word_to_id.get, words, itertools.repeat(UNK_ID)),
-                            dtype=np.int64, count=ids.size - 2 * lens.size)
+                            dtype=np.min_scalar_type(len(vocab)),
+                            count=ids.size - 2 * lens.size)
     return ids, lens
 
 
@@ -219,3 +202,18 @@ def read_corpus(path) -> Iterator[list[str]]:
     with open(path, encoding="utf-8") as f:
         for line in f:
             yield tokenize(line)
+
+
+def block_fail(error, block: list[str], first: int, kept, reread):
+    """The fail(n, msg, *args) of a reader that parses `block`, the lines
+    of a file from index `first`, one step over all of them at a time: it
+    raises error(line number, msg % args) for the block's n-th line that
+    kept() holds. A later step may fault a line after one an earlier step
+    faults, so reread(lines, first) first takes the lines before it and
+    raises for the first faulty one, as a line-by-line reader would."""
+    def fail(n, msg, *args):
+        row = next(itertools.islice(itertools.compress(itertools.count(), map(kept, block)),
+                                    n, None))
+        reread(block[:row], first)
+        raise error(first + row + 1, msg % args)
+    return fail

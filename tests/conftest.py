@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,10 @@ def synthetic_pipeline():
     """
     cfg = experiment.SyntheticConfig(seed=42)
     bundle_data = experiment.gen_synthetic(cfg)
-    counts = textcorpus.word_counts(bundle_data.train)
-    vocab = textcorpus.build_vocab(bundle_data.train)
-    enc = [textcorpus.encode(s, vocab) for s in bundle_data.train]
+    words = [w for s in bundle_data.train for w in s]
+    counts = Counter(words)
+    vocab = textcorpus.build_vocab(words)
+    enc = textcorpus.encode_many(words, [len(s) for s in bundle_data.train], vocab)
     m0 = neural.init_model(vocab, d_s=32, d_h=64, seed=1)
     tcfg = neural.TrainConfig(learning_rate=1.0, epochs=10, batch_size=16,
                               bptt_len=32, dropout_p=0.1, seed=1)

@@ -76,9 +76,9 @@ def test_criterion_2_kn_oracle_equivalence():
             ntok += len(sent)
         if not corpus:
             corpus = [[words[0]]]
-        vocab = build_vocab(corpus)
+        vocab = build_vocab(w for s in corpus for w in s)
         enc = [encode(s, vocab) for s in corpus]
-        m = ngram.train_kn(enc, order, vocab)
+        m = ngram.train_kn(*pack(enc), order, vocab)
         nv = len(vocab)
         for _ in range(15):
             h = tuple(rng.randrange(nv) for _ in range(rng.randint(0, order - 1))) \
@@ -154,10 +154,10 @@ def test_criterion_5_rescoring_boundaries():
     rng = random.Random(505)
     corpus = [[rng.choice(["a", "b", "c", "d"]) for _ in range(rng.randint(2, 6))]
               for _ in range(40)]
-    vocab = build_vocab(corpus)
+    vocab = build_vocab(w for s in corpus for w in s)
     enc = [encode(s, vocab) for s in corpus]
     nlm = neural.init_model(vocab, 4, 6, seed=5)
-    kn = ngram.train_kn(enc, 3, vocab)
+    kn = ngram.train_kn(*pack(enc), 3, vocab)
     hyps = [Hypothesis(1, -2.0, ["a", "b"]), Hypothesis(2, -1.2, ["c", "d", "a"]),
             Hypothesis(3, -3.0, ["b"])]
     nb = NBestList("u", hyps)
@@ -180,8 +180,8 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
     pipe = synthetic_pipeline
     bundle = pipe["bundle"]
     vocab = pipe["vocab"]
-    refs_enc = [encode(pipe["data"].refs[u], vocab)
-                for u in sorted(pipe["data"].refs)]
+    refs_enc = pack([encode(pipe["data"].refs[u], vocab)
+                     for u in sorted(pipe["data"].refs)])
 
     cfg = replace(bundle.enrich_cfg, k=5)
     wer_base, base, _ = experiment.run_configuration(bundle, replace(cfg, threshold=0))
@@ -190,8 +190,8 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
     wer_nb = experiment.run_configuration(
         bundle, replace(cfg, threshold=10, mode="fromNbest")).wer
 
-    ppl_base = neural.nn_perplexity(bundle.model, refs_enc)
-    ppl_enr = neural.nn_perplexity(enriched, refs_enc)
+    ppl_base = neural.nn_perplexity(bundle.model, *refs_enc)
+    ppl_enr = neural.nn_perplexity(enriched, *refs_enc)
 
     def onebest(model):
         nbest = bundle.nbest

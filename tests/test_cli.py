@@ -496,16 +496,42 @@ def test_train_lstm_rejects_zero(workdir, capsys, flag, field):
       "--epochs", "0"], "epochs must be >= 1"),
     (["train-lstm", "--corpus", "bundle/train.txt", "--vocab", "missing.txt",
       "--embed-dim", "0"], "embedding and hidden sizes must be >= 1"),
+    (["train-ngram", "--corpus", "bundle/train.txt", "--vocab", "missing.txt",
+      "--order", "0"], "order must be >= 1"),
+    (["train-ngram", "--corpus", "bundle/train.txt", "--vocab", "vocab.txt",
+      "--prune-min-count", "-3"], "prune_min_count must be >= 0"),
+    (["build-vocab", "--corpus", "missing.txt", "--min-count", "0"],
+     "min_count must be >= 1"),
+    # the corpus exists: no vocabulary of the specials alone may be written
+    (["build-vocab", "--corpus", "bundle/train.txt", "--max-size", "-5"],
+     "max_size must be > 3"),
 ], ids=["clip-norm", "lm-weight", "rescore-mu-without-ngram", "sweep-mu-without-ngram",
         "enrich-k-missing-model", "sweep-k-missing-model",
         "enrich-fromNbest-missing-model", "sweep-values-missing-model",
         "sweep-candidates-missing-model", "sweep-threshold-missing-model",
-        "train-lstm-epochs-missing-vocab", "train-lstm-embed-dim-missing-vocab"])
+        "train-lstm-epochs-missing-vocab", "train-lstm-embed-dim-missing-vocab",
+        "train-ngram-order-missing-vocab", "train-ngram-negative-prune",
+        "build-vocab-min-count-missing-corpus", "build-vocab-max-size"])
 def test_non_finite_setting_fails_before_any_work(workdir, capsys, argv, message):
     d = workdir
     assert run(in_dir(d, argv) + ["--output", str(d / "nan.out")]) == 1
     assert "error: %s" % message in capsys.readouterr().err
     assert not (d / "nan.out").exists()
+
+
+def test_load_corpus_reads_columns(tmp_path):
+    # one str per distinct word, as read_nbest shares them; a blank line is
+    # a sentence of no words; phrases join within a line only
+    (tmp_path / "c.txt").write_text("Boon Lay x\n\nboon\nlay boon lay\n")
+    (tmp_path / "p.txt").write_text("boon lay\n")
+    words, lens = cli._load_corpus(tmp_path / "c.txt", tmp_path / "p.txt")
+    assert words == ["boon_lay", "x", "boon", "lay", "boon_lay"]
+    assert lens.dtype == np.int64 and lens.tolist() == [2, 0, 1, 2]
+    assert words[0] is words[4]
+    words, lens = cli._load_corpus(tmp_path / "c.txt")
+    assert words == ["boon", "lay", "x", "boon", "lay", "boon", "lay"]
+    assert lens.tolist() == [3, 0, 1, 3]
+    assert words[0] is words[3] is words[5] and words[1] is words[4] is words[6]
 
 
 def test_usage_error_exit_code_2():

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def test_gen_synthetic_ranks_follow_am():
 def test_gen_synthetic_count_split():
     cfg = small_cfg(rare_fraction=0.5, threshold=10)
     b = experiment.gen_synthetic(cfg)
-    counts = textcorpus.word_counts(b.train)
+    counts = Counter(w for s in b.train for w in s)
     # generated corpus realizes the configured per-street counts
     for s, c in b.street_counts.items():
         assert counts.get(s, 0) == c

@@ -188,7 +188,7 @@ def test_sentence_logprob_zero_weight_analytic():
     ids = [0, 3, 4, 5, 1]  # 4 predicted tokens
     lp = sum(neural.position_logprobs(m, *pack([ids])).tolist())
     assert abs(lp - 4 * math.log10(0.1)) < 1e-9
-    assert abs(neural.nn_perplexity(m, [ids]) - 10.0) < 1e-9
+    assert abs(neural.nn_perplexity(m, *pack([ids])) - 10.0) < 1e-9
 
 
 def test_sentence_logprob_matches_stepwise():
@@ -205,10 +205,10 @@ def test_sentence_logprob_matches_stepwise():
 def test_perplexity_empty_corpus():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(ValueError, match="empty corpus"):
-        neural.nn_perplexity(m, [])
+        neural.nn_perplexity(m, *pack([]))
     # sentences, but no position to score
     with pytest.raises(ValueError, match="empty corpus"):
-        neural.nn_perplexity(m, [[0], []])
+        neural.nn_perplexity(m, *pack([[0], []]))
 
 
 def test_gradient_check_all_groups():
@@ -235,22 +235,22 @@ def test_clip_gradients():
 def test_training_lowers_perplexity():
     rng = random.Random(0)
     corpus = [["a", "b", "c"] * rng.randint(1, 3) for _ in range(20)]
-    v = build_vocab(corpus)
-    enc = [encode(s, v) for s in corpus]
+    v = build_vocab(w for s in corpus for w in s)
+    enc = pack([encode(s, v) for s in corpus])
     m = neural.init_model(v, 4, 8, seed=1)
     cfg = neural.TrainConfig(learning_rate=0.5, epochs=1, batch_size=4,
                              bptt_len=8, dropout_p=0.0, seed=2)
-    ppl0 = neural.nn_perplexity(m, enc)
+    ppl0 = neural.nn_perplexity(m, *enc)
     trained, history = neural.train(m, enc, cfg)
-    assert neural.nn_perplexity(trained, enc) < ppl0
+    assert neural.nn_perplexity(trained, *enc) < ppl0
     assert len(history) == 1
 
 
 def test_training_determinism():
     rng = random.Random(1)
     corpus = [[rng.choice("ab") for _ in range(5)] for _ in range(20)]
-    v = build_vocab(corpus)
-    enc = [encode(s, v) for s in corpus]
+    v = build_vocab(w for s in corpus for w in s)
+    enc = pack([encode(s, v) for s in corpus])
     m = neural.init_model(v, 3, 4, seed=1)
     cfg = neural.TrainConfig(learning_rate=0.5, epochs=2, batch_size=4,
                              bptt_len=4, dropout_p=0.2, seed=3)
@@ -262,8 +262,8 @@ def test_training_determinism():
 
 def test_training_does_not_mutate_input_model():
     corpus = [["a", "b"]] * 10
-    v = build_vocab(corpus)
-    enc = [encode(s, v) for s in corpus]
+    v = build_vocab(w for s in corpus for w in s)
+    enc = pack([encode(s, v) for s in corpus])
     m = neural.init_model(v, 3, 4, seed=1)
     S0 = m.S.copy()
     neural.train(m, enc, neural.TrainConfig(epochs=1, batch_size=2,
@@ -273,8 +273,8 @@ def test_training_does_not_mutate_input_model():
 
 def test_training_shapes_preserved():
     corpus = [["a", "b", "c"]] * 10
-    v = build_vocab(corpus)
-    enc = [encode(s, v) for s in corpus]
+    v = build_vocab(w for s in corpus for w in s)
+    enc = pack([encode(s, v) for s in corpus])
     m = neural.init_model(v, 3, 4, seed=1)
     t, _ = neural.train(m, enc, neural.TrainConfig(
         epochs=2, batch_size=2, bptt_len=4, dropout_p=0.1, seed=0))
@@ -301,19 +301,18 @@ def test_train_config_rejects_non_finite(field, value):
 
 def test_train_rejects_empty_validation_corpus():
     corpus = [["a", "b"]] * 10
-    v = build_vocab(corpus)
-    enc = [encode(s, v) for s in corpus]
+    v = build_vocab(w for s in corpus for w in s)
+    enc = pack([encode(s, v) for s in corpus])
     logged = []
     with pytest.raises(ValueError, match="empty validation corpus"):
         neural.train(neural.init_model(v, 3, 4, seed=1), enc,
-                     neural.TrainConfig(epochs=1, batch_size=2), val_ids=[],
+                     neural.TrainConfig(epochs=1, batch_size=2), val=pack([]),
                      log=logged.append)
     assert logged == []
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    corpus = [["a", "b", "c"]] * 5
-    v = build_vocab(corpus)
+    v = build_vocab(["a", "b", "c"] * 5)
     m = neural.init_model(v, 3, 4, seed=7)
     p1, p2 = tmp_path / "a.rlm", tmp_path / "b.rlm"
     neural.save_model(m, p1)
@@ -326,7 +325,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_checkpoint_written_in_blocks_has_whole_array_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(neural, "BATCH_ROWS", 3)
-    m = neural.init_model(build_vocab([["a", "b", "c"]]), 5, 4, seed=7)
+    m = neural.init_model(build_vocab(["a", "b", "c"]), 5, 4, seed=7)
     p = tmp_path / "m.rlm"
     neural.save_model(m, p)
     payload = b"".join(arr.astype("<f4").tobytes() for arr in (m.S, m.W, m.b, m.U))

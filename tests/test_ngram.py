@@ -15,9 +15,9 @@ from kn_reference import ref_prob, ref_sentence_logprob
 
 
 def make_model(corpus, order, **kw):
-    vocab = build_vocab(corpus)
+    vocab = build_vocab(w for s in corpus for w in s)
     enc = [encode(s, vocab) for s in corpus]
-    return ngram.train_kn(enc, order, vocab, **kw), vocab, enc
+    return ngram.train_kn(*pack(enc), order, vocab, **kw), vocab, enc
 
 
 def random_corpus(rng, max_words=6, max_sents=6, max_len=9):
@@ -120,7 +120,7 @@ def test_uniform_model_perplexity():
     m = ngram.NGramModel(1, vocab)
     for w in range(4):
         m.probs[1][(w,)] = 0.25
-    ppl = ngram.kn_perplexity(m, [[BOS_ID, 3, 3, 1]])
+    ppl = ngram.kn_perplexity(m, *pack([[BOS_ID, 3, 3, 1]]))
     assert abs(ppl - 4.0) < 1e-9
     seqs = [[BOS_ID, 3, 3, 1], [BOS_ID, 1]]
     assert per_sequence(m, seqs) == scalar_position_probs(m, seqs)
@@ -173,7 +173,7 @@ def test_position_probs_property(corpus, order, prune_min_count, via_arpa, text)
     assert per_sequence(m, seqs + unframed) == scalar_position_probs(m, seqs + unframed)
     want = scalar_position_probs(m, seqs)
     nwords = sum(map(len, want))
-    assert ngram.kn_perplexity(m, seqs) == \
+    assert ngram.kn_perplexity(m, *pack(seqs)) == \
         10.0 ** (-sum(sum(map(math.log10, ps)) for ps in want) / nwords)
     if prune_min_count or via_arpa:
         return
@@ -182,7 +182,7 @@ def test_position_probs_property(corpus, order, prune_min_count, via_arpa, text)
     ds = {k: (d.d1, d.d2, d.d3plus) for k, d in m.discounts.items()}
     ref = 10.0 ** (-sum(ref_sentence_logprob(enc, ids, order, len(vocab), ds)
                         for ids in seqs) / nwords)
-    assert abs(ngram.kn_perplexity(m, seqs) - ref) < 1e-9
+    assert abs(ngram.kn_perplexity(m, *pack(seqs)) - ref) < 1e-9
 
 
 def test_position_probs_key_range():
@@ -211,16 +211,26 @@ def test_position_probs_names_missing_unigram():
 def test_perplexity_empty_corpus():
     m, _, _ = make_model([["a"]], 2)
     with pytest.raises(ValueError):
-        ngram.kn_perplexity(m, [])
+        ngram.kn_perplexity(m, *pack([]))
     # sentences, but no position to score
     with pytest.raises(ValueError, match="empty corpus"):
-        ngram.kn_perplexity(m, [[BOS_ID], []])
+        ngram.kn_perplexity(m, *pack([[BOS_ID], []]))
 
 
 def test_train_empty_corpus():
     vocab = Vocabulary(["a"])
     with pytest.raises(ValueError, match="empty corpus"):
-        ngram.train_kn([], 2, vocab)
+        ngram.train_kn(*pack([]), 2, vocab)
+
+
+@pytest.mark.parametrize("order,prune,message", [
+    (0, 0, "order must be >= 1"), (2, -3, "prune_min_count must be >= 0")],
+    ids=["order-0", "negative-prune"])
+def test_train_rejects_bad_settings(order, prune, message):
+    # a negative cutoff is a bad setting, not a cutoff of 0
+    vocab = Vocabulary(["a"])
+    with pytest.raises(ValueError, match=message):
+        ngram.train_kn(*pack([encode(["a"], vocab)]), order, vocab, prune_min_count=prune)
 
 
 def test_discount_fallback_on_degenerate_counts():
@@ -304,7 +314,7 @@ def test_arpa_keeps_backoff_of_pruned_history():
         assert abs(math.log10(m2.prob(m2.vocab.id(w), h2))
                    - math.log10(m.prob(vocab.id(w), hist))) < 1e-8
     enc2 = [[m2.vocab.id(vocab.word(i)) for i in s] for s in enc]
-    assert abs(ngram.kn_perplexity(m2, enc2) - ngram.kn_perplexity(m, enc)) < 1e-8
+    assert abs(ngram.kn_perplexity(m2, *pack(enc2)) - ngram.kn_perplexity(m, *pack(enc))) < 1e-8
 
 
 def test_arpa_count_mismatch():

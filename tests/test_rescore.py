@@ -24,10 +24,10 @@ def setup_models():
     rng = random.Random(0)
     corpus = [[rng.choice(["a", "b", "c", "d"]) for _ in range(rng.randint(2, 6))]
               for _ in range(30)]
-    vocab = build_vocab(corpus)
+    vocab = build_vocab(w for s in corpus for w in s)
     enc = [encode(s, vocab) for s in corpus]
     nlm = neural.init_model(vocab, 4, 6, seed=3)
-    kn = ngram.train_kn(enc, 2, vocab)
+    kn = ngram.train_kn(*pack(enc), 2, vocab)
     return nlm, kn, vocab
 
 
@@ -76,7 +76,7 @@ def test_lm_scores_bits_of_scalar_formula(mu, kn_words):
     words = {"same": ["a", "b", "c", "d"], "reordered": ["d", "b", "a", "c"],
              "smaller": ["a", "c"]}[kn_words]
     kvocab = Vocabulary(words)
-    kn = ngram.train_kn([encode(s, kvocab) for s in corpus], 3, kvocab)
+    kn = ngram.train_kn(*pack([encode(s, kvocab) for s in corpus]), 3, kvocab)
     lists = [[rng.choice(["a", "b", "c", "d", "oov"]) for _ in range(rng.randint(0, 7))]
              for _ in range(60)]
     got = lm_scores_of(nlm, kn, lists, mu)
@@ -107,7 +107,7 @@ def test_rescoring_makes_no_scalar_kn_query(monkeypatch):
 
     monkeypatch.setattr(ngram.NGramModel, "prob", spy)
     rescored(lists, nlm, kn, RescoreConfig(interp_weight=0.3))
-    ngram.kn_perplexity(kn, [encode(["a", "b", "oov"], vocab)])
+    ngram.kn_perplexity(kn, *pack([encode(["a", "b", "oov"], vocab)]))
 
 
 def test_mu_without_kn_rejected():

@@ -254,7 +254,7 @@ def test_perplexity_scores_in_prefix_order(monkeypatch):
     ranked = sorted(range(len(seqs)), key=seqs.__getitem__)
     assert metrics.perplexity(sums[ranked], ids.size - len(seqs)).hex() != want.hex()
     calls = spy_on_steps(monkeypatch, m)
-    assert neural.nn_perplexity(m, seqs).hex() == want.hex()
+    assert neural.nn_perplexity(m, ids, lens).hex() == want.hex()
     ranked = sorted(seqs)
     assert walks(calls) == [live_prefixes(ranked[a:a + 4]) for a in range(0, 24, 4)]
     in_file_order = sum(len(ps) for a in range(0, 24, 4)
@@ -336,7 +336,7 @@ def kn_for(vocab):
     words = vocab.id_to_word[3:]
     corpus = [[words[j] for j in rng.integers(len(words), size=rng.integers(1, 6))]
               for _ in range(30)]
-    return ngram.train_kn([encode(s, vocab) for s in corpus], 3, vocab)
+    return ngram.train_kn(*pack([encode(s, vocab) for s in corpus]), 3, vocab)
 
 
 @settings(max_examples=25, deadline=None)
@@ -443,8 +443,8 @@ def test_steps_stay_within_row_cap(monkeypatch):
                                    for r in range(5)]) for u in range(40)]
     rescored(lists, m, None, RescoreConfig())
     # 192 distinct sentences: four words each over unk, a, b and c
-    neural.nn_perplexity(m, [[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
-                             + [EOS_ID] for k in range(3 * neural.STEP_ROWS_MAX)])
+    neural.nn_perplexity(m, *pack([[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
+                                   + [EOS_ID] for k in range(3 * neural.STEP_ROWS_MAX)]))
     assert widths and max(widths) == neural.STEP_ROWS_MAX
 
 
@@ -548,7 +548,7 @@ def oracle_onebest(nbest, m, kn, mu):
 def test_synthetic_bundle_onebest_matches_oracle(synthetic_pipeline):
     pipe = synthetic_pipeline
     m, vocab, nbest = pipe["model"], pipe["vocab"], pipe["data"].nbest
-    kn = ngram.train_kn([encode(s, vocab) for s in pipe["data"].train], 4, vocab)
+    kn = ngram.train_kn(*pack([encode(s, vocab) for s in pipe["data"].train]), 4, vocab)
     for mu in (0.0, 0.3):
         order, _ = rescore.rescore_lists(nbest, m, kn, RescoreConfig(interp_weight=mu))
         got = dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
@@ -561,7 +561,7 @@ def test_kn_joined_by_word_not_id(synthetic_pipeline, tmp_path):
     m, vocab, data = pipe["model"], pipe["vocab"], pipe["data"]
     paths = []
     for v in (vocab, Vocabulary(vocab.id_to_word[:2:-1], vocab.counts)):
-        kn = ngram.train_kn([encode(s, v) for s in data.train], 4, v)
+        kn = ngram.train_kn(*pack([encode(s, v) for s in data.train]), 4, v)
         ranking = rescore.rescore_lists(data.nbest, m, kn, RescoreConfig(interp_weight=0.3))
         paths.append(tmp_path / ("rescored%d.tsv" % len(paths)))
         rescore.write_rescored(data.nbest, *ranking, paths[-1])

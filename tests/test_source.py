@@ -182,6 +182,31 @@ def test_prefix_walk_sorts_nothing_and_steps_the_row_helper_width():
     assert "BATCH_ROWS" not in names
 
 
+def corpus_encoders(tree):
+    """The lines of tree that import textcorpus.encode or pack, or call
+    either by name or as an attribute of the module, under any alias."""
+    names = {"encode", "pack"}
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules = {a.asname or a.name for node in imports for a in node.names
+               if a.name == "textcorpus"}
+    return sorted(
+        [node.lineno for node in imports if (node.module or "").endswith("textcorpus")
+         and names & {a.name for a in node.names}]
+        + [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id in names
+            or (dotted(node.func) or [])[:1] in [[m] for m in modules]
+            and node.func.attr in names)])
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_corpora_take_one_text_path(path):
+    # a corpus is read once into flat words and lens and encoded by
+    # encode_many; encode and pack stay as the tests' per-sentence
+    # references, and a caller of either is a second path
+    lines = corpus_encoders(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, "%s calls textcorpus.encode or pack at line(s) %s" % (path.name, lines)
+
+
 def is_eq4_divide(node):
     """Whether node divides by a sum with the constant 1, as Eq. 4 divides
     by |C_r| + 1."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,20 +52,20 @@ def test_phrase_list_rejects_single_token():
 
 
 def test_build_vocab_counts():
-    v = tc.build_vocab([["a", "a", "b"]])
+    v = tc.build_vocab(["a", "a", "b"])
     assert v.id_to_word[:3] == ["<s>", "</s>", "<unk>"]
     assert v.counts["a"] == 2 and v.counts["b"] == 1
     assert set(v.id_to_word) == {"<s>", "</s>", "<unk>", "a", "b"}
 
 
 def test_build_vocab_min_count():
-    v = tc.build_vocab([["a", "a", "b"]], min_count=2)
+    v = tc.build_vocab(["a", "a", "b"], min_count=2)
     assert "b" not in v
     assert "a" in v
 
 
 def test_build_vocab_tie_break_lexicographic():
-    v = tc.build_vocab([["y", "x"], ["x", "y"], ["x", "y"]], max_size=4)
+    v = tc.build_vocab(["y", "x", "x", "y", "x", "y"], max_size=4)
     assert "x" in v and "y" not in v
 
 
@@ -73,13 +74,26 @@ def test_build_vocab_empty_corpus():
         tc.build_vocab([])
 
 
+@pytest.mark.parametrize("limits,message", [
+    ({"min_count": 0}, "min_count must be >= 1"),
+    ({"min_count": -2}, "min_count must be >= 1"),
+    ({"max_size": 3}, "max_size must be > 3"),
+    ({"max_size": -5}, "max_size must be > 3"),
+], ids=["min-count-0", "min-count-negative", "max-size-3", "max-size-negative"])
+def test_build_vocab_rejects_limits_that_keep_no_word(limits, message):
+    # max_size 3 or less leaves room for the specials only
+    with pytest.raises(ValueError, match=message):
+        tc.build_vocab(["a", "b"], **limits)
+    assert tc.build_vocab(["a", "b", "b"], max_size=4).id_to_word[3:] == ["b"]
+
+
 def test_encode_empty_sentence():
-    v = tc.build_vocab([["a"]])
+    v = tc.build_vocab(["a"])
     assert tc.encode([], v) == [tc.BOS_ID, tc.EOS_ID]
 
 
 def test_encode_known_and_unk():
-    v = tc.build_vocab([["a"]])
+    v = tc.build_vocab(["a"])
     assert tc.encode(["a"], v) == [0, v.id("a"), 1]
     assert tc.encode(["zzz"], v) == [0, 2, 1]
 
@@ -99,7 +113,7 @@ def test_pack_empty_and_short_sequences():
     ["a", "b", "oov", "<s>", "</s>", "<unk>", ""]), max_size=6), max_size=8))
 def test_encode_many_equals_packed_encode(word_lists):
     # OOV words, empty sentences and the special tokens used as words
-    v = tc.build_vocab([["a", "b"]])
+    v = tc.build_vocab(["a", "b"])
     got = tc.encode_many([w for words in word_lists for w in words],
                          [len(words) for words in word_lists], v)
     want = tc.pack([tc.encode(words, v) for words in word_lists])
@@ -111,23 +125,26 @@ def test_encode_decode_roundtrip():
     rng = random.Random(7)
     corpus = [[rng.choice("abcde") for _ in range(rng.randint(1, 8))]
               for _ in range(20)]
-    v = tc.build_vocab(corpus)
+    v = tc.build_vocab(w for sent in corpus for w in sent)
     for sent in corpus:
         assert tc.encode(sent, v) == [tc.BOS_ID, *(v.word_to_id[w] for w in sent),
                                       tc.EOS_ID]
 
 
 def test_vocab_ids_bijection():
-    v = tc.build_vocab([["a", "b", "c", "a"]])
+    v = tc.build_vocab(["a", "b", "c", "a"])
     assert sorted(v.word_to_id.values()) == list(range(len(v)))
     for w, i in v.word_to_id.items():
         assert v.word(i) == w
 
 
 def test_word_counts():
-    assert tc.word_counts([["a", "a", "b"]]) == {"a": 2, "b": 1}
-    assert tc.word_counts([]) == {}
-    assert tc.word_counts([["boon_lay", "boon_lay"]]) == {"boon_lay": 2}
+    # build_vocab counts the flat word column of a corpus
+    assert tc.build_vocab(["a", "a", "b"]).counts == {
+        "<s>": 0, "</s>": 0, "<unk>": 0, "a": 2, "b": 1}
+    with pytest.raises(ValueError, match="empty corpus"):
+        tc.build_vocab(iter([]))
+    assert tc.build_vocab(["boon_lay", "boon_lay"]).counts["boon_lay"] == 2
 
 
 def loop_vocabulary(words, counts=None):
@@ -161,9 +178,9 @@ def test_vocabulary_equals_the_per_word_loop(words, counts):
 
 
 def test_vocab_counts_match_word_counts():
-    corpus = [["a", "b", "a"], ["c", "a"]]
-    counts = tc.word_counts(corpus)
-    v = tc.build_vocab(corpus)
+    words = ["a", "b", "a", "c", "a"]
+    counts = Counter(words)
+    v = tc.build_vocab(words)
     for w in counts:
         assert v.counts[w] == counts[w]
 
@@ -177,7 +194,7 @@ def test_read_word_counts_rejects_a_negative_count(tmp_path):
 
 
 def test_vocab_file_roundtrip(tmp_path):
-    v = tc.build_vocab([["a", "b", "a"]])
+    v = tc.build_vocab(["a", "b", "a"])
     path = tmp_path / "vocab.txt"
     v.to_file(path)
     v2 = tc.Vocabulary.from_file(path)
