@@ -135,12 +135,19 @@ def left_sums(values, lens):
     return acc
 
 
-def perplexity(sums, positions: int) -> float:
+def perplexity(sums, lens) -> float:
     """10 ** -(mean log10 probability per scored position), from each
-    sequence's left_sums, added in order, over the positions scored."""
+    sequence's sum, added in order, over its max(lens - 1, 0) positions.
+    A perplexity too large for a float raises ValueError naming the mean."""
+    positions = int(np.maximum(lens - 1, 0).sum())
     if positions == 0:
         raise ValueError("empty corpus")
-    return 10.0 ** (-sum(sums.tolist()) / positions)
+    mean = sum(sums.tolist()) / positions
+    try:
+        return 10.0 ** -mean
+    except OverflowError:
+        raise ValueError("perplexity overflows: mean log10 probability per position "
+                         "is %.6g" % mean) from None
 
 
 def format_wer_report(r: WerReport) -> str:

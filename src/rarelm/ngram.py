@@ -28,7 +28,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .metrics import left_sums, perplexity
+from .metrics import perplexity
+from .neural import lm_scores
 from .textcorpus import BLOCK_LINES, BOS_ID, SPECIALS, Vocabulary, block_fail
 
 
@@ -292,10 +293,8 @@ def train_kn(ids, lens, order: int, vocab: Vocabulary,
 
 def kn_perplexity(m: NGramModel, ids, lens) -> float:
     """Perplexity over the framed sentences (ids, lens) laid back to back,
-    counting eos but not bos."""
-    ps = m.prob_many(ids, lens).tolist()
-    lp = np.fromiter(map(math.log10, ps), dtype=np.float64, count=len(ps))
-    return perplexity(left_sums(lp, lens), lp.size)
+    counting eos but not bos; scored by neural.lm_scores in slices."""
+    return perplexity(lm_scores(None, m, ids, lens), lens)
 
 
 def _fmt(x: float) -> str:

@@ -9,8 +9,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .metrics import left_sums
-from .neural import NeuralLM, position_logprobs, prefix_slices
+from .neural import NeuralLM, lm_scores
 from .textcorpus import BLOCK_LINES, block_fail, encode_many, read_tab_pairs
 
 
@@ -101,47 +100,6 @@ class RescoreConfig:
             raise ValueError("word_penalty must be finite")
 
 
-def lm_scores(nlm: NeuralLM, kn, words, lens, interp_weight: float = 0.0) -> np.ndarray:
-    """log10 probability of each hypothesis under (1-mu)*P_nlm + mu*P_kn.
-
-    The hypotheses' words lie back to back in `words`, lens[i] of them
-    for hypothesis i, as NBest holds them. The mix is linear in the
-    probability domain per position. State is reset for every
-    hypothesis; OOV words map to unk. The words are encoded into one
-    packed array in one pass and taken in neural.prefix_slices, so that
-    hypotheses sharing a prefix, from any list, mostly fall in one slice
-    and step it once. Both models answer every position of a slice as
-    one flat array in its packed layout. The two models are joined by
-    word: one take through a map from each neural-vocab id to the KN id
-    of the same word, or to KN's unk, gives the KN ids of every
-    position. The mix is elementwise; each hypothesis sums its positions
-    left to right, so every score has the bits of
-    sum(math.log10((1-mu) * 10.0**p + mu * q)) over its positions,
-    whatever its slice. Scores come back in input order.
-    """
-    if interp_weight > 0.0 and kn is None:
-        raise ValueError("interp_weight > 0 requires an n-gram model")
-    mu = interp_weight
-    if mu > 0.0:
-        to_kn = np.fromiter(map(kn.vocab.id, nlm.vocab.id_to_word), dtype=np.int64,
-                            count=len(nlm.vocab))
-    scores = np.empty(len(lens))
-    # slices, not one pass: they bound the memory of the KN join and the mix
-    # (joined and mixed in one pass, the 16,000 hypotheses of an 8-best KN
-    # rescore raised lm_scores' tracemalloc peak from 6.8 to 26.2 MB)
-    for idx, ids, held in prefix_slices(*encode_many(words, lens, nlm.vocab)):
-        lp = position_logprobs(nlm, ids, held)
-        if mu > 0.0:
-            q = kn.prob_many(np.take(to_kn, ids), held)
-            # numpy's power and log10 can differ from math's in the last bit
-            p = np.fromiter(map(math.pow, itertools.repeat(10.0), lp.tolist()),
-                            dtype=np.float64, count=lp.size)
-            mix = ((1.0 - mu) * p + mu * q).tolist()
-            lp = np.fromiter(map(math.log10, mix), dtype=np.float64, count=len(mix))
-        scores[idx] = left_sums(lp, held)
-    return scores
-
-
 def rescore_lists(nbest: NBest, nlm: NeuralLM, kn,
                   cfg: RescoreConfig) -> tuple[np.ndarray, np.ndarray]:
     """Rank n-best lists by am + lambda*lm_log10prob + gamma*|words|.
@@ -150,13 +108,15 @@ def rescore_lists(nbest: NBest, nlm: NeuralLM, kn,
     in file order. order holds the hypotheses list by list, each list
     best first, ties broken by rank (lower wins): one stable lexsort over
     (list, -total, rank). An empty list fails before any scoring. All
-    hypotheses go through one lm_scores call, which scores them in
-    prefix order, across list boundaries. Ranking copies no words.
+    hypotheses are encoded in one pass and go through one
+    neural.lm_scores call, which scores them in prefix order, across list
+    boundaries; OOV words map to unk. Ranking copies no words.
     """
     sizes = np.diff(nbest.offsets)
     if not sizes.all():
         raise ValueError("empty n-best list for %s" % nbest.utt_ids[int(sizes.argmin())])
-    lm = lm_scores(nlm, kn, nbest.words, nbest.lens, cfg.interp_weight)
+    lm = lm_scores(nlm, kn, *encode_many(nbest.words, nbest.lens, nlm.vocab),
+                   cfg.interp_weight)
     # the operations of am + lambda * lm + gamma * n on Python floats, in order
     totals = nbest.am + cfg.lm_weight * lm + cfg.word_penalty * nbest.lens
     finite = np.isfinite(totals)

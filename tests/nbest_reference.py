@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rarelm import rescore
+from rarelm import neural, rescore
 from rarelm.rescore import Hypothesis, NBest, NBestFormatError, NBestList
+from rarelm.textcorpus import encode_many
 
 
 class Scored(NamedTuple):
@@ -94,6 +95,8 @@ def rescored(lists, nlm, kn, cfg) -> list[NBestList]:
 
 
 def lm_scores_of(nlm, kn, word_lists, mu=0.0) -> list[float]:
-    """rescore.lm_scores of hypotheses given as word lists."""
+    """neural.lm_scores of hypotheses given as word lists, encoded in
+    nlm's vocabulary as rescore_lists encodes them."""
     words = list(itertools.chain.from_iterable(word_lists))
-    return rescore.lm_scores(nlm, kn, words, list(map(len, word_lists)), mu).tolist()
+    ids, lens = encode_many(words, list(map(len, word_lists)), nlm.vocab)
+    return neural.lm_scores(nlm, kn, ids, lens, mu).tolist()

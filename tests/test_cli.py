@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rarelm import __version__, cli, metrics, neural, rescore
+from rarelm import __version__, cli, metrics, neural, rescore, textcorpus
 
 
 def run(argv, capsys=None):
@@ -227,6 +227,20 @@ def test_ppl_takes_exactly_one_model(workdir, capsys):
     assert "one of the arguments --model --ngram is required" in capsys.readouterr().err
     assert run(corpus + ["--model", str(d / "lstm.rlm"), "--ngram", str(d / "kn.arpa")]) == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_ppl_overflow_is_an_error(tmp_path, capsys):
+    # the weights are finite in float32, but the mean log10 probability per
+    # position is far below -308, so 10 ** -mean overflows a float
+    m = neural.init_model(textcorpus.Vocabulary(["a", "b", "c"]), 4, 4, seed=0)
+    m.U *= 1e37
+    neural.save_model(m, tmp_path / "huge.rlm")
+    (tmp_path / "two.txt").write_text("a b c\nc b a\n")
+    assert run(["ppl", "--corpus", str(tmp_path / "two.txt"),
+                "--model", str(tmp_path / "huge.rlm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: perplexity overflows: mean log10 probability per "
+                          "position is -") and "Traceback" not in err
 
 
 def test_bad_arpa_value_is_a_domain_error(workdir, capsys):

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rarelm import ngram
+from rarelm import neural, ngram
 from rarelm.textcorpus import (BOS_ID, EOS_ID, SPECIALS, UNK_ID, Vocabulary, build_vocab,
                               encode, pack)
 
@@ -215,6 +216,27 @@ def test_perplexity_empty_corpus():
     # sentences, but no position to score
     with pytest.raises(ValueError, match="empty corpus"):
         ngram.kn_perplexity(m, *pack([[BOS_ID], []]))
+
+
+def test_perplexity_memory_stays_near_the_ids():
+    # kn_perplexity scores its corpus a prefix_slices slice at a time, so
+    # its working memory is a slice's, not (order + 1) rows and a float
+    # list per id of the whole corpus
+    rng = np.random.default_rng(0)
+    m, vocab, _ = make_model([["w%d" % rng.integers(40) for _ in range(rng.integers(1, 15))]
+                              for _ in range(300)], 4)
+    lens = rng.integers(3, 17, size=16 * neural.GROUP_ROWS)
+    ids = rng.integers(3, len(vocab), size=int(lens.sum()))
+    ends = np.cumsum(lens)
+    ids[ends - lens], ids[ends - 1] = BOS_ID, EOS_ID
+    ngram.kn_perplexity(m, *pack([[BOS_ID, 3, EOS_ID]]))  # builds the key tables
+    tracemalloc.start()
+    try:
+        ngram.kn_perplexity(m, ids, lens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ids.nbytes
 
 
 def test_train_empty_corpus():

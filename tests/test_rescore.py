@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from rarelm import neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBest, NBestList, RescoreConfig
-from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
+from rarelm.textcorpus import Vocabulary, build_vocab, encode, encode_many, pack
 
 import nbest_reference
 from nbest_reference import lm_scores_of, ranked, rescored
@@ -218,8 +218,8 @@ def test_rescore_empty_list():
 
 def test_nothing_to_rescore():
     nlm, kn, _ = setup_models()
-    assert rescore.lm_scores(nlm, None, [], []).size == 0
-    assert rescore.lm_scores(nlm, kn, [], [], 0.3).size == 0
+    assert lm_scores_of(nlm, None, []) == []
+    assert lm_scores_of(nlm, kn, [], 0.3) == []
     order, totals = rescore.rescore_lists(NBest.from_lists([]), nlm, None, RescoreConfig())
     assert order.size == totals.size == 0
 
@@ -251,7 +251,7 @@ def test_rescore_empty_list_fails_before_scoring(monkeypatch):
         raise AssertionError("position_logprobs called")
 
     monkeypatch.setattr(neural, "GROUP_ROWS", 1)
-    monkeypatch.setattr(rescore, "position_logprobs", spy)
+    monkeypatch.setattr(neural, "position_logprobs", spy)
     lists = [NBestList("u1", [Hypothesis(1, -1.0, ["a", "b"])]),
              NBestList("u2", [Hypothesis(1, -2.0, ["c"])]),
              NBestList("u3", [])]
@@ -480,6 +480,7 @@ def test_nbest_reader_and_ranking_match_oracle(models, data, block):
     nlm, kn = models
     for mu in (0.0, 0.3):
         cfg = RescoreConfig(lm_weight=0.8, interp_weight=mu, word_penalty=-0.1)
-        lms = rescore.lm_scores(nlm, kn, nbest.words, nbest.lens, mu).tolist()
+        lms = neural.lm_scores(nlm, kn, *encode_many(nbest.words, nbest.lens, nlm.vocab),
+                               mu).tolist()
         got = ranked(nbest, *rescore.rescore_lists(nbest, nlm, kn, cfg))
         assert lists_by_hex(got) == lists_by_hex(nbest_reference.ref_rank(want, lms, cfg))

@@ -250,9 +250,9 @@ def test_perplexity_scores_in_prefix_order(monkeypatch):
     monkeypatch.setattr(neural, "GROUP_ROWS", 4)
     ids, lens = pack(seqs)
     sums = metrics.left_sums(neural.position_logprobs(m, ids, lens), lens)
-    want = metrics.perplexity(sums, ids.size - len(seqs))
+    want = metrics.perplexity(sums, lens)
     ranked = sorted(range(len(seqs)), key=seqs.__getitem__)
-    assert metrics.perplexity(sums[ranked], ids.size - len(seqs)).hex() != want.hex()
+    assert metrics.perplexity(sums[ranked], lens[ranked]).hex() != want.hex()
     calls = spy_on_steps(monkeypatch, m)
     assert neural.nn_perplexity(m, ids, lens).hex() == want.hex()
     ranked = sorted(seqs)
@@ -397,7 +397,7 @@ def test_rescore_lists_in_small_groups(monkeypatch):
     # hypotheses go 3 at a time in sorted order of their ids, whatever the
     # list boundaries
     calls, seen = [], []
-    score = rescore.position_logprobs
+    score = neural.position_logprobs
 
     def spy(nlm, ids, lens):
         calls.append(lens.size)
@@ -405,7 +405,7 @@ def test_rescore_lists_in_small_groups(monkeypatch):
         return score(nlm, ids, lens)
 
     monkeypatch.setattr(neural, "GROUP_ROWS", 3)
-    monkeypatch.setattr(rescore, "position_logprobs", spy)
+    monkeypatch.setattr(neural, "position_logprobs", spy)
     m = random_model(3, 2, 3, 1, 0.5)
     rng = np.random.default_rng(1)
     words = m.vocab.id_to_word[3:] + ["oov"]

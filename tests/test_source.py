@@ -230,3 +230,20 @@ def test_eq4_has_one_core():
     dividers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                 and any(map(is_eq4_divide, ast.walk(node)))}
     assert dividers == {"_eq4_rows"}
+
+
+def test_scoring_has_one_core():
+    # rescoring, both perplexities and training validation score through
+    # neural.lm_scores: no other function asks a model for every position.
+    # The scalar NGramModel.prob, which train_kn uses, is not such a call
+    users = set()
+    for path in SRC:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {getattr(node, "id", getattr(node, "attr", None))
+                         for node in ast.walk(fn)
+                         if isinstance(node, (ast.Name, ast.Attribute))}
+                if names & {"position_logprobs", "prob_many"}:
+                    users.add("%s.%s" % (path.stem, fn.name))
+    assert users == {"neural.lm_scores"}
