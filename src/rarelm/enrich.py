@@ -10,6 +10,7 @@ bit-identical.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +194,20 @@ def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, Enri
                     for X1, X0 in zip(columns[::2], (m.S, m.U)))):
         raise RuntimeError("enrichment changed parameters outside the planned columns")
     return out, _report(plan, columns)
+
+
+@contextmanager
+def enriched_in_place(m: NeuralLM, plan: EnrichmentPlan):
+    """Yield m with Eq. 4 applied to the planned columns of its own S and
+    U, rounded through float32 as enrich_checkpoint writes them; the old
+    columns are written back on any exit. Validates the plan first."""
+    cols, groups = _check_plan(plan, m.vocab)
+    (old_s, new_s), (old_u, new_u) = (_eq4_rows(X, cols, groups) for X in (m.S, m.U))
+    try:
+        m.S[:, cols], m.U[:, cols] = new_s.astype(np.float32), new_u.astype(np.float32)
+        yield m
+    finally:
+        m.S[:, cols], m.U[:, cols] = old_s, old_u
 
 
 def enrich_checkpoint(f, header, dst, plan: EnrichmentPlan) -> EnrichmentReport:

@@ -16,9 +16,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import enrich, metrics, rescore
+from . import enrich, metrics, neural, rescore
 from .enrich import EnrichConfig, EnrichmentPlan
-from .neural import NeuralLM, same_except_columns
 from .rescore import NBest, RescoreConfig
 
 STREET_HEADS = [
@@ -79,6 +78,12 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_streets < 1 or self.n_train < 1 or self.n_eval < 1:
             raise ValueError("counts must be >= 1")
+        if self.n_streets > len(STREET_HEADS) * len(STREET_TAILS):
+            raise ValueError("n_streets must be <= %d, the number of distinct street "
+                             "names" % (len(STREET_HEADS) * len(STREET_TAILS)))
+        # a chained comparison is False for NaN, so this rejects every non-finite value
+        if not 0 < self.rare_fraction < 1:
+            raise ValueError("rare_fraction must be in (0, 1), got %r" % self.rare_fraction)
         if not 0 < self.n_rare < self.n_streets:
             raise ValueError("rare_fraction must leave at least one rare and one "
                              "frequent street")
@@ -252,7 +257,7 @@ class ExperimentBundle:
     """Everything needed to run enrichment + rescoring + WER once."""
     counts: dict
     scope: set
-    model: NeuralLM
+    model: neural.NeuralLM
     kn: object
     nbest: NBest
     refs: dict
@@ -262,31 +267,20 @@ class ExperimentBundle:
 
 class Run(NamedTuple):
     wer: metrics.WerReport
-    model: NeuralLM        # the enriched model, or the bundle's own
     plan: EnrichmentPlan   # empty when nothing was enriched
 
 
 def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run:
-    """Enrich the bundle's model under enrich_cfg, rescore every list and
-    score the 1-best hypotheses.
-
-    The planned S and U columns are rounded through float32, as `rarelm
-    enrich` stores them, so the model scored is the one `enrich` writes.
-    When the plan is empty (extreme thresholds), the bundle's model
-    object itself is scored, uncopied.
-    """
+    """Rescore every list with the bundle's own model, its planned columns
+    enriched in place under enrich_cfg as `rarelm enrich` writes them and
+    restored once scored, and score the 1-best hypotheses."""
     plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
                                   enrich_cfg, bundle.nbest)
-    model = bundle.model
-    if plan:
-        model = enrich.enrich_embeddings(model, plan)[0]
-        cols = [model.vocab.id(w) for w in plan.candidates]
-        for X in (model.S, model.U):
-            X[:, cols] = X[:, cols].astype(np.float32)
     nbest = bundle.nbest
-    order, _ = rescore.rescore_lists(nbest, model, bundle.kn, bundle.rescore_cfg)
+    with enrich.enriched_in_place(bundle.model, plan) as model:
+        order, _ = rescore.rescore_lists(nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
-    return Run(metrics.corpus_wer(bundle.refs, onebest), model, plan)
+    return Run(metrics.corpus_wer(bundle.refs, onebest), plan)
 
 
 def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
@@ -294,7 +288,7 @@ def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
     every other setting taken from bundle.enrich_cfg. A value whose plan
     equals an earlier value's takes that value's WER, since it scores
     the same model. Raises if the input model was mutated."""
-    snapshot = bundle.model.copy()
+    digest = neural.model_digest(bundle.model)
     rows = []
     done = []  # (plan, wer) of each distinct plan scored
     for v in values:
@@ -306,7 +300,7 @@ def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
             wer = run_configuration(bundle, cfg).wer
             done.append((plan, wer))
         rows.append({key: v, "wer": wer.wer, "errors": wer.errors})
-    if not same_except_columns(bundle.model, snapshot):
+    if neural.model_digest(bundle.model) != digest:
         raise RuntimeError("sweep modified the input model")
     return rows
 

@@ -7,6 +7,7 @@ bias. Parameters live in float64; checkpoints store float32. `lm_scores`
 scores sequences for rescoring and both perplexities.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -107,6 +108,14 @@ def same_except_columns(a: NeuralLM, b: NeuralLM, cols=()) -> bool:
             if differ.any(axis=0)[keep].any():
                 return False
     return True
+
+
+def model_digest(m: NeuralLM) -> str:
+    """sha256 of the bytes of S, W, b and U, hashed from the arrays uncopied."""
+    h = hashlib.sha256()
+    for X in (m.S, m.W, m.b, m.U):
+        h.update(X)
+    return h.hexdigest()
 
 
 def check_sizes(d_s: int, d_h: int) -> None:

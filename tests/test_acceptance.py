@@ -184,14 +184,10 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
                      for u in sorted(pipe["data"].refs)])
 
     cfg = replace(bundle.enrich_cfg, k=5)
-    wer_base, base, _ = experiment.run_configuration(bundle, replace(cfg, threshold=0))
-    wer_all, enriched, _ = experiment.run_configuration(
-        bundle, replace(cfg, threshold=10))
+    wer_base, _ = experiment.run_configuration(bundle, replace(cfg, threshold=0))
+    wer_all, plan = experiment.run_configuration(bundle, replace(cfg, threshold=10))
     wer_nb = experiment.run_configuration(
         bundle, replace(cfg, threshold=10, mode="fromNbest")).wer
-
-    ppl_base = neural.nn_perplexity(bundle.model, *refs_enc)
-    ppl_enr = neural.nn_perplexity(enriched, *refs_enc)
 
     def onebest(model):
         nbest = bundle.nbest
@@ -199,8 +195,13 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
         return dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
 
     tracked = set(pipe["rare_streets"])
-    acc_base = metrics.corpus_scores(pipe["data"].refs, onebest(base), tracked)[1]
-    acc_enr = metrics.corpus_scores(pipe["data"].refs, onebest(enriched), tracked)[1]
+    ppl_base = neural.nn_perplexity(bundle.model, *refs_enc)
+    acc_base = metrics.corpus_scores(pipe["data"].refs, onebest(bundle.model), tracked)[1]
+    # the model run_configuration scored at threshold 10; the bundle's model
+    # is the baseline again once the block exits
+    with enrich.enriched_in_place(bundle.model, plan) as enriched:
+        ppl_enr = neural.nn_perplexity(enriched, *refs_enc)
+        acc_enr = metrics.corpus_scores(pipe["data"].refs, onebest(enriched), tracked)[1]
 
     a = ppl_enr < ppl_base
     b = wer_all.wer < wer_base.wer

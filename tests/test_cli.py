@@ -243,6 +243,17 @@ def test_ppl_overflow_is_an_error(tmp_path, capsys):
                           "position is -") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fraction", ["inf", "nan"])
+def test_gen_synthetic_non_finite_rare_fraction_is_an_error(tmp_path, capsys, fraction):
+    # n_rare rounds rare_fraction to an int, which a non-finite value
+    # cannot be, so the config must reject it first
+    assert run(["gen-synthetic", "--outdir", str(tmp_path / "b"),
+                "--rare-fraction", fraction]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rare_fraction must be in (0, 1)") and "Traceback" not in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_bad_arpa_value_is_a_domain_error(workdir, capsys):
     # 10 ** 400 overflows a float; the loader names the line, no traceback
     d = workdir
@@ -310,7 +321,7 @@ def test_sweep_scores_the_model_enrich_writes(workdir, monkeypatch):
     scored = []
     rescore_lists = rescore.rescore_lists
     monkeypatch.setattr(rescore, "rescore_lists", lambda lists, m, kn, cfg:
-                        scored.append(m) or rescore_lists(lists, m, kn, cfg))
+                        scored.append(m.copy()) or rescore_lists(lists, m, kn, cfg))
     assert run(["sweep", "threshold", "--values", "10", "--nbest", str(bundle / "nbest.txt"),
                 "--refs", str(bundle / "refs.txt")] + common) == 0
     written = neural.load_model(d / "written.rlm")

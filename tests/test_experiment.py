@@ -1,14 +1,15 @@
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rarelm import experiment, metrics, neural, textcorpus
+from rarelm import enrich, experiment, metrics, neural, rescore, textcorpus
 from rarelm.enrich import EnrichmentPlan
 from rarelm.experiment import SyntheticConfig
-from rarelm.rescore import RescoreConfig
+from rarelm.rescore import NBest, RescoreConfig
 
 
 def small_cfg(**kw):
@@ -67,7 +68,8 @@ def test_threshold_zero_is_baseline(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     run = experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=0))
     assert len(run.plan) == 0
-    assert run.model is bundle.model
+    with enrich.enriched_in_place(bundle.model, run.plan) as model:
+        assert model is bundle.model
 
 
 def test_single_threshold_equals_manual_pipeline(synthetic_pipeline):
@@ -103,6 +105,48 @@ def test_sweep_does_not_mutate_model(synthetic_pipeline):
     assert np.array_equal(bundle.model.S, S0)
 
 
+def test_run_that_raises_restores_model(synthetic_pipeline, monkeypatch):
+    bundle = synthetic_pipeline["bundle"]
+    m = bundle.model
+    digest = neural.model_digest(m)
+    before = [X.copy() for X in (m.S, m.W, m.b, m.U)]
+    scored = []
+
+    def failing(lists, model, kn, cfg):
+        scored.append(neural.model_digest(model))
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr(rescore, "rescore_lists", failing)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=10))
+    assert scored[0] != digest  # the planned columns were written before it raised
+    assert neural.model_digest(m) == digest
+    for X, X0 in zip((m.S, m.W, m.b, m.U), before):
+        assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
+
+
+def test_sweep_copies_no_model():
+    # W alone is 10 MB; a sweep that copied the model once would peak above it
+    words = ["w%03d" % i for i in range(497)]
+    counts = dict(zip(words, range(len(words))))
+    m = neural.init_model(textcorpus.Vocabulary(words, counts), 400, 400, seed=0)
+    hyps = {"u%d" % u: [words[u * 7 + r:u * 7 + r + 6] for r in range(3)] for u in range(4)}
+    nbest = NBest.from_lists([(u, [(r + 1, -r, h) for r, h in enumerate(hs)])
+                              for u, hs in hyps.items()])
+    bundle = experiment.ExperimentBundle(
+        counts=counts, scope=set(words[:60]), model=m, kn=None, nbest=nbest,
+        refs={u: hs[1] for u, hs in hyps.items()})
+    nbytes = sum(X.nbytes for X in (m.S, m.W, m.b, m.U))
+    tracemalloc.start()
+    try:
+        rows = experiment.sweep(bundle, "threshold", [10, 20, 40])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r["threshold"] for r in rows] == [10, 20, 40]
+    assert peak < nbytes, (peak, nbytes)
+
+
 @pytest.mark.parametrize("key", ["threshold", "k"])
 def test_sweep_that_mutates_model_raises(monkeypatch, key):
     m = neural.init_model(textcorpus.Vocabulary(["a"]), 2, 2)
@@ -112,7 +156,7 @@ def test_sweep_that_mutates_model_raises(monkeypatch, key):
 
     def mutating_run(b, enrich_cfg):
         b.model.U[0, 0] += 1.0
-        return experiment.Run(report, b.model, EnrichmentPlan({}))
+        return experiment.Run(report, EnrichmentPlan({}))
 
     monkeypatch.setattr(experiment, "run_configuration", mutating_run)
     with pytest.raises(RuntimeError, match="modified the input model"):
@@ -164,8 +208,12 @@ def test_gen_synthetic_rejects_bad_counts():
     (dict(threshold=0), "threshold must be >= 2"),
     (dict(threshold=1), "threshold must be >= 2"),
     (dict(nbest_size=2), "nbest_size must be >= 3"),
+    (dict(n_streets=401), "n_streets must be <= 400"),
+    (dict(rare_fraction=float("inf")), r"rare_fraction must be in \(0, 1\), got inf"),
+    (dict(rare_fraction=float("nan")), r"rare_fraction must be in \(0, 1\), got nan"),
 ], ids=["no-rare", "no-frequent", "rounds-to-no-rare", "fraction-above-1",
-        "threshold-0", "threshold-1", "nbest-2"])
+        "threshold-0", "threshold-1", "nbest-2", "more-streets-than-names",
+        "fraction-inf", "fraction-nan"])
 def test_gen_synthetic_rejects_unrealisable(settings, message):
     with pytest.raises(ValueError, match=message):
         experiment.gen_synthetic(SyntheticConfig(**settings))

@@ -518,3 +518,16 @@ def test_softmax_underflow_gives_finite_logprob():
     m.b[:] = 5
     lp = sum(neural.position_logprobs(m, *pack([[0, 4, 1]])).tolist())
     assert math.isfinite(lp) and lp < -1000
+
+
+def test_model_digest_sees_one_ulp_in_every_array():
+    m = neural.init_model(Vocabulary(["a", "b", "c"]), 4, 5, seed=0)
+    digest = neural.model_digest(m)
+    assert neural.model_digest(m.copy()) == digest
+    for name in "SWbU":
+        other = m.copy()
+        X = getattr(other, name).reshape(-1)
+        X[-1] = np.nextafter(X[-1], np.inf)
+        assert neural.model_digest(other) != digest, name
+        X[-1] = np.nextafter(X[-1], -np.inf)
+        assert neural.model_digest(other) == digest, name

@@ -219,10 +219,11 @@ def is_eq4_divide(node):
 
 
 def test_eq4_has_one_core():
-    # the in-memory and the streamed enrichment both take Eq. 4 from
-    # _eq4_rows, so the criterion-1 gate on enrich_embeddings covers the
-    # bits enrich writes; no other function holds the divide
-    for fn in (enrich.enrich_embeddings, enrich.enrich_checkpoint):
+    # the copying, the in-place and the streamed enrichment all take Eq. 4
+    # from _eq4_rows, so the criterion-1 gate on enrich_embeddings covers
+    # the bits enrich writes and sweep scores; no other function holds the divide
+    for fn in (enrich.enrich_embeddings, enrich.enriched_in_place,
+               enrich.enrich_checkpoint):
         called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(fn)))
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert "_eq4_rows" in called, "%s does not call _eq4_rows" % fn.__name__
