@@ -1,8 +1,10 @@
 """Subcommand front-end wiring the pipeline end to end.
 
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
-Every command prints a one-line reproducibility stamp with the package
-version, seed and a digest of the effective configuration.
+Every command checks its settings, then that it can write each of its
+outputs, before it reads any input. Every command prints a one-line
+reproducibility stamp with the package version, seed and a digest of the
+effective configuration.
 """
 
 import argparse
@@ -38,8 +40,15 @@ def _load_corpus(path, phrases_path=None):
     return words, np.array(lens, dtype=np.int64)
 
 
+def _check_outputs(*paths):
+    """neural.check_writable on each output path given, None skipped."""
+    for path in filter(None, paths):
+        neural.check_writable(path)
+
+
 def cmd_build_vocab(args):
     textcorpus.check_vocab_limits(args.min_count, args.max_size)
+    _check_outputs(args.output)
     words, _ = _load_corpus(args.corpus, args.phrases)
     vocab = textcorpus.build_vocab(words, args.min_count, args.max_size)
     vocab.to_file(args.output)
@@ -52,7 +61,7 @@ def cmd_train_lstm(args):
         dropout_p=args.dropout, epochs=args.epochs, seed=args.seed,
         lr_decay=args.lr_decay, batch_size=args.batch_size)
     neural.check_sizes(args.embed_dim, args.hidden_dim)
-    neural.check_writable(args.output)
+    _check_outputs(args.output)
     vocab = textcorpus.Vocabulary.from_file(args.vocab)
     corpus = textcorpus.encode_many(*_load_corpus(args.corpus, args.phrases), vocab)
     val = None
@@ -67,6 +76,7 @@ def cmd_train_lstm(args):
 
 def cmd_train_ngram(args):
     ngram.check_settings(args.order, args.prune_min_count)
+    _check_outputs(args.output)
     vocab = textcorpus.Vocabulary.from_file(args.vocab)
     ids, lens = textcorpus.encode_many(*_load_corpus(args.corpus, args.phrases), vocab)
     m = ngram.train_kn(ids, lens, args.order, vocab, prune_min_count=args.prune_min_count)
@@ -125,16 +135,17 @@ def _add_rescore_options(sp):
 
 
 def _rescore_settings(args):
-    """The rescoring config and the KN model (or None) the rescore options give."""
+    """The rescoring config the rescore options give; reads no file."""
     cfg = RescoreConfig(lm_weight=args.lm_weight, interp_weight=args.interp_weight,
                         word_penalty=args.word_penalty)
     if cfg.interp_weight > 0.0 and not args.ngram:
         raise ValueError("--interp-weight > 0 requires --ngram")
-    return cfg, _load_arpa(args.ngram) if args.ngram else None
+    return cfg
 
 
 def cmd_enrich(args):
     cfg = _enrich_settings(args)
+    _check_outputs(args.output, args.plan_out)
     with open(args.model, "rb") as f:
         header = neural._read_header(f)
         counts, scope = _enrich_words(args, header[0])
@@ -147,7 +158,9 @@ def cmd_enrich(args):
 
 
 def cmd_rescore(args):
-    cfg, kn = _rescore_settings(args)
+    cfg = _rescore_settings(args)
+    _check_outputs(args.output, args.onebest)
+    kn = _load_arpa(args.ngram) if args.ngram else None
     m = neural.load_model(args.model)
     nbest = rescore.read_nbest(args.nbest)
     order, totals = rescore.rescore_lists(nbest, m, kn, cfg)
@@ -202,7 +215,9 @@ def cmd_sweep(args):
     key = "threshold" if args.what == "threshold" else "k"
     for v in values:  # a bad value fails here, before any file is read
         replace(enrich_cfg, **{key: v})
-    rescore_cfg, kn = _rescore_settings(args)
+    rescore_cfg = _rescore_settings(args)
+    _check_outputs(args.output)
+    kn = _load_arpa(args.ngram) if args.ngram else None
     m = neural.load_model(args.model)
     counts, scope = _enrich_words(args, m.vocab)
     bundle = experiment.ExperimentBundle(

@@ -12,7 +12,7 @@ corrupted hypothesis outranks the correct one by a small margin.
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -265,22 +265,15 @@ class ExperimentBundle:
     rescore_cfg: RescoreConfig = field(default_factory=RescoreConfig)
 
 
-class Run(NamedTuple):
-    wer: metrics.WerReport
-    plan: EnrichmentPlan   # empty when nothing was enriched
-
-
-def run_configuration(bundle: ExperimentBundle, enrich_cfg: EnrichConfig) -> Run:
-    """Rescore every list with the bundle's own model, its planned columns
-    enriched in place under enrich_cfg as `rarelm enrich` writes them and
-    restored once scored, and score the 1-best hypotheses."""
-    plan = enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab,
-                                  enrich_cfg, bundle.nbest)
+def run_configuration(bundle: ExperimentBundle, plan: EnrichmentPlan) -> metrics.WerReport:
+    """Rescore every list with the bundle's own model, the columns of
+    `plan` enriched in place as `rarelm enrich` writes them and restored
+    once scored, and score the 1-best hypotheses."""
     nbest = bundle.nbest
     with enrich.enriched_in_place(bundle.model, plan) as model:
         order, _ = rescore.rescore_lists(nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
-    return Run(metrics.corpus_wer(bundle.refs, onebest), plan)
+    return metrics.corpus_wer(bundle.refs, onebest)
 
 
 def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
@@ -297,7 +290,7 @@ def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:
                                       cfg, bundle.nbest)
         wer = next((w for p, w in done if p == plan), None)
         if wer is None:
-            wer = run_configuration(bundle, cfg).wer
+            wer = run_configuration(bundle, plan)
             done.append((plan, wer))
         rows.append({key: v, "wer": wer.wer, "errors": wer.errors})
     if neural.model_digest(bundle.model) != digest:

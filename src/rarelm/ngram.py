@@ -30,7 +30,7 @@ import numpy as np
 
 from .metrics import perplexity
 from .neural import lm_scores
-from .textcorpus import BLOCK_LINES, BOS_ID, SPECIALS, Vocabulary, block_fail
+from .textcorpus import BOS_ID, SPECIALS, Vocabulary, read_blocks
 
 
 @dataclass
@@ -411,36 +411,31 @@ def _read_entries(chunk: list[str], first: int, k: Optional[int], order: int,
     an ARPA file in its k-grams section (k None before any section), into
     probs[k] and bows[k], giving each new word the next id in word_ids.
     Returns the number of entries. Each step is one pass over the chunk;
-    a failed step names the first faulty line, as a parser taking one
-    line at a time would."""
+    a failed step changes no table and names the chunk's first line, as
+    read_blocks asks."""
     entries = list(filter(None, map(str.strip, chunk)))
     if not entries:
         return 0
 
-    fail = block_fail(lambda line, text: ArpaParseError("line %d: %s" % (line, text)),
-                      chunk, first, str.strip,
-                      lambda lines, at: _read_entries(lines, at, k, order, word_ids,
-                                                      probs, bows))
+    def fail(msg, *args):
+        raise ArpaParseError("line %d: %s" % (first + 1, msg % args))
 
-    def values(col, what, at):
+    def values(col, what):
         v = _pow10(col)
         if v is None:
-            n = next(t for t, x in enumerate(col) if _pow10([x]) is None)
-            fail(at[n], "bad %s %r", what, col[n])
+            fail("bad %s %r", what, col[0])
         return v
 
     if k is None:
-        fail(0, "n-gram entry outside a section")
+        fail("n-gram entry outside a section")
     fields = list(map(str.split, entries, itertools.repeat("\t")))
     nf = list(map(len, fields))
     if not {2, 3}.issuperset(nf):
-        fail(next(t for t, n in enumerate(nf) if n not in (2, 3)),
-             "expected 2 or 3 tab-separated fields")
-    p = values(list(map(operator.itemgetter(0), fields)), "log probability", range(len(nf)))
+        fail("expected 2 or 3 tab-separated fields")
+    p = values(list(map(operator.itemgetter(0), fields)), "log probability")
     grams = list(map(str.split, map(operator.itemgetter(1), fields)))
     if set(map(len, grams)) != {k}:
-        n = next(t for t, g in enumerate(grams) if len(g) != k)
-        fail(n, "%d-gram in %d-grams section", len(grams[n]), k)
+        fail("%d-gram in %d-grams section", len(grams[0]), k)
     words = list(itertools.chain.from_iterable(grams))
     ids = list(map(word_ids.get, words))
     if None in ids:
@@ -448,18 +443,16 @@ def _read_entries(chunk: list[str], first: int, k: Optional[int], order: int,
         word_ids.update(zip(new, itertools.count(len(word_ids))))
         ids = list(map(word_ids.__getitem__, words))
     grams = list(zip(*[iter(ids)] * k))
-    # the tables change last, so that fail re-parses earlier lines as they were
+    # the tables change last, once every step has passed
     fresh = dict(zip(grams, p))
     if len(fresh) < len(grams) or not probs[k].keys().isdisjoint(fresh.keys()):
-        n = next(t for t, g in enumerate(grams) if g in probs[k] or grams.index(g) < t)
-        fail(n, "repeated n-gram %r", " ".join(words[n * k:n * k + k]))
+        fail("repeated n-gram %r", " ".join(words[:k]))
     if 3 in nf:
-        has = list(map((3).__eq__, nf))
         if k >= order:
-            fail(has.index(True), "back-off weight on highest order")
-        at = list(itertools.compress(range(len(nf)), has))
-        col = list(map(operator.itemgetter(2), itertools.compress(fields, has)))
-        b = values(col, "back-off weight", at)
+            fail("back-off weight on highest order")
+        has = list(map((3).__eq__, nf))
+        b = values(list(map(operator.itemgetter(2), itertools.compress(fields, has))),
+                   "back-off weight")
         bows[k].update(zip(itertools.compress(grams, has), b))
     probs[k].update(fresh)
     return len(entries)
@@ -471,7 +464,7 @@ def import_arpa(text: str) -> NGramModel:
     Word ids are assigned with specials pinned to 0/1/2 and remaining words
     in order of first appearance in the file. Each log10 value must give a
     positive, finite probability or back-off weight. Sections are found
-    first; their entries are then parsed up to BLOCK_LINES lines at a time.
+    first; the entries of each are then read by textcorpus.read_blocks.
     """
     lines = text.split("\n")
     i, declared = _read_counts(lines)
@@ -482,9 +475,8 @@ def import_arpa(text: str) -> NGramModel:
     seen = Counter()
     k = None
     for j, line in _markers(lines, i):
-        for a in range(i, j, BLOCK_LINES):
-            seen[k] += _read_entries(lines[a:min(a + BLOCK_LINES, j)], a, k, order,
-                                     word_ids, probs, bows)
+        seen[k] += read_blocks(lambda block, at: _read_entries(
+            block, at, k, order, word_ids, probs, bows), itertools.islice(lines, i, j), i)
         if line is None:
             raise ArpaParseError("missing \\end\\ marker")
         if line == "\\end\\":

@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .neural import NeuralLM, lm_scores
-from .textcorpus import BLOCK_LINES, block_fail, encode_many, read_tab_pairs
+from .textcorpus import encode_many, read_blocks, read_tab_pairs
 
 
 class Hypothesis(NamedTuple):
@@ -146,32 +146,30 @@ class _Reader:
         self.words = []
         self.same = {}.setdefault
 
-    def read(self, block: list[str], first: int) -> None:
-        """Parse `block`, the lines of the file from index `first`. Each
-        step is one pass over the block; a failed step names the first
-        faulty line, as a reader taking one line at a time would."""
+    def read(self, block: list[str], first: int) -> int:
+        """Parse `block`, the lines of the file from index `first`, one
+        step over the whole block at a time; returns the number of
+        hypotheses. A failed step changes no column and names the block's
+        first line, as read_blocks asks."""
         lines = list(filter(None, map(str.rstrip, block, itertools.repeat("\n"))))
         if not lines:
-            return
+            return 0
 
-        fail = block_fail(lambda line, text: NBestFormatError(
-            "%s:%d: %s" % (self.path, line, text)), block, first,
-            lambda line: line.rstrip("\n"), self.read)
+        def fail(msg, *args):
+            raise NBestFormatError("%s:%d: %s" % (self.path, first + 1, msg % args))
+
         fields = list(map(str.split, lines, itertools.repeat("\t")))
         nf = list(map(len, fields))
         if nf.count(4) != len(nf):
-            n = next(t for t, k in enumerate(nf) if k != 4)
-            fail(n, "expected 4 tab-separated fields, got %d", nf[n])
+            fail("expected 4 tab-separated fields, got %d", nf[0])
         utts, rank_s, am_s, texts = zip(*fields)
         try:
             ranks = list(map(int, rank_s))
             am = np.fromiter(map(float, am_s), dtype=np.float64, count=len(lines))
         except ValueError:
-            fail(next(t for t in range(len(lines)) if not _numbers(rank_s[t], am_s[t])),
-                 "bad rank or score")
-        finite = np.isfinite(am)
-        if not finite.all():
-            fail(int(finite.argmin()), "non-finite am_score")
+            fail("bad rank or score")
+        if not np.isfinite(am).all():
+            fail("non-finite am_score")
         # the lists of the block start at `starts`; the first may go on
         # with the file's last list
         starts = [0, *itertools.compress(itertools.count(1), map(operator.ne, utts[1:],
@@ -180,7 +178,7 @@ class _Reader:
         new = {}  # the utterances the block opens, in order
         for t in starts[cont:]:
             if utts[t] in self.seen or utts[t] in new:
-                fail(t, "utterance %s is not contiguous", utts[t])
+                fail("utterance %s is not contiguous", utts[t])
             new[utts[t]] = t
         runs = np.diff(starts + [len(lines)])
         expected = np.arange(1, len(lines) + 1) - np.repeat(starts, runs)
@@ -188,11 +186,10 @@ class _Reader:
             expected[:runs[0]] += self.sizes[-1]
         expected = expected.tolist()
         if ranks != expected:
-            n = list(map(operator.ne, ranks, expected)).index(True)
-            fail(n, "rank %d, expected %d", ranks[n], expected[n])
+            fail("rank %d, expected %d", ranks[0], expected[0])
         toks = list(map(str.split, texts))
         flat = list(itertools.chain.from_iterable(toks))
-        # the columns change last, so that fail re-reads earlier lines as they were
+        # the columns change last, once every step has passed
         self.words += map(self.same, flat, flat)
         self.lens.append(np.fromiter(map(len, toks), dtype=np.int64, count=len(toks)))
         self.am.append(am)
@@ -201,6 +198,7 @@ class _Reader:
         self.sizes += runs[cont:].tolist()
         self.utt_ids += new
         self.seen.update(new)
+        return len(lines)
 
     def columns(self) -> NBest:
         sizes = np.array(self.sizes, dtype=np.int64)
@@ -211,31 +209,17 @@ class _Reader:
                      np.concatenate([np.empty(0, dtype=np.int64), *self.lens]))
 
 
-def _numbers(rank_s: str, am_s: str) -> bool:
-    """Whether rank_s reads as an int and am_s as a float."""
-    try:
-        int(rank_s)
-        float(am_s)
-    except ValueError:
-        return False
-    return True
-
-
 def read_nbest(path) -> NBest:
     """Parse `utt_id<TAB>rank<TAB>am_score<TAB>words...` lines into columns.
 
     Utterances must be contiguous with ranks ascending from 1. The lines
-    are read BLOCK_LINES at a time, each block column by column. Each
+    are read by textcorpus.read_blocks, each block column by column. Each
     distinct word of the file is one str object, shared by every
     hypothesis that holds it.
     """
     reader = _Reader(path)
     with open(path, encoding="utf-8") as f:
-        for first in itertools.count(0, BLOCK_LINES):
-            block = list(itertools.islice(f, BLOCK_LINES))
-            if not block:
-                break
-            reader.read(block, first)
+        read_blocks(reader.read, f)
     return reader.columns()
 
 

@@ -1,5 +1,6 @@
 """Corpus ingestion: tokenization, multiword-name joining, vocabulary building,
-encoding sentences back to back, and the first-fault rule of the block readers."""
+encoding sentences back to back, and read_blocks, the block reading of the
+n-best and ARPA readers."""
 
 import itertools
 from collections import Counter
@@ -15,8 +16,8 @@ EOS_ID = 1
 UNK_ID = 2
 
 SPECIALS = (BOS, EOS, UNK)
-# the most lines a block reader (import_arpa, read_nbest) parses in one
-# pass, which bounds its intermediates
+# the most lines read_blocks hands a reader (import_arpa, read_nbest) in
+# one call, which bounds the reader's intermediates
 BLOCK_LINES = 256
 
 
@@ -204,16 +205,31 @@ def read_corpus(path) -> Iterator[list[str]]:
             yield tokenize(line)
 
 
-def block_fail(error, block: list[str], first: int, kept, reread):
-    """The fail(n, msg, *args) of a reader that parses `block`, the lines
-    of a file from index `first`, one step over all of them at a time: it
-    raises error(line number, msg % args) for the block's n-th line that
-    kept() holds. A later step may fault a line after one an earlier step
-    faults, so reread(lines, first) first takes the lines before it and
-    raises for the first faulty one, as a line-by-line reader would."""
-    def fail(n, msg, *args):
-        row = next(itertools.islice(itertools.compress(itertools.count(), map(kept, block)),
-                                    n, None))
-        reread(block[:row], first)
-        raise error(first + row + 1, msg % args)
-    return fail
+def read_blocks(read, lines, first=0) -> int:
+    """Call read(block, at) on each run of up to BLOCK_LINES of `lines`,
+    `block` holding the lines from index `at` (`first` for the first
+    block), and return the sum of what read returns.
+
+    When read raises ValueError on a block of more than one line, the
+    block is read again one line at a time, so the error raised is the
+    first faulty line's, as a reader taking one line at a time gives it;
+    read need only name a block's first line. For that, read must leave
+    its state as it was when it raises, with one allowance: it may give
+    the block's new words their next ids in order of first appearance, as
+    the ARPA reader does, since reading the lines one at a time gives
+    them the same ids.
+    """
+    lines = iter(lines)
+    total = 0
+    for at in itertools.count(first, BLOCK_LINES):
+        block = list(itertools.islice(lines, BLOCK_LINES))
+        if not block:
+            return total
+        try:
+            total += read(block, at)
+            continue
+        except ValueError:
+            if len(block) == 1:
+                raise
+        for t, line in enumerate(block, at):
+            total += read([line], t)

@@ -15,6 +15,7 @@ from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
 
 from kn_reference import ref_prob
 from nbest_reference import lm_scores_of, rescored
+from test_experiment import plan_of
 from test_metrics import brute_force_distance
 
 
@@ -184,10 +185,11 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
                      for u in sorted(pipe["data"].refs)])
 
     cfg = replace(bundle.enrich_cfg, k=5)
-    wer_base, _ = experiment.run_configuration(bundle, replace(cfg, threshold=0))
-    wer_all, plan = experiment.run_configuration(bundle, replace(cfg, threshold=10))
+    plan = plan_of(bundle, replace(cfg, threshold=10))
+    wer_base = experiment.run_configuration(bundle, plan_of(bundle, replace(cfg, threshold=0)))
+    wer_all = experiment.run_configuration(bundle, plan)
     wer_nb = experiment.run_configuration(
-        bundle, replace(cfg, threshold=10, mode="fromNbest")).wer
+        bundle, plan_of(bundle, replace(cfg, threshold=10, mode="fromNbest")))
 
     def onebest(model):
         nbest = bundle.nbest
@@ -220,7 +222,7 @@ def test_criterion_7_threshold_sweep_shape(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     rows = experiment.sweep(bundle, "threshold", [0, 2, 10, 50, 10 ** 6])
     wer_base = experiment.run_configuration(
-        bundle, replace(bundle.enrich_cfg, threshold=0, k=5)).wer
+        bundle, plan_of(bundle, replace(bundle.enrich_cfg, threshold=0, k=5)))
     by_th = {r["threshold"]: r["wer"] for r in rows}
     best_mid = min(by_th[2], by_th[10], by_th[50])
     ok = (by_th[0] == wer_base.wer

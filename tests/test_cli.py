@@ -173,6 +173,34 @@ def test_train_lstm_checks_output_before_training(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-vocab", "--corpus", "missing.txt", "--output", "nodir/out"],
+    ["train-ngram", "--corpus", "missing.txt", "--vocab", "missing.txt",
+     "--output", "nodir/out"],
+    ["enrich", "--model", "missing.rlm", "--scope", "missing.txt",
+     "--output", "enriched.rlm", "--plan-out", "nodir/out"],
+    ["enrich", "--model", "{d}/lstm.rlm", "--scope", "{d}/bundle/streets.txt",
+     "--output", "enriched.rlm", "--plan-out", "nodir/out"],
+    ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
+     "--output", "nodir/out"],
+    ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
+     "--output", "rescored.tsv", "--onebest", "nodir/out"],
+    ["sweep", "threshold", "--values", "10", "--model", "missing.rlm",
+     "--scope", "missing.txt", "--nbest", "missing.txt", "--refs", "missing.txt",
+     "--output", "nodir/out"],
+], ids=["build-vocab", "train-ngram", "enrich-plan-out", "enrich-plan-out-read",
+        "rescore", "rescore-onebest", "sweep"])
+def test_outputs_are_checked_before_any_input_is_read(workdir, tmp_path, capsys,
+                                                      monkeypatch, argv):
+    # a missing input would fail first if it were read first; with every
+    # input there, enrich would write its checkpoint before the plan failed
+    monkeypatch.chdir(tmp_path)
+    assert run([a.format(d=workdir) for a in argv]) == 1
+    assert "error: [Errno 2] No such file or directory: 'nodir/out'" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
 def test_enrich_reads_the_header_once(workdir, tmp_path, monkeypatch, same_path):
     # and the payload once: Eq. 4 takes each block of S or U as it is copied

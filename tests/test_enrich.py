@@ -412,7 +412,7 @@ def test_same_except_columns_matches_reference(m, data):
     skip = data.draw(st.sets(st.integers(0, m.vocab_size - 1)))
     other = m.copy()
     assert neural.same_except_columns(m, other, skip)
-    assert neural.same_except_columns(m, other)  # as the sweep calls it
+    assert neural.same_except_columns(m, other)  # no column skipped: the whole model
     # one flipped bit anywhere; on a zeroed element bit 63 turns 0.0 into -0.0
     name = data.draw(st.sampled_from("SWbU"))
     flat = getattr(other, name).reshape(-1)

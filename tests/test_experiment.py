@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rarelm import enrich, experiment, metrics, neural, rescore, textcorpus
-from rarelm.enrich import EnrichmentPlan
 from rarelm.experiment import SyntheticConfig
 from rarelm.rescore import NBest, RescoreConfig
 
@@ -64,38 +63,50 @@ def make_bundle(pipe):
     return pipe["bundle"]
 
 
+def plan_of(bundle, cfg):
+    """The plan sweep makes for cfg."""
+    return enrich.plan_enrichment(bundle.counts, bundle.scope, bundle.model.vocab, cfg,
+                                  bundle.nbest)
+
+
 def test_threshold_zero_is_baseline(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
-    run = experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=0))
-    assert len(run.plan) == 0
-    with enrich.enriched_in_place(bundle.model, run.plan) as model:
+    plan = plan_of(bundle, replace(bundle.enrich_cfg, threshold=0))
+    experiment.run_configuration(bundle, plan)
+    assert len(plan) == 0
+    with enrich.enriched_in_place(bundle.model, plan) as model:
         assert model is bundle.model
 
 
 def test_single_threshold_equals_manual_pipeline(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     rows = experiment.sweep(bundle, "threshold", [10])
-    wer = experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=10)).wer
+    wer = experiment.run_configuration(
+        bundle, plan_of(bundle, replace(bundle.enrich_cfg, threshold=10)))
     assert rows[0]["wer"] == wer.wer
 
 
 def test_sweep_scores_each_distinct_plan_once(synthetic_pipeline, monkeypatch):
     # equal plans score the same model, so a row whose plan an earlier row
-    # had takes that row's WER; every row equals its own run
+    # had takes that row's WER; every row equals its own run, and each
+    # value is planned once
     bundle = synthetic_pipeline["bundle"]
     values = [0, 2, 10, 50, 10]
-    runs = [experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=v))
-            for v in values]
-    firsts = [v for j, (v, run) in enumerate(zip(values, runs))
-              if all(run.plan != r.plan for r in runs[:j])]
-    calls = []
+    plans = [plan_of(bundle, replace(bundle.enrich_cfg, threshold=v)) for v in values]
+    wers = [experiment.run_configuration(bundle, plan) for plan in plans]
+    firsts = [plan for j, plan in enumerate(plans) if plan not in plans[:j]]
+    calls, planned = [], []
     run_configuration = experiment.run_configuration
-    monkeypatch.setattr(experiment, "run_configuration", lambda b, cfg:
-                        calls.append(cfg.threshold) or run_configuration(b, cfg))
+    monkeypatch.setattr(experiment, "run_configuration", lambda b, plan:
+                        calls.append(plan) or run_configuration(b, plan))
+    plan_enrichment = enrich.plan_enrichment
+    monkeypatch.setattr(enrich, "plan_enrichment", lambda *a:
+                        planned.append(a[3]) or plan_enrichment(*a))
     rows = experiment.sweep(bundle, "threshold", values)
     assert calls == firsts and len(calls) < len(values)
-    assert rows == [{"threshold": v, "wer": run.wer.wer, "errors": run.wer.errors}
-                    for v, run in zip(values, runs)]
+    assert [cfg.threshold for cfg in planned] == values
+    assert rows == [{"threshold": v, "wer": wer.wer, "errors": wer.errors}
+                    for v, wer in zip(values, wers)]
 
 
 def test_sweep_does_not_mutate_model(synthetic_pipeline):
@@ -118,7 +129,8 @@ def test_run_that_raises_restores_model(synthetic_pipeline, monkeypatch):
 
     monkeypatch.setattr(rescore, "rescore_lists", failing)
     with pytest.raises(RuntimeError, match="scoring failed"):
-        experiment.run_configuration(bundle, replace(bundle.enrich_cfg, threshold=10))
+        experiment.run_configuration(
+            bundle, plan_of(bundle, replace(bundle.enrich_cfg, threshold=10)))
     assert scored[0] != digest  # the planned columns were written before it raised
     assert neural.model_digest(m) == digest
     for X, X0 in zip((m.S, m.W, m.b, m.U), before):
@@ -154,9 +166,9 @@ def test_sweep_that_mutates_model_raises(monkeypatch, key):
                                          nbest=[], refs={})
     report = metrics.corpus_wer({"u": ["a"]}, {"u": ["a"]})
 
-    def mutating_run(b, enrich_cfg):
+    def mutating_run(b, plan):
         b.model.U[0, 0] += 1.0
-        return experiment.Run(report, EnrichmentPlan({}))
+        return report
 
     monkeypatch.setattr(experiment, "run_configuration", mutating_run)
     with pytest.raises(RuntimeError, match="modified the input model"):
@@ -175,15 +187,15 @@ def test_candidate_sweep_midrange(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     rows = experiment.sweep(bundle, "k", [1, 5, 15])
     baseline = experiment.run_configuration(
-        bundle, replace(bundle.enrich_cfg, threshold=0, k=5)).wer
+        bundle, plan_of(bundle, replace(bundle.enrich_cfg, threshold=0, k=5)))
     assert min(r["wer"] for r in rows) <= baseline.wer
 
 
 def test_from_nbest_mode(synthetic_pipeline):
     bundle = synthetic_pipeline["bundle"]
     cfg = replace(bundle.enrich_cfg, threshold=10, k=5)
-    plan_all = experiment.run_configuration(bundle, cfg).plan
-    plan_nb = experiment.run_configuration(bundle, replace(cfg, mode="fromNbest")).plan
+    plan_all = plan_of(bundle, cfg)
+    plan_nb = plan_of(bundle, replace(cfg, mode="fromNbest"))
     assert set(plan_nb.candidates) <= set(plan_all.candidates)
 
 

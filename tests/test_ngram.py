@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rarelm import neural, ngram
+from rarelm import neural, ngram, textcorpus
 from rarelm.textcorpus import (BOS_ID, EOS_ID, SPECIALS, UNK_ID, Vocabulary, build_vocab,
                               encode, pack)
 
@@ -532,7 +532,7 @@ FAULTS = ["fields", "logprob", "backoff", "length", "top-backoff", "header", "ou
                                 min_size=1, max_size=7), min_size=1, max_size=8),
        order=st.integers(1, 4), prune_min_count=st.sampled_from([0, 2]),
        faults=st.lists(st.sampled_from(FAULTS), max_size=3),
-       block_lines=st.sampled_from([1, 2, 3, ngram.BLOCK_LINES]), data=st.data())
+       block_lines=st.sampled_from([1, 2, 3, textcorpus.BLOCK_LINES]), data=st.data())
 def test_import_arpa_matches_the_per_line_oracle(corpus, order, prune_min_count, faults,
                                                  block_lines, data):
     # export texts with formatting noise the format allows, and with up to
@@ -555,7 +555,7 @@ def test_import_arpa_matches_the_per_line_oracle(corpus, order, prune_min_count,
         assume(_mutate(lines, kind, data.draw))
     text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
     want = _import_outcome(ref_import_arpa, text)
-    with mock.patch.object(ngram, "BLOCK_LINES", block_lines):
+    with mock.patch.object(textcorpus, "BLOCK_LINES", block_lines):
         got = _import_outcome(_new_import, text)
     assert got == want
     if len(faults) <= 1:  # two faults may cancel out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rarelm import neural, ngram, rescore
+from rarelm import neural, ngram, rescore, textcorpus
 from rarelm.rescore import Hypothesis, NBest, NBestList, RescoreConfig
 from rarelm.textcorpus import Vocabulary, build_vocab, encode, encode_many, pack
 
@@ -457,7 +457,7 @@ def lists_by_hex(lists):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=nbest_files(), block=st.sampled_from([1, 2, 3, 5, rescore.BLOCK_LINES]))
+@given(data=nbest_files(), block=st.sampled_from([1, 2, 3, 5, textcorpus.BLOCK_LINES]))
 def test_nbest_reader_and_ranking_match_oracle(models, data, block):
     # any block size gives the per-line reader's lists, or its exact
     # message for the same line; the lists then rank as the per-list sort
@@ -469,12 +469,12 @@ def test_nbest_reader_and_ranking_match_oracle(models, data, block):
         try:
             want = nbest_reference.ref_read_nbest(path)
         except rescore.NBestFormatError as e:
-            with mock.patch.object(rescore, "BLOCK_LINES", block), \
+            with mock.patch.object(textcorpus, "BLOCK_LINES", block), \
                     pytest.raises(rescore.NBestFormatError) as got:
                 rescore.read_nbest(path)
             assert str(got.value) == str(e)
             return
-        with mock.patch.object(rescore, "BLOCK_LINES", block):
+        with mock.patch.object(textcorpus, "BLOCK_LINES", block):
             nbest = rescore.read_nbest(path)
     assert lists_by_hex(nbest) == lists_by_hex(want)
     nlm, kn = models

@@ -248,3 +248,24 @@ def test_scoring_has_one_core():
                 if names & {"position_logprobs", "prob_many"}:
                     users.add("%s.%s" % (path.stem, fn.name))
     assert users == {"neural.lm_scores"}
+
+
+def names_in(tree):
+    """Every name tree defines, uses or imports: names, attributes, the
+    names of functions and classes, and the names of from-imports."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names})
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_block_size_has_one_owner(path):
+    # textcorpus.read_blocks alone cuts a reader's input into blocks and
+    # re-reads a failed one a line at a time; a reader that named the block
+    # size would cut its own blocks, outside that rule
+    names = names_in(ast.parse(path.read_text(encoding="utf-8")))
+    banned = {"block_fail"} | ({"BLOCK_LINES"} if path.stem != "textcorpus" else set())
+    assert not names & banned, "%s names %s" % (path.name, sorted(names & banned))

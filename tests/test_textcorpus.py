@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rarelm import textcorpus as tc
+from rarelm import ngram, rescore, textcorpus as tc
 
 
 def test_tokenize_basic():
@@ -200,3 +200,38 @@ def test_vocab_file_roundtrip(tmp_path):
     v2 = tc.Vocabulary.from_file(path)
     assert v2.id_to_word == v.id_to_word
     assert v2.counts == v.counts
+
+
+def test_read_blocks_reads_valid_input_once_per_block(tmp_path, monkeypatch):
+    # each reader takes one call per block of the patched size on valid
+    # input: a patch that stopped taking effect, or a re-read of a valid
+    # block, changes the calls
+    monkeypatch.setattr(tc, "BLOCK_LINES", 64)
+    path = tmp_path / "n.tsv"
+    path.write_text("".join("u%d\t%d\t-1.5\ta b\n" % (u, r)
+                            for u in range(250) for r in range(1, 5)))
+    calls = []
+    read = rescore._Reader.read
+    monkeypatch.setattr(rescore._Reader, "read", lambda self, block, at:
+                        calls.append(at) or read(self, block, at))
+    assert len(rescore.read_nbest(path)) == 250
+    assert calls == list(range(0, 1000, 64))  # 16 calls
+
+    rng = random.Random(0)
+    words = ["w%d" % i for i in range(150)]
+    sents = [[rng.choice(words) for _ in range(5)] for _ in range(100)]
+    vocab = tc.build_vocab(words)
+    text = ngram.export_arpa(ngram.train_kn(
+        *tc.encode_many([w for s in sents for w in s], [5] * 100, vocab), 2, vocab))
+    lines = text.split("\n")
+    marks = [i for i, line in enumerate(lines) if line.startswith("\\")][1:]
+    want = [(k, at) for k, (i, j) in enumerate(zip(marks, marks[1:]), 1)
+            for at in range(i + 1, j, 64)]
+    assert len(want) > 5  # both sections span several blocks
+    calls = []
+    entries = ngram._read_entries
+    monkeypatch.setattr(ngram, "_read_entries", lambda block, at, k, *rest:
+                        calls.append((k, at)) or entries(block, at, k, *rest))
+    m = ngram.import_arpa(text)
+    assert [c for c in calls if c[0] is not None] == want
+    assert len(m.probs[1]) == len(vocab)
