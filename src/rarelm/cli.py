@@ -10,6 +10,7 @@ effective configuration.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -41,8 +42,14 @@ def _load_corpus(path, phrases_path=None):
 
 
 def _check_outputs(*paths):
-    """neural.check_writable on each output path given, None skipped."""
+    """neural.check_writable on each output path given, None skipped; two
+    that name one file are a ValueError."""
+    named = {}
     for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in named:
+            raise ValueError("outputs %s and %s name one file" % (named[real], path))
+        named[real] = path
         neural.check_writable(path)
 
 

@@ -7,6 +7,7 @@ bias. Parameters live in float64; checkpoints store float32. `lm_scores`
 scores sequences for rescoring and both perplexities.
 """
 
+import errno
 import hashlib
 import itertools
 import json
@@ -162,7 +163,11 @@ def _matmul_rows(a, b, out=None):
     when given. A row gets the same bits in any product of up to
     STEP_ROWS_MAX rows, and a wider one raises ValueError: BLAS takes a
     matmul of fewer than 8 rows down other kernels (gemv for one row), so
-    fewer rows are repeated up to 8 and the first B returned."""
+    fewer rows are repeated up to 8 and the first B returned. Across BLAS
+    thread counts a row keeps its bits only at desk width: at paper width
+    (d_h=1000, |V| in the thousands) threaded gemm blocks the inner
+    dimension otherwise than one thread, so a row can differ in the last
+    bit between OPENBLAS_NUM_THREADS=1 and =2."""
     B = a.shape[0]
     if B > STEP_ROWS_MAX:
         raise ValueError("step of %d rows is wider than STEP_ROWS_MAX=%d"
@@ -176,14 +181,17 @@ def gate_step(m: NeuralLM, words, h, c):
     """One batched LSTM step over B rows, without the output projection.
 
     words: (B,) input ids; h, c: (B, d_h) hidden and cell state. Returns
-    the new (h, c); the input state is never mutated. The gate matmul
-    takes _matmul_rows, so a row has the same bits in any step of up to
-    STEP_ROWS_MAX rows, and a wider step raises ValueError.
+    the new (h, c); the input state is never mutated. The step is
+    loss_and_grads's, in its order: x @ W_x.T, + b, + h @ W_h.T. Both
+    matmuls take _matmul_rows, so a row has the same bits in any step of
+    up to STEP_ROWS_MAX rows, and a wider step raises ValueError.
     """
     words = np.asarray(words)
     if words.min() < 0 or words.max() >= m.vocab_size:
         raise IndexError("word id out of range for |V|=%d" % m.vocab_size)
-    z = _matmul_rows(np.concatenate([m.S[:, words].T, h], axis=1), m.W.T) + m.b
+    z = _matmul_rows(m.S[:, words].T, m.W[:, :m.d_s].T)
+    z += m.b
+    z += _matmul_rows(h, m.W[:, m.d_s:].T)
     c, h = _gates(z, c)
     return h, c
 
@@ -381,13 +389,14 @@ def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
     recurrence runs per step, h @ W_h.T and the gates forward, the dc
     recurrence and dz @ W_h backward. The embedding gather, the dropout
     masks, the input projection, the softmax and the weight gradients run
-    once over all T*B rows.
+    once over all T*B rows. The forward is gate_step's, on views of W:
+    without dropout a gate_step chain ends in the same bits, unless a
+    batch under 8 rows takes another BLAS kernel for h @ W_h.T.
     """
     B, T = inputs.shape
     dh, ds = m.d_h, m.d_s
     n = T * B
     Wx, Wh = m.W[:, :ds], m.W[:, ds:]
-    WhT = np.ascontiguousarray(Wh.T)
     ids = inputs.T.reshape(n)
     # xh[t] = [x_t, h_{t-1}], the stacked input to step t's gates; the h
     # part of xh[T] holds the last step's h
@@ -412,7 +421,7 @@ def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
     xh[0, :, ds:] = h0
     for t in range(T):
         z = gz[t]
-        z += h @ WhT
+        z += h @ Wh.T
         c, h = _gates(z, c)
         cs[t + 1] = c
         xh[t + 1, :, ds:] = h
@@ -585,7 +594,10 @@ def _open_beside(path):
 
 def check_writable(path) -> None:
     """Raise the OSError that save_model(m, path) would raise on opening
-    its file, before any work is done; leaves no file behind."""
+    its file or on putting it in place of a directory, before any work is
+    done; leaves no file behind."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     f, tmp = _open_beside(path)
     f.close()
     os.unlink(tmp)
@@ -661,13 +673,15 @@ def _read_header(f) -> tuple:
         raise CheckpointError("unreadable checkpoint header: %s" % e)
     if not isinstance(header, dict):
         raise CheckpointError("unreadable checkpoint header: not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError("unsupported checkpoint version %r" % header.get("version"))
+    # type(v) is int throughout, so a JSON true, or 1.0, is no version or dim
+    version = header.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError("unsupported checkpoint version %r" % version)
     for key in ("d_s", "d_h", "vocab_size", "vocab"):
         if key not in header:
             raise CheckpointError("checkpoint header lacks %r" % key)
     d_s, d_h, nv = header["d_s"], header["d_h"], header["vocab_size"]
-    if not all(isinstance(v, int) and v > 0 for v in (d_s, d_h, nv)):
+    if not all(type(v) is int and v > 0 for v in (d_s, d_h, nv)):
         raise CheckpointError("checkpoint dims must be positive integers")
     words = header["vocab"]
     if not isinstance(words, list) or len(words) != nv or words[:3] != list(SPECIALS):

@@ -115,7 +115,8 @@ class NGramModel:
 
     def prob_many(self, ids, lens) -> np.ndarray:
         """P(ids[t] | ids[:t]) at every position t >= 1 of each sequence,
-        bit-identical to `prob`; flat, in input order.
+        bit-identical to `prob`; flat, in input order. Every position is
+        answered in one batched lookup over per-order sorted key tables.
 
         `ids` holds the id sequences back to back and `lens` their
         lengths; histories never reach into the previous sequence. Raises

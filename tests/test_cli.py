@@ -201,6 +201,51 @@ def test_outputs_are_checked_before_any_input_is_read(workdir, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-vocab", "--corpus", "missing.txt", "--output", "out"],
+    ["train-lstm", "--corpus", "missing.txt", "--vocab", "missing.txt", "--output", "out"],
+    ["train-ngram", "--corpus", "missing.txt", "--vocab", "missing.txt", "--output", "out"],
+    ["enrich", "--model", "missing.rlm", "--scope", "missing.txt", "--output", "out"],
+    ["enrich", "--model", "missing.rlm", "--scope", "missing.txt",
+     "--output", "enriched.rlm", "--plan-out", "out"],
+    ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt", "--output", "out"],
+    ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
+     "--output", "rescored.tsv", "--onebest", "out"],
+    ["sweep", "threshold", "--values", "10", "--model", "missing.rlm",
+     "--scope", "missing.txt", "--nbest", "missing.txt", "--refs", "missing.txt",
+     "--output", "out"],
+], ids=["build-vocab", "train-lstm", "train-ngram", "enrich", "enrich-plan-out",
+        "rescore", "rescore-onebest", "sweep"])
+def test_an_output_that_is_a_directory_is_rejected_first(tmp_path, capsys, monkeypatch,
+                                                        argv):
+    # a file beside a directory can be opened, so without its own check
+    # train-lstm trained, and rescore scored, before the output failed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert run(argv) == 1
+    assert "error: [Errno 21] Is a directory: 'out'" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enrich", "--model", "{d}/lstm.rlm", "--scope", "{d}/bundle/streets.txt",
+      "--output", "e.rlm", "--plan-out", "e.rlm"], "outputs e.rlm and e.rlm"),
+    (["rescore", "--model", "{d}/lstm.rlm", "--nbest", "{d}/bundle/nbest.txt",
+      "--output", "x", "--onebest", "x"], "outputs x and x"),
+    (["rescore", "--model", "{d}/lstm.rlm", "--nbest", "{d}/bundle/nbest.txt",
+      "--output", "x", "--onebest", "./x"], "outputs x and ./x"),
+], ids=["enrich", "rescore", "rescore-other-spelling"])
+def test_two_outputs_that_name_one_file_are_rejected_first(workdir, tmp_path, capsys,
+                                                          monkeypatch, argv, message):
+    # every input is there: without the check, the second output written
+    # replaced the first, and the command exited 0
+    monkeypatch.chdir(tmp_path)
+    assert run([a.format(d=workdir) for a in argv]) == 1
+    assert "error: %s name one file" % message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
 def test_enrich_reads_the_header_once(workdir, tmp_path, monkeypatch, same_path):
     # and the payload once: Eq. 4 takes each block of S or U as it is copied

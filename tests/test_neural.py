@@ -406,12 +406,23 @@ def test_checkpoint_missing_key_named(tmp_path, key):
         neural.load_model(p)
 
 
-@pytest.mark.parametrize("value", ["2", 0, -1, 2.5])
+@pytest.mark.parametrize("value", ["2", 0, -1, 2.5, True])
 def test_checkpoint_rejects_bad_dims(tmp_path, value):
+    # d_s is 1, so a true that passed as 1 would also pass the payload length
     p = tmp_path / "m.rlm"
-    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    neural.save_model(neural.init_model(small_vocab(), 1, 2, seed=0), p)
     rewrite_header(p, lambda h: h.update(d_s=value))
     with pytest.raises(neural.CheckpointError, match="positive integers"):
+        neural.load_model(p)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 2, None])
+def test_checkpoint_rejects_other_versions(tmp_path, value):
+    p = tmp_path / "m.rlm"
+    neural.save_model(neural.init_model(small_vocab(), 2, 2, seed=0), p)
+    rewrite_header(p, lambda h: h.update(version=value))
+    with pytest.raises(neural.CheckpointError,
+                       match="unsupported checkpoint version %s$" % value):
         neural.load_model(p)
 
 

@@ -1,18 +1,14 @@
 """The batched scoring core against the per-token oracle in nn_reference."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import blas_threads
 import nn_reference
 from nbest_reference import lm_scores_of, rescored
 from rarelm import metrics, neural, ngram, rescore
@@ -521,18 +517,40 @@ def test_scores_do_not_depend_on_layout_with_one_or_two_blas_threads():
     # settings the desk scores agree; the wide ones need not, since
     # OpenBLAS's threaded gemm cuts an inner dimension of 600 to 1300 into
     # other blocks than one thread does
-    paths = [str(Path(__file__).parent), str(Path(neural.__file__).parents[1])]
-    script = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_scoring; "
-              "print(json.dumps(test_scoring.layout_scores()))")
-    procs = [subprocess.Popen([sys.executable, "-c", script, *paths],
-                              stdout=subprocess.PIPE, text=True,
-                              env=dict(os.environ, OPENBLAS_NUM_THREADS=n))
-             for n in ("1", "2")]
-    one, two = [json.loads(p.communicate()[0]) for p in procs]
-    assert [p.returncode for p in procs] == [0, 0]
+    one, two = blas_threads.one_and_two(layout_scores)
     for scores in (one, two):
         assert all(together == alone for together, alone in scores.values())
     assert one["(142, 32, 64)"] == two["(142, 32, 64)"]
+
+
+def training_and_scoring_states():
+    """Per shape of test_scores_do_not_depend_on_layout and batch width B,
+    the number of final h and of final c entries whose bits differ between
+    loss_and_grads without dropout and a chain of gate_step calls, over the
+    same 12 steps from the same random nonzero state."""
+    out = {}
+    for shape in ((142, 32, 64), (5000, 300, 1000)):
+        m = layout_model(*shape)
+        rng = np.random.default_rng(2)
+        for B in (16, 64):
+            inputs, targets = rng.integers(m.vocab_size, size=(2, B, 12))
+            h0, c0 = rng.uniform(-1.0, 1.0, (2, B, m.d_h))
+            *_, h, c = neural.loss_and_grads(m, inputs, targets, h0, c0)
+            sh, sc = h0, c0
+            for t in range(12):
+                sh, sc = neural.gate_step(m, inputs[:, t], sh, sc)
+            out["%s B=%d" % (shape, B)] = [
+                int((x.view(np.uint64) != y.view(np.uint64)).sum())
+                for x, y in ((h, sh), (c, sc))]
+    return out
+
+
+def test_scoring_steps_are_training_steps_with_one_or_two_blas_threads():
+    # scoring runs the function the gradients are for: gate_step's chain
+    # ends in the bits of training's final state, at desk and wide shapes,
+    # under either thread count
+    for differ in blas_threads.one_and_two(training_and_scoring_states):
+        assert differ == dict.fromkeys(differ, [0, 0])
 
 
 def oracle_onebest(nbest, m, kn, mu):
