@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 Every command checks its settings, then that it can write each of its
-outputs, before it reads any input. Every command prints a one-line
-reproducibility stamp with the package version, seed and a digest of the
-effective configuration.
+outputs, before it reads any input. Every output is written by
+textcorpus.write_file: beside its real path, and put in place whole (a
+device or FIFO, which cannot be replaced, in place).
+Every command prints a one-line reproducibility stamp with the package
+version, seed and a digest of the effective configuration.
 """
 
 import argparse
@@ -42,15 +44,15 @@ def _load_corpus(path, phrases_path=None):
 
 
 def _check_outputs(*paths):
-    """neural.check_writable on each output path given, None skipped; two
-    that name one file are a ValueError."""
+    """textcorpus.check_writable on each output path given, None skipped;
+    two whose real paths are one file are a ValueError."""
     named = {}
     for path in filter(None, paths):
         real = os.path.realpath(path)
         if real in named:
             raise ValueError("outputs %s and %s name one file" % (named[real], path))
         named[real] = path
-        neural.check_writable(path)
+        textcorpus.check_writable(path)
 
 
 def cmd_build_vocab(args):
@@ -89,8 +91,7 @@ def cmd_train_ngram(args):
     m = ngram.train_kn(ids, lens, args.order, vocab, prune_min_count=args.prune_min_count)
     for w in m.warnings:
         print("warning: %s" % w, file=sys.stderr)
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(ngram.export_arpa(m))
+    textcorpus.write_file(args.output, [ngram.export_arpa(m).encode()])
     print("KN%d model -> %s" % (args.order, args.output))
 
 
@@ -235,20 +236,34 @@ def cmd_sweep(args):
     out = experiment.format_sweep(rows, key)
     sys.stdout.write(out)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(out)
+        textcorpus.write_file(args.output, [out.encode()])
+
+
+def _check_bundle(outdir):
+    """_check_outputs on the bundle files in outdir. A missing outdir is
+    made for the check, as write_bundle makes it, and then removed with
+    each parent the check made."""
+    made, d = [], os.path.abspath(outdir)
+    while not os.path.lexists(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        _check_outputs(*experiment.bundle_paths(outdir).values())
+    finally:
+        for d in filter(os.path.isdir, made):
+            os.rmdir(d)
 
 
 def cmd_gen_synthetic(args):
-    confusions = None
-    if args.confusions:
-        confusions = {s: words.split() for _, s, words in textcorpus.read_tab_pairs(
-            args.confusions, "street<TAB>words", "street")}
     cfg = experiment.SyntheticConfig(
         n_streets=args.streets, rare_fraction=args.rare_fraction,
         n_train=args.train_sentences, n_eval=args.eval_sentences,
-        nbest_size=args.nbest_size, threshold=args.threshold, seed=args.seed,
-        confusions=confusions)
+        nbest_size=args.nbest_size, threshold=args.threshold, seed=args.seed)
+    _check_bundle(args.outdir)
+    if args.confusions:
+        pairs = textcorpus.read_tab_pairs(args.confusions, "street<TAB>words", "street")
+        cfg = replace(cfg, confusions={s: words.split() for _, s, words in pairs})
     bundle = experiment.gen_synthetic(cfg)
     paths = experiment.write_bundle(bundle, args.outdir)
     print("synthetic bundle -> %s" % args.outdir)

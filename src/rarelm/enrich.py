@@ -17,7 +17,7 @@ import numpy as np
 
 from . import neural
 from .neural import NeuralLM, same_except_columns
-from .textcorpus import Vocabulary
+from .textcorpus import Vocabulary, write_file
 
 MODES = ("allStreets", "fromNbest")
 WEIGHTINGS = ("equal", "frequency")
@@ -59,10 +59,9 @@ class EnrichmentPlan:
         return len(self.candidates)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for rare in sorted(self.candidates):
-                pairs = ",".join("%s:%.10g" % (c, w) for c, w in self.candidates[rare])
-                f.write("%s\t%s\n" % (rare, pairs))
+        lines = ("%s\t%s\n" % (r, ",".join("%s:%.10g" % (c, w) for c, w in self.candidates[r]))
+                 for r in sorted(self.candidates))
+        write_file(path, map(str.encode, lines))
 
 
 def select_candidates(frequent: set, rare: set, cfg: EnrichConfig,

@@ -19,6 +19,7 @@ import numpy as np
 from . import enrich, metrics, neural, rescore
 from .enrich import EnrichConfig, EnrichmentPlan
 from .rescore import NBest, RescoreConfig
+from .textcorpus import write_file
 
 STREET_HEADS = [
     "ang", "bukit", "boon", "tam", "sem", "pasir", "jur", "choa", "ser",
@@ -226,29 +227,29 @@ def gen_synthetic(cfg: SyntheticConfig) -> SyntheticBundle:
                            confusions)
 
 
-def write_bundle(bundle: SyntheticBundle, outdir) -> dict:
-    """Write the bundle files; returns the path map."""
-    os.makedirs(outdir, exist_ok=True)
-    paths = {
+def bundle_paths(outdir) -> dict:
+    """The path map of the bundle files in outdir."""
+    return {
         "train": os.path.join(outdir, "train.txt"),
         "refs": os.path.join(outdir, "refs.txt"),
         "nbest": os.path.join(outdir, "nbest.txt"),
         "streets": os.path.join(outdir, "streets.txt"),
         "confusions": os.path.join(outdir, "confusions.tsv"),
     }
-    with open(paths["train"], "w", encoding="utf-8") as f:
-        for sent in bundle.train:
-            f.write(" ".join(sent) + "\n")
-    with open(paths["refs"], "w", encoding="utf-8") as f:
-        for utt in sorted(bundle.refs):
-            f.write("%s\t%s\n" % (utt, " ".join(bundle.refs[utt])))
+
+
+def write_bundle(bundle: SyntheticBundle, outdir) -> dict:
+    """Write the bundle files, making outdir if it is missing; returns the
+    path map."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = bundle_paths(outdir)
+    write_file(paths["train"], (("%s\n" % " ".join(s)).encode() for s in bundle.train))
+    write_file(paths["refs"], (("%s\t%s\n" % (u, " ".join(words))).encode()
+                               for u, words in sorted(bundle.refs.items())))
     rescore.write_nbest(bundle.nbest, paths["nbest"])
-    with open(paths["streets"], "w", encoding="utf-8") as f:
-        for s in bundle.streets:
-            f.write(s + "\n")
-    with open(paths["confusions"], "w", encoding="utf-8") as f:
-        for s in sorted(bundle.confusions):
-            f.write("%s\t%s\n" % (s, " ".join(bundle.confusions[s])))
+    write_file(paths["streets"], (("%s\n" % s).encode() for s in bundle.streets))
+    write_file(paths["confusions"], (("%s\t%s\n" % (s, " ".join(words))).encode()
+                                     for s, words in sorted(bundle.confusions.items())))
     return paths
 
 

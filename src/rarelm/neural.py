@@ -7,7 +7,6 @@ bias. Parameters live in float64; checkpoints store float32. `lm_scores`
 scores sequences for rescoring and both perplexities.
 """
 
-import errno
 import hashlib
 import itertools
 import json
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import left_sums, perplexity
-from .textcorpus import SPECIALS, Vocabulary
+from .textcorpus import SPECIALS, Vocabulary, write_file
 
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
@@ -389,14 +388,17 @@ def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
     recurrence runs per step, h @ W_h.T and the gates forward, the dc
     recurrence and dz @ W_h backward. The embedding gather, the dropout
     masks, the input projection, the softmax and the weight gradients run
-    once over all T*B rows. The forward is gate_step's, on views of W:
-    without dropout a gate_step chain ends in the same bits, unless a
-    batch under 8 rows takes another BLAS kernel for h @ W_h.T.
+    once over all T*B rows. The forward is gate_step's, on views of W, and
+    a batch under 8 rows takes h @ W_h.T from _matmul_rows, padded as
+    gate_step's is: without dropout a gate_step chain ends in the same bits.
     """
     B, T = inputs.shape
     dh, ds = m.d_h, m.d_s
     n = T * B
     Wx, Wh = m.W[:, :ds], m.W[:, ds:]
+    # not _matmul_rows for all: it refuses the more than STEP_ROWS_MAX rows a
+    # training batch may have
+    recur = _matmul_rows if B < 8 else np.matmul
     ids = inputs.T.reshape(n)
     # xh[t] = [x_t, h_{t-1}], the stacked input to step t's gates; the h
     # part of xh[T] holds the last step's h
@@ -421,7 +423,7 @@ def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
     xh[0, :, ds:] = h0
     for t in range(T):
         z = gz[t]
-        z += h @ Wh.T
+        z += recur(h, Wh.T)
         c, h = _gates(z, c)
         cs[t + 1] = c
         xh[t + 1, :, ds:] = h
@@ -582,33 +584,9 @@ def train(m: NeuralLM, corpus, cfg: TrainConfig, val=None,
     return m, history
 
 
-def _open_beside(path):
-    """Open a new file beside path for writing; returns (file, its name).
-    If it cannot be opened, the OSError names path."""
-    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
-    try:
-        return open(tmp, "wb"), tmp
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
-
-
-def check_writable(path) -> None:
-    """Raise the OSError that save_model(m, path) would raise on opening
-    its file or on putting it in place of a directory, before any work is
-    done; leaves no file behind."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-    f, tmp = _open_beside(path)
-    f.close()
-    os.unlink(tmp)
-
-
 def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> None:
-    """Write an RLM1 checkpoint: magic, JSON header, then the float32 LE
-    payload blocks in order, to a file beside path that replaces path only
-    once whole. On failure it is removed and path keeps its bytes; if it
-    cannot be opened, the OSError names path. Plain open() gives it the
-    mode the umask gives any new file."""
+    """Write an RLM1 checkpoint through write_file: magic, JSON header,
+    then the float32 LE payload blocks in order."""
     header = {
         "version": CHECKPOINT_VERSION,
         "d_s": d_s,
@@ -619,16 +597,8 @@ def _write_checkpoint(path, vocab: Vocabulary, d_s: int, d_h: int, blocks) -> No
         "counts": [vocab.counts.get(w, 0) for w in vocab.id_to_word],
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    f, tmp = _open_beside(path)
-    try:
-        with f:
-            f.write(MAGIC + struct.pack("<I", len(hbytes)) + hbytes)
-            for block in blocks:
-                f.write(block)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_file(path, itertools.chain([MAGIC + struct.pack("<I", len(hbytes)) + hbytes],
+                                     blocks))
 
 
 def save_model(m: NeuralLM, path) -> None:

@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .neural import NeuralLM, lm_scores
-from .textcorpus import encode_many, read_blocks, read_tab_pairs
+from .textcorpus import encode_many, read_blocks, read_tab_pairs, write_file
 
 
 class Hypothesis(NamedTuple):
@@ -233,8 +233,7 @@ def write_nbest(nbest: NBest, path) -> None:
     lines = map("%s\t%d\t%.10g\t%s\n".__mod__,
                 zip(_utt_column(nbest), nbest.ranks.tolist(), nbest.am.tolist(),
                     map(" ".join, nbest.word_lists())))
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(lines)
+    write_file(path, map(str.encode, lines))
 
 
 def write_rescored(nbest: NBest, order, totals, path) -> None:
@@ -246,16 +245,14 @@ def write_rescored(nbest: NBest, order, totals, path) -> None:
     lines = map("%s\t%d\t%.10g\t%.10g\t%s\n".__mod__,
                 zip(_utt_column(nbest), places.tolist(), nbest.am[order].tolist(),
                     totals[order].tolist(), map(" ".join, nbest.word_lists(order))))
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(lines)
+    write_file(path, map(str.encode, lines))
 
 
 def write_onebest(nbest: NBest, order, path) -> None:
     """Write the transcript each list puts first in `order`: `utt_id<TAB>words`."""
     lines = map("%s\t%s\n".__mod__,
                 zip(nbest.utt_ids, map(" ".join, nbest.word_lists(nbest.best(order)))))
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(lines)
+    write_file(path, map(str.encode, lines))
 
 
 def _utt_column(nbest: NBest) -> Iterator[str]:

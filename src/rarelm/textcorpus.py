@@ -1,8 +1,11 @@
 """Corpus ingestion: tokenization, multiword-name joining, vocabulary building,
-encoding sentences back to back, and read_blocks, the block reading of the
-n-best and ARPA readers."""
+encoding sentences back to back, read_blocks, the block reading of the
+n-best and ARPA readers, and write_file, the one writer of every output,
+text or checkpoint."""
 
+import errno
 import itertools
+import os
 from collections import Counter
 from typing import Iterable, Iterator, Optional
 
@@ -92,9 +95,8 @@ class Vocabulary:
         return self.id_to_word[idx]
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for w in self.id_to_word:
-                f.write("%s\t%d\n" % (w, self.counts.get(w, 0)))
+        write_file(path, (("%s\t%d\n" % (w, self.counts.get(w, 0))).encode()
+                          for w in self.id_to_word))
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
@@ -233,3 +235,73 @@ def read_blocks(read, lines, first=0) -> int:
                 raise
         for t, line in enumerate(block, at):
             total += read([line], t)
+
+
+def write_file(path, chunks) -> None:
+    """Write the byte chunks (text encoded as UTF-8) to a new file beside
+    path's real path, which that file replaces only once whole, so a
+    symlink keeps its target. A directory there fails first; on any
+    failure the new file is removed and path keeps its bytes. A path that
+    is neither a regular file nor missing, a device or FIFO such as
+    /dev/null or /dev/stdout, cannot be replaced, and is written in place.
+    An error opening, writing or replacing the file names path as given;
+    one that chunks raises, as from an input it reads, is its own. Plain
+    open() gives the file the mode the umask gives any new file."""
+    real = os.path.realpath(path)
+    if os.path.isdir(real):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    whole = not _in_place(path)
+    tmp = "%s.%d.tmp" % (real, os.getpid()) if whole else path
+    try:
+        f = open(tmp, "wb")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with f:
+            for chunk in chunks:
+                _naming(path, f.write, chunk)
+            _naming(path, f.flush)
+        if whole:
+            _naming(path, os.replace, tmp, real)
+    except BaseException:
+        if whole:
+            os.unlink(tmp)
+        raise
+
+
+def _in_place(path) -> bool:
+    """Whether write_file writes path in place: it exists, and is neither
+    a regular file nor a directory."""
+    return os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path))
+
+
+def _naming(path, fn, *args):
+    """fn(*args), an OSError it raises naming path as given."""
+    try:
+        return fn(*args)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+
+
+class _Unwritten(Exception):
+    """What stops write_file for check_writable."""
+
+
+def check_writable(path) -> None:
+    """Raise what write_file(path, ...) raises before its first chunk, by
+    stopping it there, which leaves no file behind. A path written in
+    place is not opened, as opening a FIFO waits for its reader and
+    closing it ends the reader's input; it must be writable."""
+    if _in_place(path):
+        if not os.access(path, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return
+
+    def chunks():
+        raise _Unwritten
+        yield
+
+    try:
+        write_file(path, chunks())
+    except _Unwritten:
+        pass

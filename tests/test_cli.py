@@ -1,11 +1,14 @@
+import errno
 import filecmp
+import io
 import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
 
-from rarelm import __version__, cli, metrics, neural, rescore, textcorpus
+from rarelm import __version__, cli, experiment, metrics, neural, rescore, textcorpus
 
 
 def run(argv, capsys=None):
@@ -110,6 +113,100 @@ def assert_failure_keeps_output(d, argv, output, capsys, message):
     assert {f.name: f.read_bytes() for f in d.iterdir()} == before
 
 
+class DiskFull(io.BufferedWriter):
+    """A file that takes ROOM bytes, then fails as a full disk does."""
+    ROOM = 16
+
+    def write(self, b):
+        b = memoryview(b).cast("B")
+        if self.tell() + len(b) > self.ROOM:
+            super().write(b[:self.ROOM - self.tell()])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(b)
+
+
+def fill_disk(monkeypatch, output):
+    """Make the new file textcorpus.write_file opens beside output a DiskFull."""
+    beside = os.path.realpath(output) + "."
+
+    def open_(file, mode="r", *args, **kwargs):
+        if str(file).startswith(beside):
+            return DiskFull(io.FileIO(file, mode))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(textcorpus, "open", open_, raising=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rescore", "--model", "{d}/lstm.rlm", "--nbest", "{d}/bundle/nbest.txt",
+     "--output", "{out}", "--onebest", "{other}"],
+    ["rescore", "--model", "{d}/lstm.rlm", "--nbest", "{d}/bundle/nbest.txt",
+     "--output", "{other}", "--onebest", "{out}"],
+    ["build-vocab", "--corpus", "{d}/bundle/train.txt", "--output", "{out}"],
+    ["train-ngram", "--corpus", "{d}/bundle/train.txt", "--vocab", "{d}/vocab.txt",
+     "--order", "3", "--output", "{out}"],
+    ["enrich", "--model", "{d}/lstm.rlm", "--scope", "{d}/bundle/streets.txt",
+     "--k", "3", "--output", "{other}", "--plan-out", "{out}"],
+    ["sweep", "threshold", "--values", "10", "--model", "{d}/lstm.rlm",
+     "--scope", "{d}/bundle/streets.txt", "--nbest", "{d}/bundle/nbest.txt",
+     "--refs", "{d}/bundle/refs.txt", "--output", "{out}"],
+], ids=["rescore", "rescore-onebest", "build-vocab", "train-ngram", "enrich-plan-out",
+        "sweep"])
+def test_a_write_failing_partway_keeps_output(workdir, tmp_path, capsys, monkeypatch, argv):
+    # the disk fills after the output's first 16 bytes: the new file is
+    # removed and the earlier output keeps its bytes; a writer that
+    # truncated the output first would leave it holding those 16 bytes
+    out = tmp_path / "out" / "x"
+    out.parent.mkdir()
+    out.write_bytes(b"an earlier output")
+    fill_disk(monkeypatch, out)
+    argv = [a.format(d=workdir, out=out, other=tmp_path / "other") for a in argv]
+    assert_failure_keeps_output(out.parent, argv, out, capsys,
+                                "[Errno 28] No space left on device: '%s'" % out)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d, out: enrich_argv(d, d / "lstm.rlm", out),
+    lambda d, out: ["build-vocab", "--corpus", str(d / "bundle" / "train.txt"),
+                    "--output", str(out)],
+], ids=["checkpoint", "text"])
+def test_an_output_that_is_a_symlink_is_written_at_its_target(workdir, tmp_path, argv):
+    # the link survives: write_file replaces the file it points at
+    target = tmp_path / "target"
+    target.write_bytes(b"an earlier output")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run(argv(workdir, link)) == 0
+    assert run(argv(workdir, tmp_path / "plain")) == 0
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link", "plain", "target"]
+
+
+def test_an_output_that_is_a_fifo_is_written_in_place(workdir, tmp_path):
+    # as /dev/null is: a FIFO or device cannot be replaced, so rescore
+    # --output /dev/null keeps only the 1-best. The reader is opened first,
+    # so the write does not wait for it
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        for out, best in [(fifo, "best_fifo"), (tmp_path / "plain", "best_plain")]:
+            assert run(["rescore", "--model", str(workdir / "lstm.rlm"),
+                        "--nbest", str(workdir / "bundle" / "nbest.txt"),
+                        "--output", str(out), "--onebest", str(tmp_path / best)]) == 0
+        with os.fdopen(reader, "rb") as f:
+            reader = None
+            assert f.read() == (tmp_path / "plain").read_bytes()
+    finally:
+        if reader is not None:
+            os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert (tmp_path / "best_fifo").read_bytes() == (tmp_path / "best_plain").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "best_fifo", "best_plain", "fifo", "plain"]
+
+
 @pytest.mark.parametrize("same_path", [False, True], ids=["other-path", "same-path"])
 def test_failed_enrich_keeps_output(workdir, tmp_path, capsys, same_path):
     m = neural.load_model(workdir / "lstm.rlm")
@@ -173,32 +270,79 @@ def test_train_lstm_checks_output_before_training(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["build-vocab", "--corpus", "missing.txt", "--output", "nodir/out"],
-    ["train-ngram", "--corpus", "missing.txt", "--vocab", "missing.txt",
-     "--output", "nodir/out"],
-    ["enrich", "--model", "missing.rlm", "--scope", "missing.txt",
-     "--output", "enriched.rlm", "--plan-out", "nodir/out"],
-    ["enrich", "--model", "{d}/lstm.rlm", "--scope", "{d}/bundle/streets.txt",
-     "--output", "enriched.rlm", "--plan-out", "nodir/out"],
-    ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
-     "--output", "nodir/out"],
-    ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
-     "--output", "rescored.tsv", "--onebest", "nodir/out"],
-    ["sweep", "threshold", "--values", "10", "--model", "missing.rlm",
-     "--scope", "missing.txt", "--nbest", "missing.txt", "--refs", "missing.txt",
-     "--output", "nodir/out"],
-], ids=["build-vocab", "train-ngram", "enrich-plan-out", "enrich-plan-out-read",
-        "rescore", "rescore-onebest", "sweep"])
+OUTPUT_CHECKS = {
+    "build-vocab": ["build-vocab", "--corpus", "missing.txt", "--output", "{out}"],
+    "train-ngram": ["train-ngram", "--corpus", "missing.txt", "--vocab", "missing.txt",
+                    "--output", "{out}"],
+    "enrich-plan-out": ["enrich", "--model", "missing.rlm", "--scope", "missing.txt",
+                        "--output", "enriched.rlm", "--plan-out", "{out}"],
+    "enrich-plan-out-read": ["enrich", "--model", "{d}/lstm.rlm",
+                             "--scope", "{d}/bundle/streets.txt",
+                             "--output", "enriched.rlm", "--plan-out", "{out}"],
+    "rescore": ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
+                "--output", "{out}"],
+    "rescore-onebest": ["rescore", "--model", "missing.rlm", "--nbest", "missing.txt",
+                        "--output", "rescored.tsv", "--onebest", "{out}"],
+    "sweep": ["sweep", "threshold", "--values", "10", "--model", "missing.rlm",
+              "--scope", "missing.txt", "--nbest", "missing.txt", "--refs", "missing.txt",
+              "--output", "{out}"],
+}
+# the tests above check train-lstm and enrich --output in a missing directory
+SYMLINK_CHECKS = dict(OUTPUT_CHECKS, **{
+    "train-lstm": ["train-lstm", "--corpus", "missing.txt", "--vocab", "missing.txt",
+                   "--output", "{out}"],
+    "enrich": ["enrich", "--model", "missing.rlm", "--scope", "missing.txt",
+               "--output", "{out}"],
+})
+
+
+@pytest.mark.parametrize("argv,given", [
+    (argv, "nodir/out") for argv in OUTPUT_CHECKS.values()] + [
+    (argv, "link") for argv in SYMLINK_CHECKS.values()],
+    ids=list(OUTPUT_CHECKS) + ["%s-symlink" % k for k in SYMLINK_CHECKS])
 def test_outputs_are_checked_before_any_input_is_read(workdir, tmp_path, capsys,
-                                                      monkeypatch, argv):
+                                                      monkeypatch, argv, given):
     # a missing input would fail first if it were read first; with every
-    # input there, enrich would write its checkpoint before the plan failed
+    # input there, enrich would write its checkpoint before the plan failed.
+    # A symlink is checked at its target, where the output is written; a
+    # check beside the link would pass, and the write fail after every read
     monkeypatch.chdir(tmp_path)
-    assert run([a.format(d=workdir) for a in argv]) == 1
-    assert "error: [Errno 2] No such file or directory: 'nodir/out'" in \
+    if given == "link":
+        os.symlink("nodir/out", "link")
+    assert run([a.format(d=workdir, out=given) for a in argv]) == 1
+    assert "error: [Errno 2] No such file or directory: '%s'" % given in \
         capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert os.listdir() == ([given] if given == "link" else [])
+
+
+def listing(d):
+    """Every path under d, relative to d."""
+    return sorted(str(p.relative_to(d)) for p in d.rglob("*"))
+
+
+@pytest.mark.parametrize("outdir,message", [
+    ("afile", "[Errno 17] File exists: 'afile'"),
+    ("afile/sub", "[Errno 20] Not a directory: 'afile/sub'"),
+    ("b", "[Errno 21] Is a directory: 'b/train.txt'"),
+    ("new/deep", "[Errno 2] No such file or directory: 'missing.tsv'"),
+    ("new/" + "x" * 300, "[Errno 36] File name too long: 'new/%s'" % ("x" * 300)),
+], ids=["outdir-a-file", "outdir-under-a-file", "bundle-file-a-directory", "new-outdir",
+        "new-outdir-name-too-long"])
+def test_gen_synthetic_checks_its_outputs_first(tmp_path, capsys, monkeypatch, outdir,
+                                                message):
+    # before --confusions is read and anything generated; the check makes a
+    # missing outdir and removes it, so a failed command leaves no new file
+    def no_generation(cfg):
+        raise AssertionError("generated before the outputs were checked")
+
+    monkeypatch.setattr(experiment, "gen_synthetic", no_generation)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"")
+    (tmp_path / "b" / "train.txt").mkdir(parents=True)
+    before = listing(tmp_path)
+    assert run(["gen-synthetic", "--outdir", outdir, "--confusions", "missing.tsv"]) == 1
+    assert "error: %s" % message in capsys.readouterr().err
+    assert listing(tmp_path) == before
 
 
 @pytest.mark.parametrize("argv", [

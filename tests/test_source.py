@@ -269,3 +269,36 @@ def test_block_size_has_one_owner(path):
     names = names_in(ast.parse(path.read_text(encoding="utf-8")))
     banned = {"block_fail"} | ({"BLOCK_LINES"} if path.stem != "textcorpus" else set())
     assert not names & banned, "%s names %s" % (path.name, sorted(names & banned))
+
+
+def opens_to_write(tree):
+    """The lines of tree that call open (by name or as an attribute, as
+    io.open and os.open are) with a mode that writes: w, a, x or +, or a
+    mode that is not a string constant."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+
+def test_outputs_have_one_writer():
+    # textcorpus.write_file alone opens a file to write: every output, text
+    # or checkpoint, is written beside its real path and put in place whole;
+    # a writer that opened its own file would truncate its output first
+    opens = {"%s.py:%d" % (path.stem, line) for path in SRC
+             for line in opens_to_write(ast.parse(path.read_text(encoding="utf-8")))}
+    tree = ast.parse((ROOT / "src" / "rarelm" / "textcorpus.py").read_text(encoding="utf-8"))
+    write_file = next((node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef) and node.name == "write_file"), None)
+    inside = {"textcorpus.py:%d" % line for line in opens_to_write(write_file or tree)}
+    assert write_file and inside, "textcorpus.write_file opens no file to write"
+    assert opens == inside, "opened to write outside textcorpus.write_file: %s" % sorted(
+        opens - inside)
