@@ -97,13 +97,18 @@ def cmd_train_ngram(args):
 
 def _word_set(path) -> set:
     """The stripped non-blank lines of a one-word-per-line file."""
-    with open(path, encoding="utf-8") as f:
+    with textcorpus.open_text(path) as f:
         return {line.strip() for line in f if line.strip()}
 
 
 def _load_arpa(path):
-    with open(path, encoding="utf-8") as f:
-        return ngram.import_arpa(f.read())
+    """The n-gram model of the ARPA file at path; a fault in it names path."""
+    with textcorpus.open_text(path) as f:
+        text = f.read()
+    try:
+        return ngram.import_arpa(text)
+    except ngram.ArpaParseError as e:
+        raise ngram.ArpaParseError("%s: %s" % (path, e)) from None
 
 
 def _add_enrich_options(sp):
@@ -154,8 +159,7 @@ def _rescore_settings(args):
 def cmd_enrich(args):
     cfg = _enrich_settings(args)
     _check_outputs(args.output, args.plan_out)
-    with open(args.model, "rb") as f:
-        header = neural._read_header(f)
+    with neural.open_checkpoint(args.model) as (f, header):
         counts, scope = _enrich_words(args, header[0])
         nbest = rescore.read_nbest(args.nbest) if args.mode == "fromNbest" else None
         plan = enrich.plan_enrichment(counts, scope, header[0], cfg, nbest)
@@ -180,13 +184,10 @@ def cmd_rescore(args):
 
 def cmd_ppl(args):
     words, lens = _load_corpus(args.corpus, args.phrases)
-    if args.model:
-        m = neural.load_model(args.model)
-        total = neural.nn_perplexity(m, *textcorpus.encode_many(words, lens, m.vocab))
-    else:
-        kn = _load_arpa(args.ngram)
-        total = ngram.kn_perplexity(kn, *textcorpus.encode_many(words, lens, kn.vocab))
-    print("perplexity\t%.4f" % total)
+    m = neural.load_model(args.model) if args.model else None
+    kn = _load_arpa(args.ngram) if args.ngram else None
+    ids, lens = textcorpus.encode_many(words, lens, (m or kn).vocab)
+    print("perplexity\t%.4f" % metrics.perplexity(neural.lm_scores(m, kn, ids, lens), lens))
 
 
 def cmd_wer(args):

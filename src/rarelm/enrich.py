@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
-from .neural import NeuralLM, same_except_columns
+from .neural import NeuralLM
 from .textcorpus import Vocabulary, write_file
 
 MODES = ("allStreets", "fromNbest")
@@ -175,26 +175,6 @@ def _report(plan: EnrichmentPlan, columns) -> EnrichmentReport:
     return report
 
 
-def enrich_embeddings(m: NeuralLM, plan: EnrichmentPlan) -> tuple[NeuralLM, EnrichmentReport]:
-    """Apply Eq. 4 to the planned columns of a copy of m's S and U.
-
-    Candidate vectors are read from the unmodified input, so the result
-    does not depend on update order even if a candidate is itself planned.
-    Validates the whole plan before touching anything.
-    """
-    cols, groups = _check_plan(plan, m.vocab)
-    out = m.copy()
-    columns = [*_eq4_rows(m.S, cols, groups), *_eq4_rows(m.U, cols, groups)]
-    out.S[:, cols], out.U[:, cols] = columns[1], columns[3]
-    # out differs from m only in the planned columns, and m keeps its
-    # planned columns (a copy that shares m's arrays fails here)
-    if not (same_except_columns(m, out, cols)
-            and all(np.array_equal(X1.view(np.uint64), X0[:, cols].view(np.uint64))
-                    for X1, X0 in zip(columns[::2], (m.S, m.U)))):
-        raise RuntimeError("enrichment changed parameters outside the planned columns")
-    return out, _report(plan, columns)
-
-
 @contextmanager
 def enriched_in_place(m: NeuralLM, plan: EnrichmentPlan):
     """Yield m with Eq. 4 applied to the planned columns of its own S and
@@ -211,8 +191,8 @@ def enriched_in_place(m: NeuralLM, plan: EnrichmentPlan):
 
 def enrich_checkpoint(f, header, dst, plan: EnrichmentPlan) -> EnrichmentReport:
     """Write to dst (which may be the file f reads) the bytes save_model
-    writes for enrich_embeddings(load_model(src), plan), without building
-    a model. f is the checkpoint src open for binary reading at its
+    writes for load_model(src) once Eq. 4 edits its planned columns, with
+    no model built. f is the checkpoint src open for binary reading at its
     payload, and header what neural._read_header returned for it.
 
     One pass copies src block by block, with the planned columns of each

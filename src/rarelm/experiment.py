@@ -274,7 +274,7 @@ def run_configuration(bundle: ExperimentBundle, plan: EnrichmentPlan) -> metrics
     with enrich.enriched_in_place(bundle.model, plan) as model:
         order, _ = rescore.rescore_lists(nbest, model, bundle.kn, bundle.rescore_cfg)
     onebest = dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
-    return metrics.corpus_wer(bundle.refs, onebest)
+    return metrics.corpus_scores(bundle.refs, onebest)[0]
 
 
 def sweep(bundle: ExperimentBundle, key: str, values: list) -> list:

@@ -120,11 +120,6 @@ def corpus_scores(refs: dict, hyps: dict, tracked=()) -> tuple[WerReport, RareAc
     return wer, acc
 
 
-def corpus_wer(refs: dict, hyps: dict) -> WerReport:
-    """The WER half of corpus_scores."""
-    return corpus_scores(refs, hyps)[0]
-
-
 def left_sums(values, lens):
     """Sum of each sequence's max(lens - 1, 0) consecutive values, one per
     scored position, added strictly left to right as sum() does; np.sum

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ from .textcorpus import SPECIALS, Vocabulary, write_file
 MAGIC = b"RLM1"
 CHECKPOINT_VERSION = 1
 LOG10 = math.log(10.0)
-# rows per checkpoint block read or written and per parameter comparison;
-# bounds the memory each takes at any |V|
+# rows per checkpoint block read or written; bounds the memory each takes
+# at any |V|
 BATCH_ROWS = 64
 # rows per gate step and per pass over U, the widest _matmul_rows takes. A
 # wider step or pass can change bits with 2 BLAS threads, so raising it must
@@ -83,31 +84,6 @@ class NeuralLM:
     def copy(self) -> "NeuralLM":
         return NeuralLM(self.vocab, self.d_s, self.d_h,
                         self.S.copy(), self.W.copy(), self.b.copy(), self.U.copy())
-
-
-def same_except_columns(a: NeuralLM, b: NeuralLM, cols=()) -> bool:
-    """True when W and b, and every S and U column whose id is not in
-    cols, hold the same bits in models a and b.
-
-    Compares uint64 views, so 0.0 and -0.0 differ, as do NaNs with
-    different payloads. S and U are compared BATCH_ROWS rows at a time,
-    which bounds the memory taken at any |V|.
-    """
-    pairs = ((a.S, b.S), (a.W, b.W), (a.b, b.b), (a.U, b.U))
-    if any(x.shape != y.shape or x.dtype != y.dtype for x, y in pairs):
-        return False
-    if not (np.array_equal(a.W.view(np.uint64), b.W.view(np.uint64))
-            and np.array_equal(a.b.view(np.uint64), b.b.view(np.uint64))):
-        return False
-    keep = np.ones(a.S.shape[1], dtype=bool)
-    keep[np.fromiter(cols, dtype=np.intp)] = False
-    for x, y in ((a.S, b.S), (a.U, b.U)):
-        x, y = x.view(np.uint64), y.view(np.uint64)
-        for i in range(0, x.shape[0], BATCH_ROWS):
-            differ = x[i:i + BATCH_ROWS] != y[i:i + BATCH_ROWS]
-            if differ.any(axis=0)[keep].any():
-                return False
-    return True
 
 
 def model_digest(m: NeuralLM) -> str:
@@ -370,13 +346,6 @@ def lm_scores(m, kn, ids, lens, mu: float = 0.0) -> np.ndarray:
     return scores
 
 
-def nn_perplexity(m: NeuralLM, ids, lens) -> float:
-    """Perplexity over the framed sentences (ids, lens) laid back to back;
-    eos counted, bos not. The sentence scores of lm_scores are added in
-    input order."""
-    return perplexity(lm_scores(m, None, ids, lens), lens)
-
-
 def loss_and_grads(m: NeuralLM, inputs, targets, h0, c0,
                    dropout_p: float = 0.0, rng=None):
     """Sum of cross-entropy (nats) over a (B, T) segment plus gradients.
@@ -569,7 +538,7 @@ def train(m: NeuralLM, corpus, cfg: TrainConfig, val=None,
             total_tokens += ntok
         train_ppl = math.exp(total_loss / total_tokens)
         if val is not None:
-            val_ppl = nn_perplexity(m, *val)
+            val_ppl = perplexity(lm_scores(m, None, *val), val[1])
         else:
             val_ppl = train_ppl
         history.append({"epoch": epoch, "lr": lr,
@@ -694,12 +663,24 @@ def _payload_blocks(f, d_s: int, d_h: int, nv: int):
             yield name, i, block.reshape((rows,) + shape[1:])
 
 
+@contextmanager
+def open_checkpoint(path):
+    """Yield the RLM1 checkpoint at path open for binary reading at its
+    payload, and its header as _read_header returns it. A CheckpointError
+    raised in the block, as _read_header and _payload_blocks raise them,
+    is prefixed with path."""
+    with open(path, "rb") as f:
+        try:
+            yield f, _read_header(f)
+        except CheckpointError as e:
+            raise CheckpointError("%s: %s" % (path, e)) from None
+
+
 def load_model(path) -> NeuralLM:
     """Read an RLM1 checkpoint into float64 parameters, block by block.
-    Raises CheckpointError for the faults _read_header names and for
-    non-finite weights."""
-    with open(path, "rb") as f:
-        vocab, d_s, d_h = _read_header(f)
+    Raises CheckpointError, naming path, for the faults _read_header names
+    and for non-finite weights."""
+    with open_checkpoint(path) as (f, (vocab, d_s, d_h)):
         params = dict(zip("SWbU", (np.empty(s) for s in _shapes(d_s, d_h, len(vocab)))))
         for name, i, block in _payload_blocks(f, d_s, d_h, len(vocab)):
             params[name][i:i + len(block)] = block

@@ -28,8 +28,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .metrics import perplexity
-from .neural import lm_scores
 from .textcorpus import BOS_ID, SPECIALS, Vocabulary, read_blocks
 
 
@@ -290,12 +288,6 @@ def train_kn(ids, lens, order: int, vocab: Vocabulary,
                 p_lower = m.prob(w, hist[1:])
                 m.probs[k][hist + (w,)] = (c - d.for_count(c)) / total + gamma * p_lower
     return m
-
-
-def kn_perplexity(m: NGramModel, ids, lens) -> float:
-    """Perplexity over the framed sentences (ids, lens) laid back to back,
-    counting eos but not bos; scored by neural.lm_scores in slices."""
-    return perplexity(lm_scores(None, m, ids, lens), lens)
 
 
 def _fmt(x: float) -> str:

@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .neural import NeuralLM, lm_scores
-from .textcorpus import encode_many, read_blocks, read_tab_pairs, write_file
+from .textcorpus import encode_many, open_text, read_blocks, read_tab_pairs, write_file
 
 
 class Hypothesis(NamedTuple):
@@ -223,7 +223,7 @@ def read_nbest(path) -> NBest:
     hypothesis that holds it.
     """
     reader = _Reader(path)
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         read_blocks(reader.read, f)
     return reader.columns()
 

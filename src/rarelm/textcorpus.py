@@ -1,12 +1,14 @@
 """Corpus ingestion: tokenization, multiword-name joining, vocabulary building,
-encoding sentences back to back, read_blocks, the block reading of the
-n-best and ARPA readers, and write_file, the one writer of every output,
-text or checkpoint."""
+encoding sentences back to back, open_text, the one opener of every text
+input, read_blocks, the block reading of the n-best and ARPA readers, and
+write_file, the one writer of every output, text or checkpoint."""
 
 import errno
 import itertools
 import os
+import re
 from collections import Counter
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -47,7 +49,7 @@ class PhraseList:
 
     @classmethod
     def from_file(cls, path) -> "PhraseList":
-        with open(path, encoding="utf-8") as f:
+        with open_text(path) as f:
             return cls(filter(None, map(tokenize, f)))
 
 
@@ -112,7 +114,7 @@ def read_tab_pairs(path, form: str, key: str) -> Iterator[tuple[int, str, str]]:
     line; any other line fails as `path:line: expected '<form>'`, and a key
     seen on an earlier line as `path:line: repeated <key> '<k>'`."""
     seen = set()
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -202,9 +204,28 @@ def pack(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 def read_corpus(path) -> Iterator[list[str]]:
     """Stream tokenized sentences from a UTF-8 one-sentence-per-line file."""
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for line in f:
             yield tokenize(line)
+
+
+@contextmanager
+def open_text(path):
+    """path open for reading as UTF-8 text. A byte that is not UTF-8 fails
+    when the block reads it, as `path:line: 'utf-8' codec can't decode byte
+    0x..: <reason>` for the line that holds it, as the lines of the file
+    open in text mode number it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            # the escaped lines hold each byte that is not UTF-8 as a lone
+            # surrogate, which UTF-8 text cannot hold
+            with open(path, encoding="utf-8", errors="surrogateescape") as lines:
+                lineno = next((n for n, line in enumerate(lines, 1)
+                               if re.search("[\udc80-\udcff]", line)), 0)
+            raise ValueError("%s:%d: 'utf-8' codec can't decode byte 0x%02x: %s"
+                             % (path, lineno, e.object[e.start], e.reason)) from None
 
 
 def read_blocks(read, lines, first=0) -> int:

@@ -3,8 +3,11 @@ untouched-parameter comparison.
 
 Deliberately naive: one planned word at a time, one candidate at a time,
 norms from np.linalg.norm, and a comparison of each kept column's bytes.
-Used as an oracle for `rarelm.enrich.enrich_embeddings` and the block-wise
-`rarelm.neural.same_except_columns`, which must agree bit for bit.
+The oracle of the two enrichment paths the commands run: the float64
+columns of `rarelm.enrich._eq4_rows` agree with `enrich` bit for bit;
+`enriched_in_place`, which `sweep` scores, holds them rounded through
+float32 and keeps every other bit; and `enrich_checkpoint` writes the
+checkpoint `save_model` gives for a model holding them, with its norms.
 """
 
 import numpy as np

@@ -13,6 +13,7 @@ from rarelm import cli, enrich, experiment, metrics, neural, ngram, rescore, tex
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
 from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
 
+import enrich_reference
 from kn_reference import ref_prob
 from nbest_reference import lm_scores_of, rescored
 from test_experiment import plan_of
@@ -44,17 +45,26 @@ def test_criterion_1_eq4_exactness():
             ks = int(rng.integers(1, len(cands) + 1))
             sample = list(rng.choice(cands, size=ks, replace=False))
             plan[r] = [(c, float(rng.uniform(0.1, 2.0))) for c in sample]
-        out, _ = enrich.enrich_embeddings(m, enrich.EnrichmentPlan(plan))
-        for r, cs in plan.items():
-            ri = m.vocab.id(r)
-            for src, dst in ((m.S, out.S), (m.U, out.U)):
-                expect = src[:, ri].copy()
-                for c, w in cs:
-                    expect = expect + w * src[:, m.vocab.id(c)]
-                expect /= len(cs) + 1.0
-                worst = max(worst, float(np.max(np.abs(dst[:, ri] - expect))))
-        assert neural.same_except_columns(m, out, [m.vocab.id(r) for r in plan])
-        assert np.array_equal(out.W, m.W) and np.array_equal(out.b, m.b)
+        # the in-place enrichment sweep scores, rounded through float32 as
+        # enrich writes it, against a recomputation and the per-word oracle
+        before, cols = m.copy(), [m.vocab.id(r) for r in plan]
+        eplan = enrich.EnrichmentPlan(plan)
+        oracle = enrich_reference.enrich(before, eplan)
+        with enrich.enriched_in_place(m, eplan) as out:
+            for r, cs in plan.items():
+                ri = m.vocab.id(r)
+                for src, dst in ((before.S, out.S), (before.U, out.U)):
+                    expect = src[:, ri].copy()
+                    for c, w in cs:
+                        expect = expect + w * src[:, m.vocab.id(c)]
+                    expect /= len(cs) + 1.0
+                    worst = max(worst, float(np.max(np.abs(dst[:, ri] - expect))))
+            for dst, want in zip((out.S, out.U), oracle):
+                assert np.array_equal(dst[:, cols].view(np.uint64), want[:, cols].astype(
+                    np.float32).astype(np.float64).view(np.uint64))
+            assert enrich_reference.same_except_columns(before, out, cols)
+            assert np.array_equal(out.W, before.W) and np.array_equal(out.b, before.b)
+        assert enrich_reference.same_except_columns(before, m, ())
     report(1, worst < 1e-6,
            "enrichment matches independent recomputation (max dev %.2e)" % worst,
            time.time() - t0, 5)
@@ -144,7 +154,7 @@ def test_criterion_4_wer_oracle():
             break
     for _ in range(20):
         sent = [rng.choice(alpha) for _ in range(rng.randint(1, 8))]
-        if metrics.corpus_wer({"u": sent}, {"u": list(sent)}).wer != 0.0:
+        if metrics.corpus_scores({"u": sent}, {"u": list(sent)})[0].wer != 0.0:
             ok = False
     report(4, ok, "alignment cost equals brute-force edit distance",
            time.time() - t0, 10)
@@ -197,12 +207,14 @@ def test_criterion_6_directional_synthetic(synthetic_pipeline):
         return dict(zip(nbest.utt_ids, nbest.word_lists(nbest.best(order))))
 
     tracked = set(pipe["rare_streets"])
-    ppl_base = neural.nn_perplexity(bundle.model, *refs_enc)
+    ppl_base = metrics.perplexity(neural.lm_scores(bundle.model, None, *refs_enc),
+                                  refs_enc[1])
     acc_base = metrics.corpus_scores(pipe["data"].refs, onebest(bundle.model), tracked)[1]
     # the model run_configuration scored at threshold 10; the bundle's model
     # is the baseline again once the block exits
     with enrich.enriched_in_place(bundle.model, plan) as enriched:
-        ppl_enr = neural.nn_perplexity(enriched, *refs_enc)
+        ppl_enr = metrics.perplexity(neural.lm_scores(enriched, None, *refs_enc),
+                                     refs_enc[1])
         acc_enr = metrics.corpus_scores(pipe["data"].refs, onebest(enriched), tracked)[1]
 
     a = ppl_enr < ppl_base
@@ -262,7 +274,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         refs = rescore.read_onebest(bundle / "refs.txt")
         hyps = rescore.read_onebest(d / "onebest.tsv")
         (d / "report.txt").write_text(
-            metrics.format_wer_report(metrics.corpus_wer(refs, hyps)))
+            metrics.format_wer_report(metrics.corpus_scores(refs, hyps)[0]))
     artifacts = ["lstm.rlm", "enriched.rlm", "plan.tsv", "rescored.tsv",
                  "onebest.tsv", "report.txt", "vocab.txt"]
     same = all(filecmp.cmp(dirs[0] / a, dirs[1] / a, shallow=False)

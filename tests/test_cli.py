@@ -8,6 +8,7 @@ import stat
 import numpy as np
 import pytest
 
+import enrich_reference
 from rarelm import __version__, cli, experiment, metrics, neural, rescore, textcorpus
 
 
@@ -216,7 +217,7 @@ def test_failed_enrich_keeps_output(workdir, tmp_path, capsys, same_path):
     out = src if same_path else tmp_path / "out.rlm"
     out.write_bytes(src.read_bytes() if same_path else b"an earlier output")
     assert_failure_keeps_output(tmp_path, enrich_argv(workdir, src, out), out, capsys,
-                                "checkpoint holds non-finite weights in U")
+                                "%s: checkpoint holds non-finite weights in U" % src)
 
 
 class FullDisk(np.ndarray):
@@ -483,7 +484,7 @@ def test_bad_arpa_value_is_a_domain_error(workdir, capsys):
                   "--nbest", str(d / "bundle" / "nbest.txt"),
                   "--output", str(d / "rescored_bad.tsv")]):
         assert run(argv + ["--ngram", str(d / "bad400.arpa")]) == 1
-        assert "error: line %d: bad log probability '400'" % (idx + 1) \
+        assert "error: %s: line %d: bad log probability '400'" % (d / "bad400.arpa", idx + 1) \
             in capsys.readouterr().err
 
 
@@ -542,10 +543,11 @@ def test_sweep_scores_the_model_enrich_writes(workdir, monkeypatch):
     assert run(["sweep", "threshold", "--values", "10", "--nbest", str(bundle / "nbest.txt"),
                 "--refs", str(bundle / "refs.txt")] + common) == 0
     written = neural.load_model(d / "written.rlm")
-    assert not neural.same_except_columns(written, neural.load_model(d / "lstm.rlm"))
+    assert not enrich_reference.same_except_columns(
+        written, neural.load_model(d / "lstm.rlm"), ())
     [model] = scored
     assert model.vocab.id_to_word == written.vocab.id_to_word
-    assert neural.same_except_columns(model, written)
+    assert enrich_reference.same_except_columns(model, written, ())
 
 
 def in_dir(d, argv):
@@ -693,6 +695,39 @@ def test_repeated_key_names_file_and_line(tmp_path, capsys, make, text, line, ke
     assert run(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == \
         "error: %s:%d: repeated %s" % (path, line, key)
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff: invalid start byte"
+NOT_RLM1 = "bad magic: not an RLM1 checkpoint"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rescore", "--model", "{d}/lstm.rlm", "--nbest", "{bad}", "--output", "o.tsv"],
+     ":1: " + NOT_UTF8),
+    (["rescore", "--model", "{d}/lstm.rlm", "--nbest", "{d}/bundle/nbest.txt",
+      "--ngram", "{bad}", "--interp-weight", "0.3", "--output", "o.tsv"], ":1: " + NOT_UTF8),
+    (["rescore", "--model", "{bad}", "--nbest", "{d}/bundle/nbest.txt", "--output", "o.tsv"],
+     ": " + NOT_RLM1),
+    (["wer", "--refs", "{bad}", "--hyps", "{d}/bundle/refs.txt"], ":1: " + NOT_UTF8),
+    (["enrich", "--model", "{d}/lstm.rlm", "--scope", "{bad}", "--output", "e.rlm"],
+     ":1: " + NOT_UTF8),
+    (["enrich", "--model", "{bad}", "--scope", "{d}/bundle/streets.txt", "--output", "e.rlm"],
+     ": " + NOT_RLM1),
+    (["ppl", "--corpus", "{bad}", "--model", "{d}/lstm.rlm"], ":1: " + NOT_UTF8),
+    (["train-lstm", "--corpus", "{d}/bundle/train.txt", "--vocab", "{bad}",
+      "--output", "x.rlm"], ":1: " + NOT_UTF8),
+    (["sweep", "threshold", "--values", "10", "--model", "{d}/lstm.rlm",
+      "--scope", "{d}/bundle/streets.txt", "--nbest", "{d}/bundle/nbest.txt",
+      "--refs", "{bad}"], ":1: " + NOT_UTF8),
+], ids=["rescore-nbest", "rescore-ngram", "rescore-model", "wer-refs", "enrich-scope",
+        "enrich-model", "ppl-corpus", "train-lstm-vocab", "sweep-refs"])
+def test_an_unreadable_input_is_named(workdir, tmp_path, capsys, monkeypatch, argv, message):
+    # with several inputs, only the path tells the user which one is bad
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe bad\n")
+    assert run([a.format(d=workdir, bad="bad.txt") for a in argv]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: bad.txt" + message
+    assert os.listdir() == ["bad.txt"]
 
 
 @pytest.mark.parametrize("flag,field", [("--epochs", "epochs"),

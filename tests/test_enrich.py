@@ -27,6 +27,12 @@ def enrich_file(src, dst, plan):
         return enrich.enrich_checkpoint(f, neural._read_header(f), dst, plan)
 
 
+def enriched(m, plan):
+    """A copy of m as enriched_in_place yields it for plan; m is restored."""
+    with enrich.enriched_in_place(m, plan) as out:
+        return out.copy()
+
+
 def test_partition_by_threshold():
     plan = plan_for({"x": 12, "y": 3}, {"x", "y"}, threshold=10)
     assert plan.candidates == {"y": [("x", 1.0)]}
@@ -141,7 +147,7 @@ def test_plan_enrichment_empty_cases():
 def test_enrich_single_candidate_midpoint():
     m = model_with(["r", "c"])
     plan = enrich.EnrichmentPlan({"r": [("c", 1.0)]})
-    out, _ = enrich.enrich_embeddings(m, plan)
+    out = enriched(m, plan)
     r, c = m.vocab.id("r"), m.vocab.id("c")
     assert np.allclose(out.S[:, r], (m.S[:, r] + m.S[:, c]) / 2.0)
     assert np.allclose(out.U[:, r], (m.U[:, r] + m.U[:, c]) / 2.0)
@@ -154,20 +160,20 @@ def test_enrich_two_candidate_centroid():
     m.S[:, m.vocab.id("c1")] = [1.0, 0.0]
     m.S[:, m.vocab.id("c2")] = [0.0, 1.0]
     plan = enrich.EnrichmentPlan({"r": [("c1", 1.0), ("c2", 1.0)]})
-    out, _ = enrich.enrich_embeddings(m, plan)
+    out = enriched(m, plan)
     assert np.allclose(out.S[:, r], [1.0 / 3.0, 1.0 / 3.0])
 
 
 def test_enrich_untouched_parameters_identical():
     m = model_with(["r", "c", "other"])
     plan = enrich.EnrichmentPlan({"r": [("c", 1.0)]})
-    out, _ = enrich.enrich_embeddings(m, plan)
+    out = enriched(m, plan)
     assert np.array_equal(out.W, m.W) and np.array_equal(out.b, m.b)
     other = m.vocab.id("other")
     assert np.array_equal(out.S[:, other], m.S[:, other])
     assert np.array_equal(out.U[:, other], m.U[:, other])
-    assert neural.same_except_columns(m, out, [m.vocab.id("r")])
-    assert not neural.same_except_columns(m, out)
+    assert enrich_reference.same_except_columns(m, out, [m.vocab.id("r")])
+    assert not enrich_reference.same_except_columns(m, out, ())
 
 
 def test_enrich_snapshot_semantics():
@@ -178,7 +184,7 @@ def test_enrich_snapshot_semantics():
     m.S[:, b] = [0.0, 1.0]
     m.S[:, f] = [2.0, 2.0]
     plan = enrich.EnrichmentPlan({"a": [("f", 1.0)], "b": [("f", 1.0)]})
-    out, _ = enrich.enrich_embeddings(m, plan)
+    out = enriched(m, plan)
     assert np.allclose(out.S[:, a], [1.5, 1.0])
     assert np.allclose(out.S[:, b], [1.0, 1.5])
 
@@ -188,7 +194,7 @@ def test_enrich_out_of_vocab_all_or_nothing():
     S0 = m.S.copy()
     plan = enrich.EnrichmentPlan({"r": [("c", 1.0)], "ghost": [("c", 1.0)]})
     with pytest.raises(ValueError, match="not in vocabulary"):
-        enrich.enrich_embeddings(m, plan)
+        enriched(m, plan)
     assert np.array_equal(m.S, S0)
 
 
@@ -197,47 +203,24 @@ def test_enrich_rejects_non_finite_weight(w):
     m = model_with(["r", "c"])
     plan = enrich.EnrichmentPlan({"r": [("c", w)]})
     with pytest.raises(ValueError, match="non-finite weight for candidate 'c'"):
-        enrich.enrich_embeddings(m, plan)
+        enriched(m, plan)
 
 
 def test_enrich_rejects_self_candidate():
     m = model_with(["r"])
     plan = enrich.EnrichmentPlan({"r": [("r", 1.0)]})
     with pytest.raises(ValueError, match="own candidate"):
-        enrich.enrich_embeddings(m, plan)
+        enriched(m, plan)
 
 
-@pytest.mark.parametrize("name", "SUWb")
-def test_enrich_raises_when_copy_changes_untouched(monkeypatch, name):
-    m = model_with(["r", "c", "z"])
-    where = {"S": (0, m.vocab.id("z")), "U": (-1, m.vocab.id("z")),
-             "W": (1, 2), "b": (3,)}[name]
-    copy = neural.NeuralLM.copy
-
-    def faulty_copy(self):
-        out = copy(self)
-        arr = getattr(out, name)
-        arr[where] = np.nextafter(arr[where], np.inf)
-        return out
-
-    monkeypatch.setattr(neural.NeuralLM, "copy", faulty_copy)
-    with pytest.raises(RuntimeError, match="outside the planned columns"):
-        enrich.enrich_embeddings(m, enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
-
-
-def test_enrich_raises_when_copy_shares_input_s(monkeypatch):
-    m = model_with(["r", "c"])
-    monkeypatch.setattr(neural.NeuralLM, "copy", lambda self: neural.NeuralLM(
-        self.vocab, self.d_s, self.d_h, self.S, self.W.copy(), self.b.copy(),
-        self.U.copy()))
-    with pytest.raises(RuntimeError, match="outside the planned columns"):
-        enrich.enrich_embeddings(m, enrich.EnrichmentPlan({"r": [("c", 1.0)]}))
-
-
-def test_empty_plan_is_identity():
+def test_empty_plan_is_identity(tmp_path):
     m = model_with(["r"])
-    out, report = enrich.enrich_embeddings(m, enrich.EnrichmentPlan({}))
+    out = enriched(m, enrich.EnrichmentPlan({}))
     assert np.array_equal(out.S, m.S) and np.array_equal(out.U, m.U)
+    src, dst = tmp_path / "src.rlm", tmp_path / "dst.rlm"
+    neural.save_model(m, src)
+    report = enrich_file(src, dst, enrich.EnrichmentPlan({}))
+    assert dst.read_bytes() == src.read_bytes()
     assert report.modified == 0
 
 
@@ -255,7 +238,7 @@ def test_eq4_exactness_random_models():
             ks = rng.integers(1, len(cands) + 1)
             sample = list(rng.choice(cands, size=ks, replace=False))
             plan[r] = [(c, float(rng.uniform(0.1, 3.0))) for c in sample]
-        out, _ = enrich.enrich_embeddings(m, enrich.EnrichmentPlan(plan))
+        out = enriched(m, enrich.EnrichmentPlan(plan))
         for r, cs in plan.items():
             ri = m.vocab.id(r)
             expect = m.S[:, ri].copy()
@@ -269,7 +252,7 @@ def test_equal_weight_output_in_convex_hull():
     rng = np.random.default_rng(1)
     m = model_with(["r", "c1", "c2"], d_s=2)
     plan = enrich.EnrichmentPlan({"r": [("c1", 1.0), ("c2", 1.0)]})
-    out, _ = enrich.enrich_embeddings(m, plan)
+    out = enriched(m, plan)
     pts = np.stack([m.S[:, m.vocab.id(w)] for w in ("r", "c1", "c2")])
     target = out.S[:, m.vocab.id("r")]
     # solve for barycentric coordinates
@@ -281,7 +264,7 @@ def test_equal_weight_output_in_convex_hull():
 def test_byte_difference_confined_to_planned_columns(tmp_path):
     m = model_with(["r", "c", "z"])
     plan = enrich.EnrichmentPlan({"r": [("c", 1.0)]})
-    out, _ = enrich.enrich_embeddings(m, plan)
+    out = enriched(m, plan)
     p1, p2 = tmp_path / "before.rlm", tmp_path / "after.rlm"
     neural.save_model(m, p1)
     neural.save_model(out, p2)
@@ -316,7 +299,8 @@ def random_model(n_words, d_s, d_h, seed):
     return m
 
 
-# d_s and d_h reach past BATCH_ROWS so the comparison takes several blocks
+# d_s and d_h reach past BATCH_ROWS so a checkpoint holds several blocks
+# of S and U
 models = st.builds(random_model, st.integers(2, 12), st.integers(1, 70),
                    st.integers(1, 140), st.integers(0, 2 ** 16))
 weights = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5))
@@ -335,13 +319,24 @@ def plans(draw, m):
     return enrich.EnrichmentPlan(cands)
 
 
+def eq4_float64(m, plan):
+    """A copy of m holding the planned columns _eq4_rows computes, and the
+    report of those columns: the float64 values that enriched_in_place and
+    enrich_checkpoint both round to float32."""
+    cols, groups = enrich._check_plan(plan, m.vocab)
+    columns = [*enrich._eq4_rows(m.S, cols, groups), *enrich._eq4_rows(m.U, cols, groups)]
+    out = m.copy()
+    out.S[:, cols], out.U[:, cols] = columns[1], columns[3]
+    return out, enrich._report(plan, columns)
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=models, data=st.data())
 def test_enrich_matches_reference(m, data):
     plan = data.draw(plans(m))
     S, U, per_word = enrich_reference.enrich(m, plan)
     before = m.copy()
-    out, report = enrich.enrich_embeddings(m, plan)
+    out, report = eq4_float64(m, plan)
     assert np.array_equal(out.S, S) and np.array_equal(out.U, U)
     assert np.array_equal(out.W, m.W) and np.array_equal(out.b, m.b)
     assert report.per_word == per_word
@@ -349,6 +344,24 @@ def test_enrich_matches_reference(m, data):
     assert report.modified == len(cols)
     assert enrich_reference.same_except_columns(m, out, cols)
     assert enrich_reference.same_except_columns(m, before, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=models, data=st.data())
+def test_enriched_in_place_matches_reference(m, data):
+    # sweep scores the oracle's columns rounded through float32, as enrich
+    # writes them, beside every other bit of m, which is m again on exit
+    plan = data.draw(plans(m))
+    S, U, _ = enrich_reference.enrich(m, plan)
+    before = m.copy()
+    cols = [m.vocab.id(r) for r in plan.candidates]
+    with enrich.enriched_in_place(m, plan) as out:
+        assert out is m
+        for X, want in ((out.S, S), (out.U, U)):
+            assert X[:, cols].tobytes() == want[:, cols].astype(np.float32).astype(
+                np.float64).tobytes()
+        assert enrich_reference.same_except_columns(before, out, cols)
+    assert enrich_reference.same_except_columns(before, m, ())
 
 
 def paper_width_case():
@@ -373,22 +386,23 @@ def bits(per_word):
 def test_enrich_matches_reference_at_paper_width():
     m, plan = paper_width_case()
     S, U, per_word = enrich_reference.enrich(m, plan)
-    out, report = enrich.enrich_embeddings(m, plan)
+    out, report = eq4_float64(m, plan)
     assert out.S.tobytes() == S.tobytes() and out.U.tobytes() == U.tobytes()
     assert bits(report.per_word) == bits(per_word)
 
 
 def assert_streamed_matches_in_memory(m, plan, d):
-    """enrich_checkpoint writes the bytes, and reports the norms, that
-    save_model(enrich_embeddings(load_model(src))) gives."""
+    """enrich_checkpoint writes the bytes save_model gives for the loaded
+    checkpoint holding the oracle's columns, and reports the oracle's norms."""
     src, want, got = d / "src.rlm", d / "want.rlm", d / "got.rlm"
     neural.save_model(m, src)
-    out, report = enrich.enrich_embeddings(neural.load_model(src), plan)
-    neural.save_model(out, want)
+    loaded = neural.load_model(src)
+    loaded.S, loaded.U, per_word = enrich_reference.enrich(loaded, plan)
+    neural.save_model(loaded, want)
     streamed = enrich_file(src, got, plan)
     assert got.read_bytes() == want.read_bytes()
-    assert streamed.modified == report.modified
-    assert bits(streamed.per_word) == bits(report.per_word)
+    assert streamed.modified == len(per_word)
+    assert bits(streamed.per_word) == bits(per_word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,11 +422,11 @@ def test_enrich_checkpoint_matches_in_memory_at_paper_width(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(m=models, data=st.data())
-def test_same_except_columns_matches_reference(m, data):
+def test_same_except_columns_finds_one_flipped_bit(m, data):
     skip = data.draw(st.sets(st.integers(0, m.vocab_size - 1)))
     other = m.copy()
-    assert neural.same_except_columns(m, other, skip)
-    assert neural.same_except_columns(m, other)  # no column skipped: the whole model
+    assert enrich_reference.same_except_columns(m, other, skip)
+    assert enrich_reference.same_except_columns(m, other, ())  # the whole model
     # one flipped bit anywhere; on a zeroed element bit 63 turns 0.0 into -0.0
     name = data.draw(st.sampled_from("SWbU"))
     flat = getattr(other, name).reshape(-1)
@@ -422,8 +436,7 @@ def test_same_except_columns_matches_reference(m, data):
     flat.view(np.uint64)[i] ^= np.uint64(1) << np.uint64(data.draw(st.integers(0, 63)))
     same = enrich_reference.same_except_columns(m, other, skip)
     assert same == (name in "SU" and i % m.vocab_size in skip)
-    assert neural.same_except_columns(m, other, skip) == same
-    assert neural.same_except_columns(other, m, skip) == same
+    assert enrich_reference.same_except_columns(other, m, skip) == same
 
 
 NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
@@ -438,5 +451,4 @@ def test_same_except_columns_compares_bits(name, x, y, same):
     getattr(m, name).reshape(-1)[-1] = x
     other = m.copy()
     getattr(other, name).reshape(-1)[-1] = y
-    assert neural.same_except_columns(m, other) == same
     assert enrich_reference.same_except_columns(m, other, ()) == same

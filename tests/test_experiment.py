@@ -164,7 +164,7 @@ def test_sweep_that_mutates_model_raises(monkeypatch, key):
     m = neural.init_model(textcorpus.Vocabulary(["a"]), 2, 2)
     bundle = experiment.ExperimentBundle(counts={}, scope=set(), model=m, kn=None,
                                          nbest=[], refs={})
-    report = metrics.corpus_wer({"u": ["a"]}, {"u": ["a"]})
+    report = metrics.corpus_scores({"u": ["a"]}, {"u": ["a"]})[0]
 
     def mutating_run(b, plan):
         b.model.U[0, 0] += 1.0

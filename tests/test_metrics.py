@@ -95,21 +95,21 @@ def test_corpus_scores_equal_full_matrix_oracle(pairs, dropped, tracked):
 
 def test_corpus_wer_perfect():
     refs = {"u1": ["a", "b"], "u2": ["c"]}
-    assert metrics.corpus_wer(refs, refs).wer == 0.0
+    assert metrics.corpus_scores(refs, refs)[0].wer == 0.0
 
 
 def test_corpus_wer_single_sub():
     refs = {"u": ["a", "b", "c", "d"]}
     hyps = {"u": ["a", "x", "c", "d"]}
-    r = metrics.corpus_wer(refs, hyps)
+    r = metrics.corpus_scores(refs, hyps)[0]
     assert r.substitutions == 1 and r.wer == 0.25
 
 
 def test_corpus_wer_additivity():
     refs = {"u1": ["a", "b"], "u2": ["c", "d", "e"]}
     hyps = {"u1": ["a"], "u2": ["c", "x", "e"]}
-    total = metrics.corpus_wer(refs, hyps)
-    parts = [metrics.corpus_wer({u: refs[u]}, {u: hyps[u]}) for u in refs]
+    total = metrics.corpus_scores(refs, hyps)[0]
+    parts = [metrics.corpus_scores({u: refs[u]}, {u: hyps[u]})[0] for u in refs]
     assert total.errors == sum(p.errors for p in parts)
     assert total.ref_word_count == sum(p.ref_word_count for p in parts)
 
@@ -118,9 +118,9 @@ def test_corpus_wer_order_invariance():
     rng = random.Random(0)
     refs = {"u%d" % i: [rng.choice("abc") for _ in range(4)] for i in range(10)}
     hyps = {u: [rng.choice("abc") for _ in range(4)] for u in refs}
-    a = metrics.corpus_wer(refs, hyps)
+    a = metrics.corpus_scores(refs, hyps)[0]
     shuffled = dict(reversed(list(hyps.items())))
-    b = metrics.corpus_wer(refs, shuffled)
+    b = metrics.corpus_scores(refs, shuffled)[0]
     assert (a.substitutions, a.insertions, a.deletions) == \
         (b.substitutions, b.insertions, b.deletions)
 
@@ -134,7 +134,7 @@ def test_reference_without_hypothesis_is_all_deletions():
 
 def test_corpus_wer_missing_reference():
     with pytest.raises(ValueError, match="u2"):
-        metrics.corpus_wer({"u1": ["a"]}, {"u2": ["a"]})
+        metrics.corpus_scores({"u1": ["a"]}, {"u2": ["a"]})[0]
 
 
 def test_rare_accuracy_all_matched():

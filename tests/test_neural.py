@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rarelm import enrich, neural
+from rarelm import enrich, metrics, neural
 from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode, pack
 
 
@@ -17,6 +17,11 @@ def small_vocab(n_extra=1):
 
 def zeros(m):
     return np.zeros((1, m.d_h))
+
+
+def nn_ppl(m, ids, lens):
+    """The perplexity `rarelm ppl --model` gives the packed sentences."""
+    return metrics.perplexity(neural.lm_scores(m, None, ids, lens), lens)
 
 
 def numeric_grads(m, inputs, targets, h0, c0, eps=1e-5):
@@ -188,7 +193,7 @@ def test_sentence_logprob_zero_weight_analytic():
     ids = [0, 3, 4, 5, 1]  # 4 predicted tokens
     lp = sum(neural.position_logprobs(m, *pack([ids])).tolist())
     assert abs(lp - 4 * math.log10(0.1)) < 1e-9
-    assert abs(neural.nn_perplexity(m, *pack([ids])) - 10.0) < 1e-9
+    assert abs(nn_ppl(m, *pack([ids])) - 10.0) < 1e-9
 
 
 def test_sentence_logprob_matches_stepwise():
@@ -205,10 +210,10 @@ def test_sentence_logprob_matches_stepwise():
 def test_perplexity_empty_corpus():
     m = neural.init_model(small_vocab(), 2, 2, seed=0)
     with pytest.raises(ValueError, match="empty corpus"):
-        neural.nn_perplexity(m, *pack([]))
+        nn_ppl(m, *pack([]))
     # sentences, but no position to score
     with pytest.raises(ValueError, match="empty corpus"):
-        neural.nn_perplexity(m, *pack([[0], []]))
+        nn_ppl(m, *pack([[0], []]))
 
 
 def test_gradient_check_all_groups():
@@ -240,9 +245,9 @@ def test_training_lowers_perplexity():
     m = neural.init_model(v, 4, 8, seed=1)
     cfg = neural.TrainConfig(learning_rate=0.5, epochs=1, batch_size=4,
                              bptt_len=8, dropout_p=0.0, seed=2)
-    ppl0 = neural.nn_perplexity(m, *enc)
+    ppl0 = nn_ppl(m, *enc)
     trained, history = neural.train(m, enc, cfg)
-    assert neural.nn_perplexity(trained, *enc) < ppl0
+    assert nn_ppl(trained, *enc) < ppl0
     assert len(history) == 1
 
 

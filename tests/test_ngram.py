@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rarelm import neural, ngram, textcorpus
+from rarelm import metrics, neural, ngram, textcorpus
 from rarelm.textcorpus import (BOS_ID, EOS_ID, SPECIALS, UNK_ID, Vocabulary, build_vocab,
                               encode, pack)
 
@@ -19,6 +19,11 @@ def make_model(corpus, order, **kw):
     vocab = build_vocab(w for s in corpus for w in s)
     enc = [encode(s, vocab) for s in corpus]
     return ngram.train_kn(*pack(enc), order, vocab, **kw), vocab, enc
+
+
+def kn_ppl(m, ids, lens):
+    """The perplexity `rarelm ppl --ngram` gives the packed sentences."""
+    return metrics.perplexity(neural.lm_scores(None, m, ids, lens), lens)
 
 
 def random_corpus(rng, max_words=6, max_sents=6, max_len=9):
@@ -121,7 +126,7 @@ def test_uniform_model_perplexity():
     m = ngram.NGramModel(1, vocab)
     for w in range(4):
         m.probs[1][(w,)] = 0.25
-    ppl = ngram.kn_perplexity(m, *pack([[BOS_ID, 3, 3, 1]]))
+    ppl = kn_ppl(m, *pack([[BOS_ID, 3, 3, 1]]))
     assert abs(ppl - 4.0) < 1e-9
     seqs = [[BOS_ID, 3, 3, 1], [BOS_ID, 1]]
     assert per_sequence(m, seqs) == scalar_position_probs(m, seqs)
@@ -174,7 +179,7 @@ def test_position_probs_property(corpus, order, prune_min_count, via_arpa, text)
     assert per_sequence(m, seqs + unframed) == scalar_position_probs(m, seqs + unframed)
     want = scalar_position_probs(m, seqs)
     nwords = sum(map(len, want))
-    assert ngram.kn_perplexity(m, *pack(seqs)) == \
+    assert kn_ppl(m, *pack(seqs)) == \
         10.0 ** (-sum(sum(map(math.log10, ps)) for ps in want) / nwords)
     if prune_min_count or via_arpa:
         return
@@ -183,7 +188,7 @@ def test_position_probs_property(corpus, order, prune_min_count, via_arpa, text)
     ds = {k: (d.d1, d.d2, d.d3plus) for k, d in m.discounts.items()}
     ref = 10.0 ** (-sum(ref_sentence_logprob(enc, ids, order, len(vocab), ds)
                         for ids in seqs) / nwords)
-    assert abs(ngram.kn_perplexity(m, *pack(seqs)) - ref) < 1e-9
+    assert abs(kn_ppl(m, *pack(seqs)) - ref) < 1e-9
 
 
 def test_position_probs_key_range():
@@ -212,16 +217,16 @@ def test_position_probs_names_missing_unigram():
 def test_perplexity_empty_corpus():
     m, _, _ = make_model([["a"]], 2)
     with pytest.raises(ValueError):
-        ngram.kn_perplexity(m, *pack([]))
+        kn_ppl(m, *pack([]))
     # sentences, but no position to score
     with pytest.raises(ValueError, match="empty corpus"):
-        ngram.kn_perplexity(m, *pack([[BOS_ID], []]))
+        kn_ppl(m, *pack([[BOS_ID], []]))
 
 
 def test_perplexity_memory_stays_near_the_ids():
-    # kn_perplexity scores its corpus a prefix_slices slice at a time, so
-    # its working memory is a slice's, not (order + 1) rows and a float
-    # list per id of the whole corpus
+    # lm_scores scores a corpus under kn alone a prefix_slices slice at a
+    # time, so its working memory is a slice's, not (order + 1) rows and a
+    # float list per id of the whole corpus
     rng = np.random.default_rng(0)
     m, vocab, _ = make_model([["w%d" % rng.integers(40) for _ in range(rng.integers(1, 15))]
                               for _ in range(300)], 4)
@@ -229,10 +234,10 @@ def test_perplexity_memory_stays_near_the_ids():
     ids = rng.integers(3, len(vocab), size=int(lens.sum()))
     ends = np.cumsum(lens)
     ids[ends - lens], ids[ends - 1] = BOS_ID, EOS_ID
-    ngram.kn_perplexity(m, *pack([[BOS_ID, 3, EOS_ID]]))  # builds the key tables
+    kn_ppl(m, *pack([[BOS_ID, 3, EOS_ID]]))  # builds the key tables
     tracemalloc.start()
     try:
-        ngram.kn_perplexity(m, ids, lens)
+        kn_ppl(m, ids, lens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,7 +341,7 @@ def test_arpa_keeps_backoff_of_pruned_history():
         assert abs(math.log10(m2.prob(m2.vocab.id(w), h2))
                    - math.log10(m.prob(vocab.id(w), hist))) < 1e-8
     enc2 = [[m2.vocab.id(vocab.word(i)) for i in s] for s in enc]
-    assert abs(ngram.kn_perplexity(m2, *pack(enc2)) - ngram.kn_perplexity(m, *pack(enc))) < 1e-8
+    assert abs(kn_ppl(m2, *pack(enc2)) - kn_ppl(m, *pack(enc))) < 1e-8
 
 
 def test_arpa_count_mismatch():

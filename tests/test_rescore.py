@@ -107,7 +107,7 @@ def test_rescoring_makes_no_scalar_kn_query(monkeypatch):
 
     monkeypatch.setattr(ngram.NGramModel, "prob", spy)
     rescored(lists, nlm, kn, RescoreConfig(interp_weight=0.3))
-    ngram.kn_perplexity(kn, *pack([encode(["a", "b", "oov"], vocab)]))
+    neural.lm_scores(None, kn, *pack([encode(["a", "b", "oov"], vocab)]))
 
 
 def test_mu_without_kn_rejected():

@@ -235,7 +235,7 @@ def test_sorted_slices_share_prefixes_across_lists(monkeypatch):
 
 
 def test_perplexity_scores_in_prefix_order(monkeypatch):
-    # nn_perplexity takes the sorted slices of lm_scores: fewer prefixes
+    # ppl --model takes the sorted slices of lm_scores: fewer prefixes
     # step than in slices of file order, and the sentence sums are added
     # in file order, with the bits of the file-order perplexity; added in
     # sorted order, these sums have other bits
@@ -250,7 +250,7 @@ def test_perplexity_scores_in_prefix_order(monkeypatch):
     ranked = sorted(range(len(seqs)), key=seqs.__getitem__)
     assert metrics.perplexity(sums[ranked], lens[ranked]).hex() != want.hex()
     calls = spy_on_steps(monkeypatch, m)
-    assert neural.nn_perplexity(m, ids, lens).hex() == want.hex()
+    assert metrics.perplexity(neural.lm_scores(m, None, ids, lens), lens).hex() == want.hex()
     ranked = sorted(seqs)
     assert walks(calls) == [live_prefixes(ranked[a:a + 4]) for a in range(0, 24, 4)]
     in_file_order = sum(len(ps) for a in range(0, 24, 4)
@@ -439,8 +439,8 @@ def test_steps_stay_within_row_cap(monkeypatch):
                                    for r in range(5)]) for u in range(40)]
     rescored(lists, m, None, RescoreConfig())
     # 192 distinct sentences: four words each over unk, a, b and c
-    neural.nn_perplexity(m, *pack([[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
-                                   + [EOS_ID] for k in range(3 * neural.STEP_ROWS_MAX)]))
+    neural.lm_scores(m, None, *pack([[BOS_ID] + [2 + (k >> 2 * j) % 4 for j in range(4)]
+                                     + [EOS_ID] for k in range(3 * neural.STEP_ROWS_MAX)]))
     assert widths and max(widths) == neural.STEP_ROWS_MAX
 
 

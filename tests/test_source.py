@@ -219,11 +219,10 @@ def is_eq4_divide(node):
 
 
 def test_eq4_has_one_core():
-    # the copying, the in-place and the streamed enrichment all take Eq. 4
-    # from _eq4_rows, so the criterion-1 gate on enrich_embeddings covers
-    # the bits enrich writes and sweep scores; no other function holds the divide
-    for fn in (enrich.enrich_embeddings, enrich.enriched_in_place,
-               enrich.enrich_checkpoint):
+    # the in-place enrichment sweep scores and the streamed one enrich
+    # writes both take Eq. 4 from _eq4_rows, which tests/test_enrich.py
+    # holds to the per-word oracle; no other function holds the divide
+    for fn in (enrich.enriched_in_place, enrich.enrich_checkpoint):
         called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(fn)))
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert "_eq4_rows" in called, "%s does not call _eq4_rows" % fn.__name__
@@ -250,15 +249,35 @@ def test_scoring_has_one_core():
     assert users == {"neural.lm_scores"}
 
 
-def names_in(tree):
-    """Every name tree defines, uses or imports: names, attributes, the
-    names of functions and classes, and the names of from-imports."""
+def uses(tree):
+    """Every name tree uses: names, attributes and the names of from-imports."""
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.name for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             | {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for a in node.names})
+
+
+def test_every_definition_is_named():
+    # src/rarelm keeps only what a command or the benchmark calls: each
+    # top-level function and class is named in src/rarelm or bench/ outside
+    # its own definition; a string or docstring does not count. The match
+    # is by name alone, so struct.pack in neural names textcorpus.pack,
+    # which the tests keep as encode_many's per-sentence reference
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SRC + sorted((ROOT / "bench").glob("*.py"))}
+    statements = [(node, uses(node)) for tree in trees.values() for node in tree.body]
+    unnamed = ["%s.%s" % (path.stem, node.name) for path in SRC for node in trees[path].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not any(node.name in names for other, names in statements
+                           if other is not node)]
+    assert not unnamed, "definitions nothing names: %s" % unnamed
+
+
+def names_in(tree):
+    """Every name tree defines, uses or imports: what uses gives, and the
+    names of functions and classes."""
+    return uses(tree) | {node.name for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])

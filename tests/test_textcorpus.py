@@ -235,3 +235,23 @@ def test_read_blocks_reads_valid_input_once_per_block(tmp_path, monkeypatch):
     m = ngram.import_arpa(text)
     assert [c for c in calls if c[0] is not None] == want
     assert len(m.probs[1]) == len(vocab)
+
+
+@pytest.mark.parametrize("bad,reason", [(b"\xff", "invalid start byte"),
+                                        (b"\xc3(", "invalid continuation byte"),
+                                        (b"\xed\xa0\x80", "invalid continuation byte")],
+                         ids=["start", "continuation", "surrogate"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_open_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bad, reason,
+                                                               newline):
+    # the byte lies past the first 8 KiB the decoder takes at once, and a
+    # line counts as text mode splits it, \r and \r\n included
+    path = tmp_path / "x.txt"
+    good = "".join("línea %d%s" % (i, newline) for i in range(3000)).encode()
+    path.write_bytes(good + b"tail " + bad + newline.encode() + b"after\n")
+    with pytest.raises(ValueError) as e:
+        with tc.open_text(path) as f:
+            list(f)
+    assert str(e.value) == "%s:3001: 'utf-8' codec can't decode byte 0x%02x: %s" % (
+        path, bad[0], reason)
+    assert len(good) > 8192
