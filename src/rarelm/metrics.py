@@ -113,7 +113,7 @@ def corpus_scores(refs: dict, hyps: dict, tracked=()) -> tuple[WerReport, RareAc
                 wer.insertions += 1
             elif tag == DEL:
                 wer.deletions += 1
-            if rtok in acc.tracked:
+            if tag != INS and rtok in acc.tracked:
                 acc.occurrences += 1
                 if tag == MATCH:
                     acc.correct += 1

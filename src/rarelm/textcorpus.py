@@ -176,10 +176,11 @@ def encode(tokens: list[str], vocab: Vocabulary) -> list[int]:
 
 
 def encode_many(words, lens, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """pack([encode(s, vocab) for s in sentences]) for sentences laid back
-    to back: `words` holds them all, lens[i] words for sentence i. One
-    pass over the words, with no id list per sentence; the words' ids are
-    read as the narrowest integer type that holds every id."""
+    """Sentences laid back to back (`words` holds them all, lens[i] words
+    for sentence i) as int64 (ids, lens): encode(s, vocab) of each, back
+    to back, and their lengths. One pass over the words, with no id list
+    per sentence; the words' ids are read as the narrowest integer type
+    that holds every id."""
     lens = np.asarray(lens, dtype=np.int64) + 2
     last = np.cumsum(lens) - 1
     ids = np.empty(int(lens.sum()), dtype=np.int64)
@@ -190,15 +191,6 @@ def encode_many(words, lens, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]
     ids[word] = np.fromiter(map(vocab.word_to_id.get, words, itertools.repeat(UNK_ID)),
                             dtype=np.min_scalar_type(len(vocab)),
                             count=ids.size - 2 * lens.size)
-    return ids, lens
-
-
-def pack(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Id sequences laid back to back: (ids, lens), both int64."""
-    seqs = list(seqs)
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
-                      count=int(lens.sum()))
     return ids, lens
 
 

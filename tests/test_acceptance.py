@@ -11,7 +11,8 @@ import numpy as np
 
 from rarelm import cli, enrich, experiment, metrics, neural, ngram, rescore, textcorpus
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
-from rarelm.textcorpus import Vocabulary, build_vocab, encode, pack
+from corpus_reference import pack
+from rarelm.textcorpus import Vocabulary, build_vocab, encode
 
 import enrich_reference
 from kn_reference import ref_prob

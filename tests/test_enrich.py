@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +420,27 @@ def test_enrich_checkpoint_matches_in_memory(tmp_path_factory, m, data):
 
 def test_enrich_checkpoint_matches_in_memory_at_paper_width(tmp_path):
     assert_streamed_matches_in_memory(*paper_width_case(), tmp_path)
+
+
+def test_enrich_checkpoint_holds_one_payload_block(tmp_path):
+    # the planned columns are written into each block as it was read: a
+    # copy of the block to edit would take a second one
+    m = model_with(["w%d" % i for i in range(20000 - 3)], d_s=64, d_h=64)
+    words = m.vocab.id_to_word[3:]
+    plan = enrich.EnrichmentPlan({r: [(c, 1.0) for c in words[100 + 3 * k:103 + 3 * k]]
+                                  for k, r in enumerate(words[:10])})
+    src = tmp_path / "src.rlm"
+    neural.save_model(m, src)
+    with open(src, "rb") as f:
+        header = neural._read_header(f)
+        tracemalloc.start()
+        try:
+            enrich.enrich_checkpoint(f, header, tmp_path / "dst.rlm", plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block = neural.BATCH_ROWS * len(m.vocab) * 4
+    assert peak < 2 * block, peak / block
 
 
 @settings(max_examples=60, deadline=None)

@@ -160,6 +160,16 @@ def test_rare_accuracy_zero_occurrences_flagged():
         r.accuracy
 
 
+def test_rare_accuracy_ignores_the_gap_marker():
+    # an insertion has no reference token: its reference side is the gap
+    # marker, which a tracked list may hold as a word
+    refs, hyps, tracked = {"u": ["a"]}, {"u": ["a", "b"]}, {metrics.GAP}
+    wer, acc = metrics.corpus_scores(refs, hyps, tracked)
+    assert wer.insertions == 1
+    assert (acc.occurrences, acc.correct) == (0, 0) and not acc.defined
+    assert wer_reference.corpus_scores(refs, hyps, tracked)[4:] == (0, 0)
+
+
 def test_rare_correct_bounded_by_matches():
     rng = random.Random(4)
     for _ in range(20):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelm import enrich, metrics, neural
-from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode, pack
+from corpus_reference import pack
+from rarelm.textcorpus import SPECIALS, Vocabulary, build_vocab, encode
 
 
 def small_vocab(n_extra=1):

@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rarelm import metrics, neural, ngram, textcorpus
 from rarelm.textcorpus import (BOS_ID, EOS_ID, SPECIALS, UNK_ID, Vocabulary, build_vocab,
-                              encode, pack)
+                              encode)
 
 from arpa_reference import ref_import_arpa
+from corpus_reference import pack
 from kn_reference import ref_prob, ref_sentence_logprob
 
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from rarelm import neural, ngram, rescore, textcorpus
 from rarelm.rescore import Hypothesis, NBest, NBestList, RescoreConfig
-from rarelm.textcorpus import Vocabulary, build_vocab, encode, encode_many, pack
+from corpus_reference import pack
+from rarelm.textcorpus import Vocabulary, build_vocab, encode, encode_many
 
 import nbest_reference
 from nbest_reference import lm_scores_of, ranked, rescored

@@ -13,7 +13,8 @@ import nn_reference
 from nbest_reference import lm_scores_of, rescored
 from rarelm import metrics, neural, ngram, rescore
 from rarelm.rescore import Hypothesis, NBestList, RescoreConfig
-from rarelm.textcorpus import BOS_ID, EOS_ID, Vocabulary, encode, pack
+from corpus_reference import pack
+from rarelm.textcorpus import BOS_ID, EOS_ID, Vocabulary, encode
 
 TOL = 1e-12
 WORDS = ["a", "b", "c", "d", "e"]

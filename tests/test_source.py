@@ -171,7 +171,7 @@ def test_prefix_walk_sorts_nothing_and_steps_the_row_helper_width():
     # prefix_slices is the one orderer: position_logprobs takes each prefix
     # as a run of adjacent rows of its ordered input, and steps and projects
     # at most the STEP_ROWS_MAX rows _matmul_rows takes; BATCH_ROWS sizes
-    # checkpoint blocks and comparisons only
+    # checkpoint blocks only
     tree = ast.parse(inspect.getsource(neural.position_logprobs))
     sorts = sorted({getattr(node.func, "attr", getattr(node.func, "id", None))
                     for node in ast.walk(tree) if isinstance(node, ast.Call)}
@@ -183,8 +183,8 @@ def test_prefix_walk_sorts_nothing_and_steps_the_row_helper_width():
 
 
 def corpus_encoders(tree):
-    """The lines of tree that import textcorpus.encode or pack, or call
-    either by name or as an attribute of the module, under any alias."""
+    """The lines of tree that import encode or pack from textcorpus, or
+    call either by name or as an attribute of the module, under any alias."""
     names = {"encode", "pack"}
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     modules = {a.asname or a.name for node in imports for a in node.names
@@ -201,8 +201,9 @@ def corpus_encoders(tree):
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_corpora_take_one_text_path(path):
     # a corpus is read once into flat words and lens and encoded by
-    # encode_many; encode and pack stay as the tests' per-sentence
-    # references, and a caller of either is a second path
+    # encode_many; encode stays as the tests' per-sentence reference, pack
+    # lives in tests/corpus_reference.py, and a caller of either is a
+    # second path
     lines = corpus_encoders(ast.parse(path.read_text(encoding="utf-8")))
     assert not lines, "%s calls textcorpus.encode or pack at line(s) %s" % (path.name, lines)
 
@@ -261,8 +262,7 @@ def test_every_definition_is_named():
     # src/rarelm keeps only what a command or the benchmark calls: each
     # top-level function and class is named in src/rarelm or bench/ outside
     # its own definition; a string or docstring does not count. The match
-    # is by name alone, so struct.pack in neural names textcorpus.pack,
-    # which the tests keep as encode_many's per-sentence reference
+    # is by name alone: an attribute x of anything names a top-level x
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in SRC + sorted((ROOT / "bench").glob("*.py"))}
     statements = [(node, uses(node)) for tree in trees.values() for node in tree.body]
@@ -283,10 +283,13 @@ def names_in(tree):
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_block_size_has_one_owner(path):
     # textcorpus.read_blocks alone cuts a reader's input into blocks and
-    # re-reads a failed one a line at a time; a reader that named the block
-    # size would cut its own blocks, outside that rule
+    # re-reads a failed one a line at a time, and neural alone cuts a
+    # checkpoint's payload into the blocks that are read, checked and
+    # written; a module that named either block size would cut its own
+    # blocks, outside that rule
+    owners = {"BLOCK_LINES": "textcorpus", "BATCH_ROWS": "neural"}
     names = names_in(ast.parse(path.read_text(encoding="utf-8")))
-    banned = {"block_fail"} | ({"BLOCK_LINES"} if path.stem != "textcorpus" else set())
+    banned = {"block_fail"} | {size for size, owner in owners.items() if path.stem != owner}
     assert not names & banned, "%s names %s" % (path.name, sorted(names & banned))
 
 

