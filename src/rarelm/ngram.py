@@ -80,12 +80,12 @@ class NGramModel:
     """Back-off representation of an interpolated KN model.
 
     probs[k] maps k-gram id tuples to linear probabilities (already
-    including the interpolation mass); bows[k] maps k-gram histories to
-    their back-off weights. Queries use the standard longest-match
-    recursion, so stored values reproduce the interpolated definition
-    exactly. The first `prob_many` call derives its key tables from
-    probs and bows and keeps them; fill the dicts in before that call
-    and leave them unchanged after it.
+    including the interpolation mass); bows[k] maps k-gram histories,
+    each a key of probs[k] too, to their back-off weights. Queries use
+    the standard longest-match recursion, so stored values reproduce the
+    interpolated definition exactly. The first `prob_many` call derives
+    its key tables from probs and bows and keeps them; fill the dicts in
+    before that call and leave them unchanged after it.
     """
 
     def __init__(self, order: int, vocab: Vocabulary):
@@ -241,18 +241,16 @@ def train_kn(ids, lens, order: int, vocab: Vocabulary,
     """Train an interpolated modified-KN model on bos/eos-framed id
     sequences, laid back to back in `ids` with lengths `lens`.
 
-    Discounts are estimated per order from counts-of-counts.
-    prune_min_count > 0 drops n-grams of order >= 2 whose modified count
-    falls below the cutoff (off by default).
+    Discounts are estimated per order from the counts-of-counts of all
+    its n-grams; prune_min_count > 0 then drops the n-grams of order >= 2
+    whose modified count falls below the cutoff (off by default). A
+    history left without an entry keeps its back-off weight and gets an
+    entry holding its backed-off probability, as ARPA needs.
     """
     check_settings(order, prune_min_count)
     if not lens.size:
         raise ValueError("empty corpus")
     mod = modified_counts(ids, lens, order)
-    if prune_min_count > 0:
-        for k in range(2, order + 1):
-            mod[k] = Counter({g: c for g, c in mod[k].items()
-                              if c >= prune_min_count})
 
     m = NGramModel(order, vocab)
     for k in range(1, order + 1):
@@ -260,6 +258,8 @@ def train_kn(ids, lens, order: int, vocab: Vocabulary,
         m.discounts[k] = d
         if warning:
             m.warnings.append("order %d: %s" % (k, warning))
+        if k >= 2 and prune_min_count > 0:
+            mod[k] = {g: c for g, c in mod[k].items() if c >= prune_min_count}
 
     nvocab = len(vocab)
 
@@ -287,6 +287,12 @@ def train_kn(ids, lens, order: int, vocab: Vocabulary,
             for w, c in pairs:
                 p_lower = m.prob(w, hist[1:])
                 m.probs[k][hist + (w,)] = (c - d.for_count(c)) / total + gamma * p_lower
+
+    # all taken before any is added, so none is read through another's entry
+    pruned = [(k, h, m.prob(h[-1], h[:-1])) for k in range(1, order)
+              for h in m.bows[k] if h not in m.probs[k]]
+    for k, h, p in pruned:
+        m.probs[k][h] = p
     return m
 
 
@@ -295,35 +301,25 @@ def _fmt(x: float) -> str:
 
 
 def export_arpa(m: NGramModel) -> str:
-    """Serialize the model in ARPA text format (log10 probs and bows).
-
-    ARPA keeps a back-off weight on the entry of its history. A history
-    whose own n-gram was pruned is written as an entry holding its
-    backed-off probability, so its weight survives and every query gives
-    the same probability.
-    """
-    probs = {k: dict(m.probs[k]) for k in range(1, m.order + 1)}
-    for k in range(1, m.order):
-        for gram in m.bows[k]:
-            if gram not in probs[k]:
-                probs[k][gram] = m.prob(gram[-1], gram[:-1])
+    """Serialize the model in ARPA text format (log10 probs and bows),
+    each entry as the model holds it. ARPA keeps a back-off weight on
+    the entry of its history, so every history must have an entry."""
     lines = ["", "\\data\\"]
     for k in range(1, m.order + 1):
-        lines.append("ngram %d=%d" % (k, len(probs[k])))
+        lines.append("ngram %d=%d" % (k, len(m.probs[k])))
     for k in range(1, m.order + 1):
-        lines.append("")
-        lines.append("\\%d-grams:" % k)
-        for gram in sorted(probs[k]):
+        probs, bows = m.probs[k], m.bows.get(k, {})
+        if not bows.keys() <= probs.keys():
+            raise ValueError("%d-gram history with no entry of its own" % k)
+        lines += ["", "\\%d-grams:" % k]
+        for gram in sorted(probs):
             words = " ".join(m.vocab.word(i) for i in gram)
-            logp = math.log10(probs[k][gram])
-            if k < m.order and gram in m.bows[k]:
-                lines.append("%s\t%s\t%s" % (_fmt(logp), words,
-                                             _fmt(math.log10(m.bows[k][gram]))))
+            logp = math.log10(probs[gram])
+            if gram in bows:
+                lines.append("%s\t%s\t%s" % (_fmt(logp), words, _fmt(math.log10(bows[gram]))))
             else:
                 lines.append("%s\t%s" % (_fmt(logp), words))
-    lines.append("")
-    lines.append("\\end\\")
-    lines.append("")
+    lines += ["", "\\end\\", ""]
     return "\n".join(lines)
 
 

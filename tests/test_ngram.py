@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rarelm import metrics, neural, ngram, textcorpus
+from rarelm import experiment, metrics, neural, ngram, textcorpus
 from rarelm.textcorpus import (BOS_ID, EOS_ID, SPECIALS, UNK_ID, Vocabulary, build_vocab,
                               encode)
 
@@ -330,12 +330,13 @@ def test_arpa_roundtrip_prob_property(corpus, order, prune_min_count, data):
 
 
 def test_arpa_keeps_backoff_of_pruned_history():
-    # the bigram "d c" is pruned, but "d c b" is kept, so the bow of "d c"
-    # must survive export even though "d c" has no entry of its own
+    # the bigram "d c" is pruned, but "d c b" is kept, so "d c" keeps its
+    # bow and gets an entry holding its backed-off probability, which
+    # export writes as it writes every entry
     corpus = [["a", "d"], ["a", "b", "d", "c", "b", "d"], ["b", "d", "c", "b", "d"]]
     m, vocab, enc = make_model(corpus, 3, prune_min_count=2)
     hist = (vocab.id("d"), vocab.id("c"))
-    assert hist in m.bows[2] and hist not in m.probs[2]
+    assert hist in m.bows[2] and m.probs[2][hist] == m.bows[1][hist[:1]] * m.probs[1][hist[1:]]
     m2 = ngram.import_arpa(ngram.export_arpa(m))
     h2 = tuple(m2.vocab.id(vocab.word(i)) for i in hist)
     for w in vocab.id_to_word:
@@ -343,6 +344,67 @@ def test_arpa_keeps_backoff_of_pruned_history():
                    - math.log10(m.prob(vocab.id(w), hist))) < 1e-8
     enc2 = [[m2.vocab.id(vocab.word(i)) for i in s] for s in enc]
     assert abs(kn_ppl(m2, *pack(enc2)) - kn_ppl(m, *pack(enc))) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                                min_size=1, max_size=7), min_size=1, max_size=8),
+       order=st.integers(1, 4), prune_min_count=st.sampled_from([0, 2, 3]))
+# pruning drops "d c" but keeps "d c b", so the history "d c" has an entry
+# only because train_kn gives it one
+@example(corpus=[["a", "d"], ["a", "b", "d", "c", "b", "d"], ["b", "d", "c", "b", "d"]],
+         order=3, prune_min_count=2)
+def test_arpa_roundtrip_keeps_every_entry(corpus, order, prune_min_count):
+    # a trained model, pruned or not, holds exactly the entries of its ARPA
+    # file; import_arpa assigns its own ids, so entries are compared by word
+    m, _, _ = make_model(corpus, order, prune_min_count=prune_min_count)
+    m2 = ngram.import_arpa(ngram.export_arpa(m))
+
+    def by_word(model, table):
+        return {tuple(map(model.vocab.word, gram)): math.log10(v) for gram, v in table.items()}
+
+    for k in range(1, order + 1):
+        for want, got in [(m.probs[k], m2.probs[k]), (m.bows.get(k, {}), m2.bows.get(k, {}))]:
+            want, got = by_word(m, want), by_word(m2, got)
+            assert got.keys() == want.keys()
+            assert all(abs(got[g] - want[g]) < 1e-9 for g in want)
+
+
+def test_export_rejects_a_history_without_an_entry():
+    # ARPA keeps a back-off weight on its history's entry, so a weight
+    # whose history has none could not be written
+    m, vocab, _ = make_model([["a", "b"]], 2)
+    del m.probs[1][(vocab.id("a"),)]
+    with pytest.raises(ValueError, match="1-gram history with no entry"):
+        ngram.export_arpa(m)
+
+
+def test_pruning_takes_the_discounts_of_the_full_counts():
+    # after a cutoff of 2 no kept n-gram has count 1, so discounts estimated
+    # from the kept counts would fall back to D=0.75 at every pruned order
+    corpus = experiment.gen_synthetic(experiment.SyntheticConfig(seed=42)).train
+    full, _, _ = make_model(corpus, 4)
+    pruned, _, _ = make_model(corpus, 4, prune_min_count=2)
+    assert pruned.discounts == full.discounts
+    assert not [w for w in pruned.warnings if "n1..n4 = 0" in w]
+
+
+def test_export_memory_stays_near_the_text():
+    # export_arpa writes the model's tables as they are, so its peak is its
+    # lines and the text they join into, not a copy of every table
+    rng = np.random.default_rng(0)
+    words = ["w%d" % i for i in range(1000)]
+    zipf = 1.0 / np.arange(1, 1001)
+    corpus = [[words[i] for i in rng.choice(1000, size=n, p=zipf / zipf.sum())]
+              for n in rng.integers(3, 16, size=2000)]
+    m, _, _ = make_model(corpus, 4)
+    tracemalloc.start()
+    try:
+        text = ngram.export_arpa(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * len(text)
 
 
 def test_arpa_count_mismatch():

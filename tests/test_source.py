@@ -250,6 +250,21 @@ def test_scoring_has_one_core():
     assert users == {"neural.lm_scores"}
 
 
+def test_only_training_queries_the_scalar_prob():
+    # train_kn alone asks NGramModel.prob: it takes each lower-order
+    # probability and the backed-off probability of each pruned history,
+    # so a trained model holds exactly the entries export_arpa writes,
+    # and no other function fills in a model's entries
+    callers = set()
+    for path in SRC:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "prob"
+                    for node in ast.walk(fn)):
+                callers.add("%s.%s" % (path.stem, fn.name))
+    assert callers == {"ngram.train_kn"}
+
+
 def uses(tree):
     """Every name tree uses: names, attributes and the names of from-imports."""
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
